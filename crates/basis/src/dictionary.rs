@@ -110,14 +110,15 @@ impl Dictionary {
     }
 
     /// Number of basis functions `M`.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
+    )]
     pub fn len(&self) -> usize {
         match self.kind {
             DictionaryKind::Linear => 1 + self.n,
             DictionaryKind::Quadratic => 1 + 2 * self.n + self.n * (self.n - 1) / 2,
-            DictionaryKind::TotalDegree(_) => {
-                // rsm-lint: allow(R3) — constructor materializes `terms` for TotalDegree; absence is a construction bug
-                self.terms.as_ref().expect("materialized").len()
-            }
+            DictionaryKind::TotalDegree(_) => self.terms.as_ref().expect("materialized").len(),
         }
     }
 
@@ -132,6 +133,10 @@ impl Dictionary {
     /// # Panics
     ///
     /// Panics if `m >= len()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
+    )]
     pub fn term(&self, m: usize) -> Term {
         assert!(m < self.len(), "term index {m} out of range {}", self.len());
         match self.kind {
@@ -155,10 +160,7 @@ impl Dictionary {
                     Term::cross(i, j)
                 }
             }
-            DictionaryKind::TotalDegree(_) => {
-                // rsm-lint: allow(R3) — constructor materializes `terms` for TotalDegree; absence is a construction bug
-                self.terms.as_ref().expect("materialized")[m].clone()
-            }
+            DictionaryKind::TotalDegree(_) => self.terms.as_ref().expect("materialized")[m].clone(),
         }
     }
 
@@ -198,6 +200,10 @@ impl Dictionary {
     /// # Panics
     ///
     /// Panics if `dy.len() != N` or `out.len() != M`.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
+    )]
     pub fn eval_point_into(&self, dy: &[f64], out: &mut [f64]) {
         assert_eq!(dy.len(), self.n, "eval_point_into: wrong input dimension");
         assert_eq!(out.len(), self.len(), "eval_point_into: wrong output size");
@@ -231,7 +237,6 @@ impl Dictionary {
                 for (m, t) in self
                     .terms
                     .as_ref()
-                    // rsm-lint: allow(R3) — constructor materializes `terms` for TotalDegree; absence is a construction bug
                     .expect("materialized")
                     .iter()
                     .enumerate()
@@ -439,8 +444,8 @@ mod tests {
         let dy = [0.4, -1.2, 0.9];
         let mut out = vec![0.0; d.len()];
         d.eval_point_into(&dy, &mut out);
-        for m in 0..d.len() {
-            assert!((out[m] - d.term(m).eval(&dy)).abs() < 1e-12);
+        for (m, v) in out.iter().enumerate() {
+            assert!((v - d.term(m).eval(&dy)).abs() < 1e-12);
         }
     }
 

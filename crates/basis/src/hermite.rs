@@ -97,7 +97,10 @@ pub fn gauss_hermite(n: usize) -> (Vec<f64>, Vec<f64>) {
         jac[(k - 1, k)] = b;
         jac[(k, k - 1)] = b;
     }
-    // rsm-lint: allow(R3) — the Golub-Welsch Jacobi matrix is symmetric tridiagonal by construction; eigensolver failure is unreachable
+    #[expect(
+        clippy::expect_used,
+        reason = "the Golub-Welsch Jacobi matrix is symmetric tridiagonal by construction; eigensolver failure is unreachable"
+    )]
     let eig = SymmetricEigen::new(&jac).expect("Jacobi matrix eigendecomposition");
     let mut pairs: Vec<(f64, f64)> = (0..n)
         .map(|i| {

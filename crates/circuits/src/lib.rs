@@ -24,10 +24,19 @@
 //!   circuit from independent standard-normal factors, as the paper
 //!   does after PCA.
 
-// Numerical kernels index several parallel arrays inside one loop;
-// iterator-zip rewrites obscure the math, so the range-loop lint is
-// disabled crate-wide.
-#![allow(clippy::needless_range_loop)]
+// Library code reports failures as structured errors, compares floats
+// exactly only through `rsm_linalg::tol`, and never drops a `Result`
+// silently: each exception is a reasoned `#[expect]`. Tests may panic
+// (clippy.toml), assert bit-exact results and discard cleanup errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod lna;

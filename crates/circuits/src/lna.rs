@@ -220,9 +220,12 @@ impl PerformanceCircuit for Lna {
         &LNA_METRICS
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible `evaluate` contract: a non-converging sample is a testbench bug; `try_evaluate` is the fallible path"
+    )]
     fn evaluate(&self, dy: &[f64]) -> Vec<f64> {
         self.try_evaluate(dy)
-            // rsm-lint: allow(R3) — infallible `evaluate` contract: a non-converging sample is a testbench bug; `try_evaluate` is the fallible path
             .expect("LNA sample failed to converge")
             .to_vec()
     }

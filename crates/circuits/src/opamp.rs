@@ -130,9 +130,12 @@ impl OpAmp {
         };
         // Nominal closed-loop output for the offset reference.
         let dy = vec![0.0; OPAMP_NUM_VARS];
+        #[expect(
+            clippy::expect_used,
+            reason = "nominal-point simulation failing means the fixed testbench itself is broken; unrecoverable by the caller"
+        )]
         let (_, vout) = amp
             .simulate(&dy)
-            // rsm-lint: allow(R3) — nominal-point simulation failing means the fixed testbench itself is broken; unrecoverable by the caller
             .expect("nominal OpAmp must simulate cleanly");
         amp.nominal_vout = vout.offset_raw;
         amp
@@ -321,10 +324,13 @@ impl PerformanceCircuit for OpAmp {
         &OPAMP_METRICS
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible `evaluate` contract: a non-converging sample is a testbench bug; `try_evaluate` is the fallible path"
+    )]
     fn evaluate(&self, dy: &[f64]) -> Vec<f64> {
         let p = self
             .try_evaluate(dy)
-            // rsm-lint: allow(R3) — infallible `evaluate` contract: a non-converging sample is a testbench bug; `try_evaluate` is the fallible path
             .expect("OpAmp sample failed to converge");
         vec![p.gain, p.bandwidth, p.power, p.offset]
     }

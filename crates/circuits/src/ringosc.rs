@@ -179,10 +179,13 @@ impl PerformanceCircuit for RingOscillator {
         &["frequency"]
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "infallible `evaluate` contract: a non-starting oscillator is a testbench bug; `try_frequency` is the fallible path"
+    )]
     fn evaluate(&self, dy: &[f64]) -> Vec<f64> {
         vec![self
             .try_frequency(dy)
-            // rsm-lint: allow(R3) — infallible `evaluate` contract: a non-starting oscillator is a testbench bug; `try_frequency` is the fallible path
             .expect("ring oscillator failed to start")]
     }
 }

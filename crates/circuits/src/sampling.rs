@@ -118,8 +118,9 @@ mod tests {
     fn metric_extracts_column() {
         let s = sample(&Toy, 5, 2);
         let prod = s.metric(1);
-        for r in 0..5 {
-            assert_eq!(prod[r], s.outputs[(r, 1)]);
+        assert_eq!(prod.len(), 5);
+        for (r, &v) in prod.iter().enumerate() {
+            assert_eq!(v, s.outputs[(r, 1)]);
         }
     }
 

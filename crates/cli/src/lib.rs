@@ -4,10 +4,6 @@
 //! arguments + file contents to output text, so the whole tool is unit-
 //! testable without spawning processes.
 
-// Numerical kernels index several parallel arrays inside one loop;
-// iterator-zip rewrites obscure the math, so the range-loop lint is
-// disabled crate-wide.
-#![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
 pub mod csv;
@@ -224,8 +220,8 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
         let err = relative_error(&pred, &f);
         (report, pipeline, err)
     } else {
-        // Explicit dense path, chosen by the user; R6v2 accepts it
-        // because no matrix-free entry front reaches this call.
+        // Explicit dense path, chosen by the user: the only non-test
+        // library call of `design_matrix`; no solver entry reaches it.
         let g = dict.design_matrix(&inputs);
         let (report, pipeline) = fit_report(&g, &f, method, &order, stream.as_ref())?;
         let err = relative_error(&report.model.predict_matrix(&g), &f);

@@ -52,6 +52,10 @@ fn term_expr(dict: &Dictionary, m: usize, var: &dyn Fn(usize) -> String) -> Resu
 ///   disagree;
 /// - [`CoreError::BadConfig`] for terms of degree > 2 or an invalid
 ///   identifier.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
 pub fn to_c(model: &SparseModel, dict: &Dictionary, name: &str) -> Result<String> {
     check(model, dict, name)?;
     let mut out = String::new();
@@ -85,6 +89,10 @@ pub fn to_c(model: &SparseModel, dict: &Dictionary, name: &str) -> Result<String
 /// # Errors
 ///
 /// As [`to_c`].
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
 pub fn to_veriloga(model: &SparseModel, dict: &Dictionary, name: &str) -> Result<String> {
     check(model, dict, name)?;
     let n = dict.num_vars();

@@ -53,10 +53,23 @@
 //! assert!((model.coefficient(2).unwrap() - 3.0).abs() < 1e-10);
 //! ```
 
-// Numerical kernels index several parallel arrays inside one loop;
-// iterator-zip rewrites obscure the math, so the range-loop lint is
-// disabled crate-wide.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "numerical kernels index several parallel arrays inside one loop; iterator-zip rewrites obscure the math"
+)]
+// Library code reports failures as structured errors, compares floats
+// exactly only through `rsm_linalg::tol`, and never drops a `Result`
+// silently: each exception is a reasoned `#[expect]`. Tests may panic
+// (clippy.toml), assert bit-exact results and discard cleanup errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod bundle;

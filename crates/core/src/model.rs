@@ -207,6 +207,10 @@ impl SparseModel {
     /// A human-readable report: terms sorted by decreasing |coefficient|,
     /// one per line, rendered through the dictionary (`y3`, `ψ2(y0)`,
     /// `y1·y7`, …). The paper's Fig. 6 in text form.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write into a String cannot fail"
+    )]
     pub fn describe(&self, dict: &rsm_basis::Dictionary) -> String {
         use std::fmt::Write as _;
         let mut rows: Vec<(usize, f64)> = self.coeffs.clone();

@@ -69,8 +69,11 @@ impl SparsePath {
     }
 
     /// The final (largest-`λ`) model.
+    #[expect(
+        clippy::expect_used,
+        reason = "RegularizationPath constructors record at least one snapshot; emptiness is a construction bug"
+    )]
     pub fn final_model(&self) -> &SparseModel {
-        // rsm-lint: allow(R3) — RegularizationPath constructors record at least one snapshot; emptiness is a construction bug
         self.snapshots.last().expect("non-empty path")
     }
 

@@ -392,7 +392,10 @@ impl LarSession {
         let m = self.m;
         let lasso = self.cfg.lasso;
         let max_steps = self.cfg.max_steps;
-        // rsm-lint: allow(R3) — ensure_started() above guarantees the path state exists
+        #[expect(
+            clippy::expect_used,
+            reason = "ensure_started() above guarantees the path state exists"
+        )]
         let st = self.path.as_mut().expect("path state initialized");
         if st.done || st.steps >= max_steps {
             st.done = true;

@@ -140,8 +140,10 @@ impl Mul<f64> for Complex {
 impl Div for Complex {
     type Output = Complex;
     #[inline]
-    // Division via the overflow-safe reciprocal is the intended design.
-    #[allow(clippy::suspicious_arithmetic_impl)]
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "division via the overflow-safe reciprocal is the intended design"
+    )]
     fn div(self, o: Complex) -> Complex {
         self * o.recip()
     }

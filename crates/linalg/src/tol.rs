@@ -1,6 +1,7 @@
-//! Designated floating-point comparison helpers (rsm-lint rule R2).
+//! Designated floating-point comparison helpers.
 //!
-//! Exact float `==`/`!=` is banned in workspace code because LAR/OMP
+//! Exact float `==`/`!=` is denied in library code (`clippy::float_cmp`
+//! at each library crate root) because LAR/OMP
 //! are sensitive to tie-breaking and near-zero correlation tests: a
 //! comparison that is exact *by accident* is indistinguishable from
 //! one that is exact *on purpose*. Every comparison must route through
@@ -15,7 +16,8 @@
 //!   genuinely approximate questions ("has the residual vanished?").
 //!
 //! The two exact helpers are the *only* sanctioned homes of the raw
-//! operator; their definitions carry the audited suppressions.
+//! operator. Neither needs an exemption: `float_cmp` skips comparisons
+//! against a zero constant and functions named `*_eq`.
 
 /// Default absolute tolerance for [`near_zero`] when a caller has no
 /// better problem-scale estimate: `f64` epsilon squared-ish, far below
@@ -46,7 +48,6 @@ pub const STEP_REL_TOL: f64 = 1e-14;
 #[inline]
 #[must_use]
 pub fn exactly_zero(x: f64) -> bool {
-    // Definition site: tol.rs is the one module rsm-lint R2 exempts.
     x == 0.0
 }
 
@@ -58,12 +59,7 @@ pub fn exactly_zero(x: f64) -> bool {
 #[inline]
 #[must_use]
 pub fn exactly_eq(a: f64, b: f64) -> bool {
-    // Definition site of the sanctioned exact comparison (R2 keys on
-    // literal operands, so no suppression is needed here).
-    #[allow(clippy::float_cmp)]
-    {
-        a == b
-    }
+    a == b
 }
 
 /// True when `|x| <= abs_tol`. NaN is never near zero.

@@ -35,6 +35,20 @@
 //! invoked from inside a worker runs its chunk grid inline, which by
 //! the invariant above produces the same bits.
 
+// Library code reports failures as structured errors, compares floats
+// exactly only through `rsm_linalg::tol`, and never drops a `Result`
+// silently: each exception is a reasoned `#[expect]`. Tests may panic
+// (clippy.toml), assert bit-exact results and discard cleanup errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
+
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,14 +79,15 @@ pub fn set_threads(n: usize) {
 /// Resolution order: [`set_threads`] override, then a positive integer
 /// in `RSM_THREADS`, then [`std::thread::available_parallelism`]
 /// (falling back to 1 if that is unavailable).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned RSM_THREADS knob: thread count only affects speed, never results (tests/parallel_equivalence.rs)"
+)]
 pub fn threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
         return o;
     }
-    // The sanctioned RSM_THREADS shim: rsm-lint R4v2 recognizes this
-    // fn structurally (runtime crate + the literal below); thread count
-    // only affects speed, never results (tests/parallel_equivalence.rs).
     if let Ok(s) = std::env::var("RSM_THREADS") {
         if let Ok(n) = s.trim().parse::<usize>() {
             if n > 0 {
@@ -113,6 +128,36 @@ fn num_chunks(len: usize, chunk_len: usize) -> usize {
 /// is what keeps the streaming-dictionary correlation (8 MB per
 /// partial at M = 10⁶) affordable.
 ///
+/// # Examples
+///
+/// Each chunk returns its partial; only `fold` touches shared state:
+///
+/// ```
+/// let xs: Vec<f64> = (0..100).map(f64::from).collect();
+/// let mut total = 0.0;
+/// rsm_runtime::par_chunks_reduce(xs.len(), 16, |r| xs[r].iter().sum::<f64>(), |p| total += p);
+/// assert_eq!(total, 4950.0);
+/// ```
+///
+/// `map` is `Fn + Sync`, so a worker cannot write into captured state,
+/// whose final value would depend on the order the workers ran in.
+/// Accumulating into an outer binding from the worker does not compile:
+///
+/// ```compile_fail,E0594
+/// let xs: Vec<f64> = (0..100).map(f64::from).collect();
+/// let mut total = 0.0;
+/// rsm_runtime::par_chunks_reduce(
+///     xs.len(),
+///     16,
+///     |r| {
+///         for i in r {
+///             total += xs[i];
+///         }
+///     },
+///     |()| {},
+/// );
+/// ```
+///
 /// # Panics
 ///
 /// Panics if `chunk_len` is zero, or propagates a panic from `map`.
@@ -139,7 +184,6 @@ where
         let next = &next;
         let map = &map;
         for _ in 0..workers {
-            // rsm-lint: allow(R11) — one Sender clone per spawned worker (outside the per-chunk hot loop); each worker must own a Sender so the channel disconnects when all drop
             let tx = tx.clone();
             scope.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
@@ -288,7 +332,6 @@ where
         let next = &next;
         let f = &f;
         for _ in 0..workers {
-            // rsm-lint: allow(R11) — one Sender clone per spawned worker (outside the per-chunk hot loop); each worker must own a Sender so the channel disconnects when all drop
             let tx = tx.clone();
             scope.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));

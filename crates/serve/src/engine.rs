@@ -8,7 +8,8 @@
 //! bit-identical to offline ones. Everything here is infallible by
 //! construction: invalid requests map to [`Frame::Error`] values, never
 //! panics, which is what keeps the request loop alive across abusive
-//! clients (and the crate clean under rsm-lint R3).
+//! clients (and the crate clean under its `clippy::unwrap_used`,
+//! `expect_used` and `panic` denials).
 
 use crate::frame::{ErrorCode, Frame};
 use rsm_basis::Dictionary;

@@ -25,6 +25,19 @@
 //! [`client`] is a minimal blocking client used by the bench harness
 //! and the test suites.
 
+// Library code reports failures as structured errors, compares floats
+// exactly only through `rsm_linalg::tol`, and never drops a `Result`
+// silently: each exception is a reasoned `#[expect]`. Tests may panic
+// (clippy.toml), assert bit-exact results and discard cleanup errors.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -210,6 +210,10 @@ pub fn serve_unix(
     }
     let listener = UnixListener::bind(path)?;
     let stats = serve_listener(engine, &listener, max_conns);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort unlink of the socket file; the serve result is what the caller needs"
+    )]
     let _ = std::fs::remove_file(path);
     stats
 }

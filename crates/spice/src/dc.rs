@@ -56,6 +56,10 @@ impl OperatingPoint {
     /// Renders a human-readable operating-point report: node voltages,
     /// source branch currents and per-MOSFET bias state — the
     /// `.op` printout of a classic SPICE.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "fmt::Write into a String cannot fail"
+    )]
     pub fn report(&self, ckt: &Circuit) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

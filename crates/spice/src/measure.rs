@@ -7,6 +7,7 @@
 use crate::ac::AcSweep;
 use crate::netlist::NodeId;
 use crate::{Result, SpiceError};
+use rsm_linalg::tol;
 
 /// Low-frequency (first sweep point) magnitude at a node — the DC gain
 /// when the AC stimulus has unit magnitude.
@@ -46,7 +47,7 @@ pub fn bandwidth_3db(sweep: &AcSweep, node: NodeId) -> Result<f64> {
         if mag[k] <= target {
             let (f0, f1) = (sweep.freqs()[k - 1], sweep.freqs()[k]);
             let (m0, m1) = (mag[k - 1], mag[k]);
-            if m0 == m1 {
+            if tol::exactly_eq(m0, m1) {
                 return Ok(f1);
             }
             // Interpolate log-magnitude over log-frequency.
@@ -153,7 +154,7 @@ pub fn bandwidth_3db_around_peak(sweep: &AcSweep, node: NodeId) -> Result<f64> {
     let interp = |i0: usize, i1: usize| -> f64 {
         let (m0, m1) = (mag[i0], mag[i1]);
         let (f0, f1) = (sweep.freqs()[i0], sweep.freqs()[i1]);
-        if m0 == m1 {
+        if tol::exactly_eq(m0, m1) {
             return f1;
         }
         let t = (m0.ln() - target.ln()) / (m0.ln() - m1.ln());
@@ -201,7 +202,7 @@ pub fn cross_time(times: &[f64], wave: &[f64], threshold: f64, rising: bool) -> 
             a > threshold && b <= threshold
         };
         if crossed {
-            let t = if b == a {
+            let t = if tol::exactly_eq(b, a) {
                 0.0
             } else {
                 (threshold - a) / (b - a)

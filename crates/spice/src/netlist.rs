@@ -333,7 +333,10 @@ impl Circuit {
     }
 
     /// Adds a MOSFET with explicit parasitic capacitances.
-    #[allow(clippy::too_many_arguments)] // element constructor: one arg per terminal/cap
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "element constructor: one arg per terminal/cap"
+    )]
     pub fn mosfet_with_caps(
         &mut self,
         d: NodeId,

@@ -58,7 +58,7 @@ impl Waveform {
                     let (t0, v0) = w[0];
                     let (t1, v1) = w[1];
                     if t <= t1 {
-                        if t1 == t0 {
+                        if tol::exactly_eq(t1, t0) {
                             return v1;
                         }
                         return v0 + (v1 - v0) * (t - t0) / (t1 - t0);

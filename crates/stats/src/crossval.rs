@@ -207,7 +207,7 @@ impl EarlyStopMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rejects_degenerate_parameters() {
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn folds_partition_everything_exactly_once() {
         let folds = QFold::new(103, 4).unwrap();
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for (_, test) in folds.splits() {
             for i in test {
                 assert!(seen.insert(i), "index {i} in two folds");
@@ -233,7 +233,7 @@ mod tests {
     fn train_and_test_are_disjoint_and_complete() {
         let folds = QFold::new(20, 5).unwrap();
         for (train, test) in folds.splits() {
-            let tr: HashSet<_> = train.iter().collect();
+            let tr: BTreeSet<_> = train.iter().collect();
             assert!(test.iter().all(|i| !tr.contains(i)));
             assert_eq!(train.len() + test.len(), 20);
         }
@@ -263,7 +263,7 @@ mod tests {
     fn shuffled_is_still_a_partition() {
         let mut s = NormalSampler::seed_from_u64(11);
         let folds = QFold::shuffled(57, 3, &mut s).unwrap();
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for (_, test) in folds.splits() {
             for i in test {
                 assert!(seen.insert(i));

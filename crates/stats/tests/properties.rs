@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rsm_linalg::Matrix;
 use rsm_stats::{describe, metrics, FactorModel, NormalSampler, Pca, QFold};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -12,7 +12,7 @@ proptest! {
     fn qfold_is_partition(n in 4usize..200, q in 2usize..8) {
         prop_assume!(q <= n);
         let folds = QFold::new(n, q).unwrap();
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for (train, test) in folds.splits() {
             prop_assert_eq!(train.len() + test.len(), n);
             for i in test {

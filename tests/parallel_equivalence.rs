@@ -352,8 +352,9 @@ fn serial_chunk_sum(xs: &[f64], chunk_len: usize) -> f64 {
     total
 }
 
-/// The sanctioned chunked reduction exactly as rsm-lint's R7 demands
-/// it: closure-local partials, combined through the in-order fold.
+/// The sanctioned chunked reduction, the only shape the runtime's
+/// `Fn + Sync` worker bound admits: closure-local partials, combined
+/// through the in-order fold.
 fn sanctioned_chunk_sum(xs: &[f64], chunk_len: usize) -> f64 {
     let mut total = 0.0;
     runtime::par_chunks_reduce(
