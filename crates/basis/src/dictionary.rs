@@ -16,7 +16,20 @@
 
 use crate::hermite;
 use crate::term::Term;
-use rsm_linalg::Matrix;
+use rsm_linalg::{tol, Matrix};
+use std::f64::consts::FRAC_1_SQRT_2;
+use std::ops::Range;
+
+/// What [`Dictionary::accumulate`] adds, per sample row `k`, into the
+/// entry of atom `j`.
+#[derive(Debug, Clone, Copy)]
+pub enum Accumulation<'a> {
+    /// `w_k · g_j(x_k)`, weights indexed by sample row: the correlation
+    /// `Gᵀ·w`. Rows whose weight is exactly zero are skipped.
+    Weighted(&'a [f64]),
+    /// `g_j(x_k)²`: the squared column norms.
+    Squares,
+}
 
 /// The model family a [`Dictionary`] spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,6 +306,142 @@ impl Dictionary {
             }
         }
     }
+
+    /// Adds one pass over the sample rows `rows` (in ascending order)
+    /// into the atom range `atoms`: for every row `k` and atom `j`,
+    /// `out[j − atoms.start] += w_k·g_j(x_k)`, or `g_j(x_k)²` (see
+    /// [`Accumulation`]).
+    ///
+    /// This is the streaming kernel behind the dictionary source's
+    /// correlation and norm sweeps. No `M`-wide row is materialized:
+    /// each row walks only the requested atoms, the quadratic cross
+    /// terms as contiguous `y_i·y[j..]` segments. Every entry gets the
+    /// same `g` value [`Self::eval_point_into`] computes and the same
+    /// update `out += w·g` (or `g·g`), row by row, so the result is
+    /// bit-identical to evaluating whole rows and adding them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples.cols() != N`, `atoms` is not a range within
+    /// `0..M`, `out.len() != atoms.len()`, or a row of `rows` is out of
+    /// range of `samples` or of the weights.
+    pub fn accumulate(
+        &self,
+        samples: &Matrix,
+        rows: Range<usize>,
+        acc: Accumulation<'_>,
+        atoms: Range<usize>,
+        out: &mut [f64],
+    ) {
+        assert_eq!(
+            samples.cols(),
+            self.n,
+            "accumulate: sample dimension mismatch"
+        );
+        assert!(
+            atoms.start <= atoms.end && atoms.end <= self.len(),
+            "accumulate: atom range out of bounds"
+        );
+        assert_eq!(out.len(), atoms.len(), "accumulate: wrong output size");
+        match acc {
+            Accumulation::Weighted(w) => {
+                self.accumulate_with(samples, rows, Some(w), atoms, out, |wk, g| wk * g);
+            }
+            Accumulation::Squares => {
+                self.accumulate_with(samples, rows, None, atoms, out, |_, g| g * g);
+            }
+        }
+    }
+
+    /// [`Self::accumulate`] with the per-entry update
+    /// `out += term(w_k, g)`; `weights: None` visits every row.
+    fn accumulate_with(
+        &self,
+        samples: &Matrix,
+        rows: Range<usize>,
+        weights: Option<&[f64]>,
+        atoms: Range<usize>,
+        out: &mut [f64],
+        term: impl Fn(f64, f64) -> f64,
+    ) {
+        let n = self.n;
+        let Range { start, end } = atoms;
+        // A total-degree dictionary evaluates its materialized terms
+        // through the shared ψ table of `eval_point_into`.
+        let table = match (self.kind, &self.terms) {
+            (DictionaryKind::TotalDegree(d), Some(terms)) => {
+                Some((d as usize + 1, &terms[start..end]))
+            }
+            _ => None,
+        };
+        let mut psis = table.map_or_else(Vec::new, |(stride, _)| vec![0.0; n * stride]);
+        // The linear, pure-quadratic and cross blocks of the structured
+        // layout, clipped to `atoms` (empty where they miss it).
+        let linear = start.max(1)..end.min(n + 1);
+        let pure = start.max(n + 1)..end.min(2 * n + 1);
+        let cross = start.max(2 * n + 1)..end;
+        let first_pair = if table.is_none() && !cross.is_empty() {
+            cross_pair(n, cross.start - 2 * n - 1)
+        } else {
+            (0, 1)
+        };
+        for k in rows {
+            let wk = match weights {
+                Some(w) if tol::exactly_zero(w[k]) => continue,
+                Some(w) => w[k],
+                None => 1.0,
+            };
+            let dy = samples.row(k);
+            if let Some((stride, terms)) = table {
+                for (chunk, &yv) in psis.chunks_exact_mut(stride).zip(dy) {
+                    hermite::psi_all(yv, chunk);
+                }
+                for (o, t) in out.iter_mut().zip(terms) {
+                    let mut prod = 1.0;
+                    for &(v, deg) in t.factors() {
+                        prod *= psis[v * stride + deg as usize];
+                    }
+                    *o += term(wk, prod);
+                }
+                continue;
+            }
+            if start == 0 && end > 0 {
+                out[0] += term(wk, 1.0);
+            }
+            if !linear.is_empty() {
+                let ys = &dy[linear.start - 1..linear.end - 1];
+                for (o, &y) in out[linear.start - start..linear.end - start]
+                    .iter_mut()
+                    .zip(ys)
+                {
+                    *o += term(wk, y);
+                }
+            }
+            if !pure.is_empty() {
+                let ys = &dy[pure.start - n - 1..pure.end - n - 1];
+                for (o, &y) in out[pure.start - start..pure.end - start].iter_mut().zip(ys) {
+                    *o += term(wk, (y * y - 1.0) * FRAC_1_SQRT_2);
+                }
+            }
+            if !cross.is_empty() {
+                // Cross-block row `i` is the contiguous segment
+                // `y_i·y[i+1..]`; only the first may start mid-row.
+                let (mut i, mut j) = first_pair;
+                let mut rest = &mut out[cross.start - start..];
+                while !rest.is_empty() {
+                    let len = (n - j).min(rest.len());
+                    let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                    let yi = dy[i];
+                    for (o, &yj) in seg.iter_mut().zip(&dy[j..j + len]) {
+                        *o += term(wk, yi * yj);
+                    }
+                    rest = tail;
+                    i += 1;
+                    j = i + 1;
+                }
+            }
+        }
+    }
 }
 
 /// Maps a lexicographic cross-term rank `c` to its `(i, j)` pair,
@@ -410,6 +559,59 @@ mod tests {
         for r in 0..7 {
             for c in 0..5 {
                 assert!((block[(r, c)] - g[(r, 6 + c)]).abs() < 1e-14);
+            }
+        }
+    }
+
+    /// Row-at-a-time reference for `accumulate`: whole rows from
+    /// `eval_point_into`, added in with `out += w·g` (or `g·g`).
+    fn accumulate_by_rows(
+        d: &Dictionary,
+        samples: &Matrix,
+        rows: Range<usize>,
+        weights: Option<&[f64]>,
+        atoms: Range<usize>,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; atoms.len()];
+        let mut row = vec![0.0; d.len()];
+        for k in rows {
+            if weights.is_some_and(|w| tol::exactly_zero(w[k])) {
+                continue;
+            }
+            d.eval_point_into(samples.row(k), &mut row);
+            for (o, &g) in out.iter_mut().zip(&row[atoms.clone()]) {
+                *o += match weights {
+                    Some(w) => w[k] * g,
+                    None => g * g,
+                };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn accumulate_matches_row_evaluation_on_every_atom_range() {
+        // Every sub-range of atoms, so ranges start and end inside the
+        // linear, pure and cross blocks and split every cross-term row.
+        let weights = [0.7, 0.0, -1.3, -0.0, 2.5, 1e300];
+        let samples = Matrix::from_fn(6, 5, |r, c| ((r * 5 + c) as f64 * 0.73).sin() * 1.9);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [
+            DictionaryKind::Linear,
+            DictionaryKind::Quadratic,
+            DictionaryKind::TotalDegree(3),
+        ] {
+            let d = Dictionary::new(5, kind);
+            for lo in 0..=d.len() {
+                for hi in lo..=d.len() {
+                    for w in [Some(&weights[..]), None] {
+                        let want = accumulate_by_rows(&d, &samples, 1..6, w, lo..hi);
+                        let acc = w.map_or(Accumulation::Squares, Accumulation::Weighted);
+                        let mut got = vec![0.0; hi - lo];
+                        d.accumulate(&samples, 1..6, acc, lo..hi, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{kind:?} atoms {lo}..{hi}");
+                    }
+                }
             }
         }
     }

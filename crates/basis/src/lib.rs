@@ -34,5 +34,5 @@ pub mod dictionary;
 pub mod hermite;
 pub mod term;
 
-pub use dictionary::{Dictionary, DictionaryKind};
+pub use dictionary::{Accumulation, Dictionary, DictionaryKind};
 pub use term::Term;

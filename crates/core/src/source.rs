@@ -34,8 +34,7 @@
 //! active set every step), and [`RowSubsetSource`] presents a row
 //! slice of another source (cross-validation folds).
 
-use rsm_basis::Dictionary;
-use rsm_linalg::tol;
+use rsm_basis::{Accumulation, Dictionary};
 use rsm_linalg::vec_ops::dot;
 use rsm_linalg::Matrix;
 use std::collections::BTreeMap;
@@ -47,20 +46,25 @@ use std::sync::{Arc, Mutex};
 /// produces the same bits — at every thread count.
 const PAR_MIN_WORK: usize = 32_768;
 
-/// Fixed number of sample-row chunks for the parallel streaming
-/// kernels (`correlate`, `column_sq_norms`, `column_block_into`).
-/// Constant so the chunk grid (and therefore the floating-point
-/// accumulation order) never depends on the thread count. Partial
-/// accumulators are `M` doubles each and at most ~2×threads are alive
-/// at once (see `rsm_runtime::par_chunks_reduce`), which keeps the
-/// `M = 10⁶` streaming path affordable.
+/// Fixed number of sample-row chunks above [`PAR_MIN_WORK`]. In the
+/// sweeps (`correlate`, `column_sq_norms`) the chunks fix each entry's
+/// floating-point summation order — per-chunk partials folded in
+/// ascending order — while the parallel split runs over
+/// [`ATOM_TILE`]s; `column_block_into` evaluates the chunks in
+/// parallel. Constant, so neither depends on the thread count.
 ///
 /// Note: this constant chunks the **row** axis; [`CachedSource`]
 /// blocks the **column** axis (see [`CachedSource::DEFAULT_BLOCK`]).
-/// The two grids are orthogonal, so caching never changes which row
-/// chunks a parallel evaluation uses — DESIGN.md § AtomSource layering
-/// spells out the interaction.
+/// The grids are orthogonal, so caching never changes which row
+/// chunks an evaluation uses — DESIGN.md § AtomSource layering spells
+/// out the interaction.
 const PAR_ROW_CHUNKS: usize = 16;
+
+/// Atom-tile width of the parallel sweeps: 16 Ki doubles (128 KB), so
+/// a tile's accumulator and its row-chunk scratch stay cache-resident
+/// while every row is added in. It splits the work only; no entry's
+/// arithmetic depends on it.
+const ATOM_TILE: usize = 16 * 1024;
 
 /// The interface a sparse solver needs from the design matrix
 /// `G ∈ R^{K×M}`.
@@ -268,9 +272,10 @@ impl AtomSource for Matrix {
 /// An implicit design matrix: a basis [`Dictionary`] evaluated at a set
 /// of sample points on demand.
 ///
-/// `correlate` walks the samples row by row, evaluating all `M` basis
-/// functions at one point into a scratch buffer and accumulating
-/// `res[k]·g(ΔY^(k))` — never holding more than one row of `G`.
+/// `correlate` and `column_sq_norms` sweep the samples tile by tile
+/// over the atoms, accumulating `res[k]·g(ΔY^(k))` (or `g²`) through
+/// [`Dictionary::accumulate`] — never holding a row of `G`, only
+/// cache-sized tiles of the output.
 ///
 /// # Example
 ///
@@ -318,6 +323,49 @@ impl<'a> DictionarySource<'a> {
         let k = self.samples.rows();
         k > 1 && k.saturating_mul(self.dict.len()) >= PAR_MIN_WORK
     }
+
+    /// One sweep of every sample row into every atom: the body of
+    /// `correlate` and `column_sq_norms`.
+    ///
+    /// Each entry's summation order is fixed by the row chunks alone:
+    /// `((0 + p₀) + p₁) + …`, each partial `p_c` summing its chunk's
+    /// rows in ascending order from `+0.0` — or, below the parallel
+    /// gate, one sum over all rows. Workers split the atoms into fixed
+    /// tiles that the fold appends in order; no entry's arithmetic
+    /// depends on the tiling, so the result is bit-identical at every
+    /// thread count.
+    fn sweep(&self, acc: Accumulation<'_>) -> Vec<f64> {
+        let k_rows = self.samples.rows();
+        let m = self.dict.len();
+        let parallel = self.parallel_rows();
+        let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
+        let mut out = Vec::with_capacity(m);
+        rsm_runtime::par_chunks_reduce(
+            m,
+            if parallel { ATOM_TILE } else { m },
+            |atoms| {
+                let mut tile = vec![0.0; atoms.len()];
+                if !parallel {
+                    self.dict
+                        .accumulate(self.samples, 0..k_rows, acc, atoms, &mut tile);
+                    return tile;
+                }
+                let mut part = vec![0.0; atoms.len()];
+                for lo in (0..k_rows).step_by(chunk) {
+                    part.fill(0.0);
+                    let rows = lo..(lo + chunk).min(k_rows);
+                    self.dict
+                        .accumulate(self.samples, rows, acc, atoms.clone(), &mut part);
+                    for (t, &p) in tile.iter_mut().zip(&part) {
+                        *t += p;
+                    }
+                }
+                tile
+            },
+            |tile: Vec<f64>| out.extend_from_slice(&tile),
+        );
+        out
+    }
 }
 
 impl AtomSource for DictionarySource<'_> {
@@ -331,54 +379,7 @@ impl AtomSource for DictionarySource<'_> {
 
     fn correlate(&self, res: &[f64]) -> Vec<f64> {
         assert_eq!(res.len(), self.samples.rows(), "residual length mismatch");
-        let k_rows = self.samples.rows();
-        let m = self.dict.len();
-        if self.parallel_rows() {
-            // Partition the sample rows into a fixed chunk grid; each
-            // chunk accumulates its own ξ partial, and the partials
-            // are merged in ascending chunk order so the result is
-            // identical for every thread count.
-            let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let mut xi = vec![0.0; m];
-            rsm_runtime::par_chunks_reduce(
-                k_rows,
-                chunk,
-                |rr| {
-                    let mut part = vec![0.0; m];
-                    let mut row = vec![0.0; m];
-                    for k in rr {
-                        let rk = res[k];
-                        if tol::exactly_zero(rk) {
-                            continue;
-                        }
-                        self.dict.eval_point_into(self.samples.row(k), &mut row);
-                        for (x, &g) in part.iter_mut().zip(&row) {
-                            *x += rk * g;
-                        }
-                    }
-                    part
-                },
-                |part: Vec<f64>| {
-                    for (x, &p) in xi.iter_mut().zip(&part) {
-                        *x += p;
-                    }
-                },
-            );
-            return xi;
-        }
-        let mut xi = vec![0.0; m];
-        let mut row = vec![0.0; m];
-        for (k, &rk) in res.iter().enumerate() {
-            if tol::exactly_zero(rk) {
-                continue;
-            }
-            self.dict.eval_point_into(self.samples.row(k), &mut row);
-            debug_assert_eq!(row.len(), xi.len());
-            for (x, &g) in xi.iter_mut().zip(&row) {
-                *x += rk * g;
-            }
-        }
-        xi
+        self.sweep(Accumulation::Weighted(res))
     }
 
     fn column_into(&self, j: usize, out: &mut [f64]) {
@@ -393,45 +394,7 @@ impl AtomSource for DictionarySource<'_> {
     }
 
     fn column_sq_norms(&self) -> Vec<f64> {
-        let k_rows = self.samples.rows();
-        let m = self.dict.len();
-        if self.parallel_rows() {
-            // Same fixed row-chunk grid as `correlate`: per-chunk
-            // partial sums of squares, folded in ascending order.
-            let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let mut sq = vec![0.0; m];
-            rsm_runtime::par_chunks_reduce(
-                k_rows,
-                chunk,
-                |rr| {
-                    let mut part = vec![0.0; m];
-                    let mut row = vec![0.0; m];
-                    for k in rr {
-                        self.dict.eval_point_into(self.samples.row(k), &mut row);
-                        for (s, &g) in part.iter_mut().zip(&row) {
-                            *s += g * g;
-                        }
-                    }
-                    part
-                },
-                |part: Vec<f64>| {
-                    for (s, &p) in sq.iter_mut().zip(&part) {
-                        *s += p;
-                    }
-                },
-            );
-            return sq;
-        }
-        let mut sq = vec![0.0; m];
-        let mut row = vec![0.0; m];
-        for k in 0..k_rows {
-            self.dict.eval_point_into(self.samples.row(k), &mut row);
-            debug_assert_eq!(row.len(), sq.len());
-            for (s, &g) in sq.iter_mut().zip(&row) {
-                *s += g * g;
-            }
-        }
-        sq
+        self.sweep(Accumulation::Squares)
     }
 
     fn column_block_into(&self, col_start: usize, out: &mut Matrix) {
@@ -447,15 +410,11 @@ impl AtomSource for DictionarySource<'_> {
             // an independent `eval_term`, so the result is identical to
             // the serial fill at any thread count.
             let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let n_chunks = k_rows.div_ceil(chunk);
-            let parts: Vec<Matrix> = rsm_runtime::par_map_indexed(n_chunks, |ci| {
+            let parts: Vec<Matrix> = rsm_runtime::par_map_indexed(k_rows.div_ceil(chunk), |ci| {
                 let lo = ci * chunk;
-                let hi = (lo + chunk).min(k_rows);
-                let rows: Vec<usize> = (lo..hi).collect();
-                let sub = self.samples.select_rows(&rows);
-                let mut blk = Matrix::zeros(hi - lo, b);
-                self.dict.eval_column_block(&sub, col_start, &mut blk);
-                blk
+                Matrix::from_fn(chunk.min(k_rows - lo), b, |r, c| {
+                    self.dict.eval_term(col_start + c, self.samples.row(lo + r))
+                })
             });
             let mut r0 = 0usize;
             for blk in parts {

@@ -124,9 +124,8 @@ fn num_chunks(len: usize, chunk_len: usize) -> usize {
 ///
 /// Out-of-order partials are buffered, but workers claim chunks in
 /// ascending order and the channel holds at most one partial per
-/// worker, so at most `2 × threads` partials are alive at once — this
-/// is what keeps the streaming-dictionary correlation (8 MB per
-/// partial at M = 10⁶) affordable.
+/// worker, so at most `2 × threads` partials are alive at once, which
+/// bounds the memory of a reduction with large partials.
 ///
 /// # Examples
 ///

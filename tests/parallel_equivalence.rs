@@ -23,7 +23,7 @@ use sparse_rsm::core::lar::LarConfig;
 use sparse_rsm::core::lasso_cd::{penalty_max, LassoCdConfig};
 use sparse_rsm::core::select::{cross_validate, cross_validate_source, CvConfig};
 use sparse_rsm::core::solver::fit_path;
-use sparse_rsm::core::source::{CachedSource, DictionarySource, RowSubsetSource};
+use sparse_rsm::core::source::{AtomSource, CachedSource, DictionarySource, RowSubsetSource};
 use sparse_rsm::core::{Method, SparsePath};
 use sparse_rsm::linalg::{tol, Matrix};
 use sparse_rsm::runtime;
@@ -452,6 +452,133 @@ fn rsm_threads_env_knob_is_honored_unless_overridden() {
     std::env::remove_var("RSM_THREADS");
     runtime::set_threads(0);
     assert!(runtime::threads() >= 1);
+}
+
+// ---------------------------------------------------------------------------
+// Dictionary sweeps against the row-at-a-time reference
+// ---------------------------------------------------------------------------
+
+/// The row-at-a-time dictionary sweep, written out as the reference for
+/// `DictionarySource::{correlate, column_sq_norms}`: each sample row is
+/// evaluated whole by `eval_point_into` and added in by an axpy (`w·g`,
+/// or `g·g` when `weights` is `None`). At `K > 1` and `K·M ≥ 32 768`
+/// the rows go into per-chunk partials on the 16-chunk row grid, which
+/// are folded into the result in ascending order; below that they
+/// accumulate straight into the result.
+fn reference_sweep(dict: &Dictionary, samples: &Matrix, weights: Option<&[f64]>) -> Vec<f64> {
+    let (k_rows, m) = (samples.rows(), dict.len());
+    let mut row = vec![0.0; m];
+    let mut add_rows = |rows: std::ops::Range<usize>, acc: &mut [f64]| {
+        for k in rows {
+            if weights.is_some_and(|w| tol::exactly_zero(w[k])) {
+                continue;
+            }
+            dict.eval_point_into(samples.row(k), &mut row);
+            for (a, &g) in acc.iter_mut().zip(&row) {
+                *a += match weights {
+                    Some(w) => w[k] * g,
+                    None => g * g,
+                };
+            }
+        }
+    };
+    let mut out = vec![0.0; m];
+    if k_rows > 1 && k_rows * m >= 32_768 {
+        let chunk = k_rows.div_ceil(16);
+        for lo in (0..k_rows).step_by(chunk) {
+            let mut part = vec![0.0; m];
+            add_rows(lo..(lo + chunk).min(k_rows), &mut part);
+            for (o, &p) in out.iter_mut().zip(&part) {
+                *o += p;
+            }
+        }
+    } else {
+        add_rows(0..k_rows, &mut out);
+    }
+    out
+}
+
+/// Bit patterns with every NaN mapped to one value. Which operand's NaN
+/// payload an addition propagates is up to the compiler, so only
+/// NaN-ness is part of the contract; every other value, ±0 and ±inf
+/// included, must match exactly.
+fn sweep_bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|&x| if x.is_nan() { f64::NAN } else { x })
+        .map(f64::to_bits)
+        .collect()
+}
+
+#[test]
+fn dictionary_sweeps_match_the_row_at_a_time_reference() {
+    // Quadratic N = 200 has 20 301 atoms, so its cross block spans two
+    // atom tiles; K = 1 and 17 stay below the parallel gate for small
+    // dictionaries, and K = 80 is above it for all but the smallest.
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let dicts = [
+        Dictionary::new(500, DictionaryKind::Linear),
+        Dictionary::new(1, DictionaryKind::Quadratic),
+        Dictionary::new(2, DictionaryKind::Quadratic),
+        Dictionary::new(30, DictionaryKind::Quadratic),
+        Dictionary::new(200, DictionaryKind::Quadratic),
+        Dictionary::new(12, DictionaryKind::TotalDegree(3)),
+    ];
+    let specials: [&[f64]; 4] = [
+        &[0.0, -0.0],
+        &[1e300, -1e-300, 0.0],
+        &[f64::INFINITY, -0.0, f64::NEG_INFINITY],
+        &[f64::NAN, 0.0],
+    ];
+    let mut s = NormalSampler::seed_from_u64(13);
+    for dict in &dicts {
+        for k in [1usize, 17, 80] {
+            let samples = Matrix::from_fn(k, dict.num_vars(), |_, _| s.sample());
+            let base: Vec<f64> = (0..k).map(|_| s.sample()).collect();
+            // The plain residual, then one with every fourth row
+            // replaced from each special-value set.
+            let mut residuals = vec![base.clone()];
+            for sp in specials {
+                let res = base.iter().enumerate();
+                residuals.push(
+                    res.map(|(i, &v)| {
+                        if i % 4 == 0 {
+                            sp[(i / 4) % sp.len()]
+                        } else {
+                            v
+                        }
+                    })
+                    .collect(),
+                );
+            }
+            let want_sq = reference_sweep(dict, &samples, None);
+            let want_xi: Vec<Vec<f64>> = residuals
+                .iter()
+                .map(|r| reference_sweep(dict, &samples, Some(r)))
+                .collect();
+            let src = DictionarySource::new(dict, &samples);
+            for t in [1usize, 2, 4] {
+                runtime::set_threads(t);
+                let what = format!(
+                    "{:?} N={} K={k} @ {t} threads",
+                    dict.kind(),
+                    dict.num_vars()
+                );
+                assert_eq!(
+                    sweep_bits(&src.column_sq_norms()),
+                    sweep_bits(&want_sq),
+                    "column_sq_norms, {what}"
+                );
+                for (i, (res, want)) in residuals.iter().zip(&want_xi).enumerate() {
+                    assert_eq!(
+                        sweep_bits(&src.correlate(res)),
+                        sweep_bits(want),
+                        "correlate, residual {i}, {what}"
+                    );
+                }
+            }
+        }
+    }
+    runtime::set_threads(0);
 }
 
 // ---------------------------------------------------------------------------
