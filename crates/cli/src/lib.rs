@@ -22,34 +22,55 @@ use std::fmt::Write as _;
 // its writer and older code paths name it as `rsm_cli::ModelBundle`.
 pub use rsm_core::ModelBundle;
 
-/// Parsed command-line options: `--key value` pairs plus positionals.
+/// Parsed command-line options: `--key value` pairs.
 #[derive(Debug, Default)]
 struct Options {
-    positional: Vec<String>,
     flags: BTreeMap<String, String>,
 }
 
 /// Flags that take no value (presence alone turns them on).
 const BOOL_FLAGS: &[&str] = &["implicit", "stdio", "early-stop"];
 
+/// The options each subcommand reads; `--threads` is accepted by all.
+const FIT_OPTIONS: &[&str] = &[
+    "input",
+    "response",
+    "method",
+    "basis",
+    "lambda-max",
+    "lambda",
+    "implicit",
+    "early-stop",
+    "model",
+    "emit-c",
+    "emit-veriloga",
+];
+const PREDICT_OPTIONS: &[&str] = &["model", "input", "output"];
+const SERVE_OPTIONS: &[&str] = &["model", "stdio", "listen", "unix", "max-conns"];
+const INFO_OPTIONS: &[&str] = &["model"];
+
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
+    /// Parses `--key value` pairs, rejecting any option `cmd` does not
+    /// read (so a misspelt `--lamda` fails instead of being ignored).
+    fn parse(cmd: &str, known: &[&str], args: &[String]) -> Result<Options, String> {
         let mut out = Options::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let val = if BOOL_FLAGS.contains(&key) {
-                    "true".to_string()
-                } else {
-                    it.next()
-                        .ok_or_else(|| format!("--{key} requires a value"))?
-                        .clone()
-                };
-                if out.flags.insert(key.to_string(), val).is_some() {
-                    return Err(format!("--{key} given twice"));
-                }
+            let Some(key) = a.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{a}'\n\n{USAGE}"));
+            };
+            if key != "threads" && !known.contains(&key) {
+                return Err(format!("unknown option --{key} for 'rsm {cmd}'\n\n{USAGE}"));
+            }
+            let val = if BOOL_FLAGS.contains(&key) {
+                "true".to_string()
             } else {
-                out.positional.push(a.clone());
+                it.next()
+                    .ok_or_else(|| format!("--{key} requires a value"))?
+                    .clone()
+            };
+            if out.flags.insert(key.to_string(), val).is_some() {
+                return Err(format!("--{key} given twice"));
             }
         }
         Ok(out)
@@ -76,9 +97,8 @@ rsm — sparse response-surface modeling (OMP / LAR / STAR / LS)
 
 USAGE:
   rsm fit --input <samples.csv> --response <column> [--method omp|lar|star|ls]
-          [--basis linear|quadratic] [--lambda-max N] [--lambda N] [--implicit]
-          [--stream <batch>] [--early-stop]
-          [--model out.json] [--emit-c out.c] [--emit-veriloga out.va]
+          [--basis linear|quadratic] [--lambda-max N [--early-stop] | --lambda N]
+          [--implicit] [--model out.json] [--emit-c out.c] [--emit-veriloga out.va]
   rsm predict --model <model.json> --input <samples.csv> [--output pred.csv]
   rsm serve --model <model.json> (--stdio | --listen <addr:port> | --unix <path>)
             [--max-conns N]
@@ -100,13 +120,10 @@ affects speed: fitted models are bit-identical for any value.
 K x M design matrix — required memory drops from O(K*M) to O(K + M),
 which is what makes million-basis dictionaries fit in RAM.
 
---stream <batch> runs the pipelined driver (omp and lar only): worker
-threads sweep <batch>-row sample batches while the fitter consumes
-them in row order, and cross-validation folds advance in lockstep on
-warm incremental sessions instead of re-fitting per lambda.
---early-stop additionally cuts the CV lambda walk short once the
-cross-fold error curve flattens (requires --stream). Results are
-bit-identical across thread counts for a fixed batch size.
+Without --lambda, fit picks lambda by 4-fold cross-validation over
+1..=--lambda-max (default 50). --early-stop cuts the cross-fold error
+curve where it stops improving and picks lambda from the kept prefix;
+it cannot be combined with --lambda.
 
 The CSV has one sample per row; every column except the response is a
 variation variable. A header row is auto-detected.
@@ -123,7 +140,16 @@ pub fn run(args: &[String]) -> Result<String, String> {
     let Some(cmd) = args.first() else {
         return Ok(USAGE.to_string());
     };
-    let opts = Options::parse(&args[1..])?;
+    type Command = fn(&Options) -> Result<String, String>;
+    let (known, command): (&[&str], Command) = match cmd.as_str() {
+        "fit" => (FIT_OPTIONS, cmd_fit),
+        "predict" => (PREDICT_OPTIONS, cmd_predict),
+        "serve" => (SERVE_OPTIONS, cmd_serve),
+        "info" => (INFO_OPTIONS, cmd_info),
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
+        other => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    };
+    let opts = Options::parse(cmd, known, &args[1..])?;
     if let Some(t) = opts.optional("threads") {
         let n: usize = t
             .parse()
@@ -133,14 +159,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         }
         rsm_runtime::set_threads(n);
     }
-    match cmd.as_str() {
-        "fit" => cmd_fit(&opts),
-        "predict" => cmd_predict(&opts),
-        "serve" => cmd_serve(&opts),
-        "info" => cmd_info(&opts),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-    }
+    command(&opts)
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -181,6 +200,12 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
 
     let dict = Dictionary::new(inputs.cols(), kind);
     let order = if let Some(l) = opts.optional("lambda") {
+        if opts.boolean("early-stop") {
+            return Err(
+                "--early-stop applies to cross-validation and cannot be combined with --lambda"
+                    .to_string(),
+            );
+        }
         ModelOrder::Fixed(l.parse().map_err(|_| "--lambda must be an integer")?)
     } else {
         let lmax: usize = opts
@@ -188,44 +213,29 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
             .unwrap_or("50")
             .parse()
             .map_err(|_| "--lambda-max must be an integer")?;
-        ModelOrder::CrossValidated(CvConfig::new(lmax))
-    };
-    let stream = match opts.optional("stream") {
-        Some(b) => {
-            let batch: usize = b
-                .parse()
-                .map_err(|_| "--stream must be a positive integer (batch rows)".to_string())?;
-            if batch == 0 {
-                return Err("--stream must be a positive integer (batch rows)".to_string());
-            }
-            let mut cfg = solver::StreamConfig::new(batch);
-            if opts.boolean("early-stop") {
-                cfg = cfg.with_early_stop(rsm_stats::EarlyStopRule::new());
-            }
-            Some(cfg)
+        let mut cfg = CvConfig::new(lmax);
+        if opts.boolean("early-stop") {
+            cfg = cfg.with_early_stop(rsm_stats::EarlyStopRule::new());
         }
-        None if opts.boolean("early-stop") => {
-            return Err("--early-stop requires --stream".to_string());
-        }
-        None => None,
+        ModelOrder::CrossValidated(cfg)
     };
-    let (report, pipeline, train_error) = if opts.boolean("implicit") {
+    let (report, train_error) = if opts.boolean("implicit") {
         // Matrix-free: the solver streams dictionary columns on
         // demand; the K×M design matrix is never allocated.
         let src = DictionarySource::new(&dict, &inputs);
-        let (report, pipeline) = fit_report(&src, &f, method, &order, stream.as_ref())?;
+        let report = solver::fit(&src, &f, method, &order).map_err(|e| e.to_string())?;
         let pred: Vec<f64> = (0..inputs.rows())
             .map(|r| report.model.predict_point(&dict, inputs.row(r)))
             .collect();
         let err = relative_error(&pred, &f);
-        (report, pipeline, err)
+        (report, err)
     } else {
         // Explicit dense path, chosen by the user: the only non-test
         // library call of `design_matrix`; no solver entry reaches it.
         let g = dict.design_matrix(&inputs);
-        let (report, pipeline) = fit_report(&g, &f, method, &order, stream.as_ref())?;
+        let report = solver::fit(&g, &f, method, &order).map_err(|e| e.to_string())?;
         let err = relative_error(&report.model.predict_matrix(&g), &f);
-        (report, pipeline, err)
+        (report, err)
     };
 
     let bundle = ModelBundle {
@@ -251,15 +261,21 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
         train_error * 100.0
     );
     if let Some(cv) = &report.cv {
-        let _ = writeln!(
+        let _ = write!(
             out,
             "cross-validation: best λ = {} at ε = {:.2}%",
             cv.best_lambda,
             cv.best_error * 100.0
         );
-    }
-    if let Some(line) = pipeline {
-        let _ = writeln!(out, "{line}");
+        if let ModelOrder::CrossValidated(CvConfig {
+            early_stop: Some(_),
+            lambda_max,
+            ..
+        }) = &order
+        {
+            let _ = write!(out, ", λ explored = {} of {lambda_max}", cv.errors.len());
+        }
+        out.push('\n');
     }
     if let Some(path) = opts.optional("model") {
         let json = bundle.to_json().map_err(|e| e.to_string())?;
@@ -278,32 +294,6 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
         let _ = writeln!(out, "Verilog-A source written to {path}");
     }
     Ok(out)
-}
-
-/// Dispatches one fit to the batch driver or, when `--stream` was
-/// given, to the pipelined driver — returning the report plus a
-/// pipeline-diagnostics line for the latter.
-fn fit_report<S: rsm_core::source::AtomSource + ?Sized + Sync>(
-    g: &S,
-    f: &[f64],
-    method: Method,
-    order: &ModelOrder,
-    stream: Option<&solver::StreamConfig>,
-) -> Result<(solver::FitReport, Option<String>), String> {
-    match stream {
-        Some(cfg) => {
-            let sr = solver::fit_streaming(g, f, method, order, cfg).map_err(|e| e.to_string())?;
-            let line = format!(
-                "pipeline: {} batches of {}, λ explored = {}, produce {:.3}s, cv {:.3}s",
-                sr.batches, cfg.batch, sr.lambda_explored, sr.produce_seconds, sr.cv_seconds
-            );
-            Ok((sr.report, Some(line)))
-        }
-        None => Ok((
-            solver::fit(g, f, method, order).map_err(|e| e.to_string())?,
-            None,
-        )),
-    }
 }
 
 fn load_bundle(opts: &Options) -> Result<ModelBundle, String> {
@@ -804,82 +794,56 @@ mod tests {
     }
 
     #[test]
-    fn stream_flag_runs_the_pipelined_driver() {
-        let (dir, csv_path) = sample_csv(120, 8);
-        let m_batch = dir.join("batch.json").to_string_lossy().into_owned();
-        let m_stream = dir.join("stream.json").to_string_lossy().into_owned();
+    fn unknown_options_are_rejected_per_subcommand() {
+        let (dir, csv_path) = sample_csv(30, 10);
+        let base = &["fit", "--input", &csv_path, "--response", "delay"];
+        // A misspelt --lambda must not silently cross-validate.
+        let err = run(&s(&[&base[..], &["--lamda", "5"]].concat())).unwrap_err();
+        assert!(
+            err.contains("unknown option --lamda for 'rsm fit'"),
+            "{err}"
+        );
+        // --stream is rejected the same way: no subcommand reads it.
+        let err = run(&s(&[&base[..], &["--stream", "32"]].concat())).unwrap_err();
+        assert!(err.contains("unknown option --stream"), "{err}");
+        // Options are checked per subcommand, --threads everywhere.
+        let err = run(&s(&["info", "--model", "m.json", "--lambda", "3"])).unwrap_err();
+        assert!(
+            err.contains("unknown option --lambda for 'rsm info'"),
+            "{err}"
+        );
+        let err = run(&s(&[
+            "info",
+            "--model",
+            "/nonexistent.json",
+            "--threads",
+            "2",
+        ]))
+        .unwrap_err();
+        rsm_runtime::set_threads(0);
+        assert!(err.contains("cannot read"), "{err}");
+        // Stray positional arguments are rejected too.
+        let err = run(&s(&[&base[..], &["extra"]].concat())).unwrap_err();
+        assert!(err.contains("unexpected argument 'extra'"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn early_stop_is_a_cross_validation_option() {
+        let (dir, csv_path) = sample_csv(100, 9);
         let base = &[
             "fit",
             "--input",
             &csv_path,
             "--response",
             "delay",
-            "--method",
-            "lar",
-            "--lambda",
-            "4",
-        ];
-        run(&s(&[&base[..], &["--model", &m_batch]].concat())).unwrap();
-        let out = run(&s(
-            &[&base[..], &["--stream", "32", "--model", &m_stream]].concat()
-        ))
-        .unwrap();
-        assert!(out.contains("pipeline: 4 batches of 32"), "{out}");
-        // Multi-batch sweeps differ from the single sweep in low-order
-        // bits only: the selected support must match the batch driver.
-        let b = ModelBundle::from_json(&std::fs::read_to_string(&m_batch).unwrap()).unwrap();
-        let st = ModelBundle::from_json(&std::fs::read_to_string(&m_stream).unwrap()).unwrap();
-        assert_eq!(b.model.support(), st.model.support());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn stream_cv_reports_explored_lambda() {
-        let (dir, csv_path) = sample_csv(100, 9);
-        let out = run(&s(&[
-            "fit",
-            "--input",
-            &csv_path,
-            "--response",
-            "delay",
-            "--method",
-            "omp",
-            "--lambda-max",
-            "20",
-            "--stream",
-            "25",
             "--early-stop",
-        ]))
-        .unwrap();
-        assert!(out.contains("cross-validation"), "{out}");
+        ];
+        let err = run(&s(&[&base[..], &["--lambda", "3"]].concat())).unwrap_err();
+        assert!(err.contains("cannot be combined with --lambda"), "{err}");
+        let out = run(&s(&[&base[..], &["--lambda-max", "20"]].concat())).unwrap();
+        assert!(out.contains("cross-validation: best λ"), "{out}");
         assert!(out.contains("λ explored"), "{out}");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn stream_flag_validation() {
-        let (dir, csv_path) = sample_csv(30, 10);
-        let base = &["fit", "--input", &csv_path, "--response", "delay"];
-        // --early-stop without --stream.
-        assert!(run(&s(&[&base[..], &["--early-stop"]].concat()))
-            .unwrap_err()
-            .contains("requires --stream"));
-        // Zero / non-numeric batch.
-        for bad in ["0", "lots"] {
-            assert!(run(&s(&[&base[..], &["--stream", bad]].concat()))
-                .unwrap_err()
-                .contains("--stream"));
-        }
-        // Methods without incremental sessions.
-        for m in ["star", "ls"] {
-            assert!(run(&s(&[
-                &base[..],
-                &["--method", m, "--lambda", "3", "--stream", "10"]
-            ]
-            .concat()))
-            .unwrap_err()
-            .contains("streaming"));
-        }
         std::fs::remove_dir_all(dir).ok();
     }
 }

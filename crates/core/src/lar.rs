@@ -17,14 +17,13 @@
 //! are rescaled back to the caller's dictionary.
 //!
 //! The path loop itself lives in [`crate::session::LarSession`]; the
-//! entry points here are thin single-batch wrappers over it.
+//! entry points here are thin wrappers over it.
 
 use crate::model::SparseModel;
 use crate::path::SparsePath;
-use crate::session::{FitSession, LarSession};
+use crate::session::LarSession;
 use crate::source::AtomSource;
 use crate::Result;
-use rsm_linalg::Matrix;
 
 /// LARS configuration.
 #[derive(Debug, Clone)]
@@ -58,35 +57,21 @@ impl LarConfig {
 
     /// Runs LARS on `G·α = F`, returning the solution path.
     ///
+    /// `g` is any [`AtomSource`]: a dense [`rsm_linalg::Matrix`], a
+    /// streaming [`crate::source::DictionarySource`], or an adapter
+    /// stack. Per-step cost is one [`AtomSource::correlate`] stream plus
+    /// `O(K)` work per active column; scratch is `O(K·|A| + M)`, never
+    /// `O(K·M)`. This is a wrapper over [`LarSession`] that runs the
+    /// path to completion.
+    ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.rows()`;
+    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.num_rows()`;
     /// - [`CoreError::BadConfig`](crate::CoreError::BadConfig) if `max_steps == 0`;
     /// - [`CoreError::Numerical`](crate::CoreError::Numerical) if the active-set Gram factorization
     ///   breaks down irrecoverably.
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparsePath> {
-        self.fit_source(g, f)
-    }
-
-    /// Runs LARS against any [`AtomSource`] — the matrix-free path.
-    ///
-    /// Numerically identical to [`Self::fit`]: the column-norm sweep,
-    /// correlation updates, and column gathers go through the source
-    /// trait, whose dense `Matrix` implementation performs the exact
-    /// same floating-point operations in the same order. Per-step cost
-    /// is two [`AtomSource::correlate`] streams plus `O(K)` work per
-    /// active column; scratch is `O(K·|A| + M)`, never `O(K·M)`.
-    ///
-    /// This is a single-batch wrapper over [`LarSession`]: all samples
-    /// are fed in one [`FitSession::extend_samples`] call and the path
-    /// is run to completion.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
-        let mut session = LarSession::new(self.clone(), g.num_atoms())?;
-        session.extend_samples(g, f, 0..g.num_rows())?;
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
+        let mut session = LarSession::new(self.clone(), g, f)?;
         session.run(g, f)?;
         session.into_path()
     }
@@ -97,7 +82,7 @@ impl LarConfig {
 /// # Errors
 ///
 /// As [`LarConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
+pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
     Ok(LarConfig::new(lambda).fit(g, f)?.final_model().clone())
 }
 
@@ -105,6 +90,7 @@ pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
 mod tests {
     use super::*;
     use rsm_linalg::vec_ops::{dot, norm2};
+    use rsm_linalg::Matrix;
     use rsm_stats::metrics::relative_error;
     use rsm_stats::NormalSampler;
 

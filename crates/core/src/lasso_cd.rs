@@ -9,10 +9,9 @@
 //! users trade LARS's exact path for warm-started penalty grids.
 
 use crate::model::SparseModel;
-use crate::session::{FitSession, LassoCdSession};
+use crate::session::LassoCdSession;
 use crate::source::AtomSource;
 use crate::{CoreError, Result};
-use rsm_linalg::Matrix;
 
 /// Coordinate-descent lasso configuration.
 #[derive(Debug, Clone)]
@@ -36,7 +35,10 @@ impl LassoCdConfig {
         }
     }
 
-    /// Runs coordinate descent from the zero vector (or a warm start).
+    /// Runs coordinate descent from the zero vector on any
+    /// [`AtomSource`]. Each sweep touches every atom's column once, so
+    /// wrapping a streaming source in [`crate::source::CachedSource`]
+    /// avoids re-evaluating columns on every sweep.
     ///
     /// # Errors
     ///
@@ -45,51 +47,25 @@ impl LassoCdConfig {
     ///   response;
     /// - [`CoreError::Numerical`] if the sweep cap is exhausted before
     ///   convergence.
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparseModel> {
-        self.fit_warm_source(g, f, None)
-    }
-
-    /// Runs coordinate descent against any [`AtomSource`] — the
-    /// matrix-free path. Each sweep touches every atom's column once,
-    /// so wrapping a streaming source in
-    /// [`crate::source::CachedSource`] avoids re-evaluating columns on
-    /// every sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
-        self.fit_warm_source(g, f, None)
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
+        self.fit_warm(g, f, None)
     }
 
     /// As [`Self::fit`], optionally starting from a previous solution
     /// (dense coefficient vector of length `M`) — the idiom for
-    /// descending a penalty grid.
+    /// descending a penalty grid. This is a wrapper over
+    /// [`LassoCdSession`] that sweeps to convergence.
     ///
     /// # Errors
     ///
     /// As [`Self::fit`].
-    pub fn fit_warm(&self, g: &Matrix, f: &[f64], warm: Option<&[f64]>) -> Result<SparseModel> {
-        self.fit_warm_source(g, f, warm)
-    }
-
-    /// As [`Self::fit_source`] with an optional warm start.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    /// This is a single-batch wrapper over
-    /// [`crate::session::LassoCdSession`]: all samples are fed in one
-    /// [`crate::session::FitSession::extend_samples`] call and sweeping
-    /// runs to convergence.
-    pub fn fit_warm_source<S: AtomSource + ?Sized>(
+    pub fn fit_warm<S: AtomSource + ?Sized>(
         &self,
         g: &S,
         f: &[f64],
         warm: Option<&[f64]>,
     ) -> Result<SparseModel> {
-        let mut session = LassoCdSession::new(self.clone(), g.num_atoms(), warm)?;
-        session.extend_samples(g, f, 0..g.num_rows())?;
+        let mut session = LassoCdSession::new(self.clone(), g, f, warm)?;
         session.run(g, f)?;
         Ok(session.model())
     }
@@ -109,16 +85,11 @@ pub(crate) fn soft_threshold(x: f64, t: f64) -> f64 {
 
 /// The smallest penalty at which the lasso solution is exactly zero:
 /// `λ_max = ‖Gᵀ·F‖_∞`.
-pub fn penalty_max(g: &Matrix, f: &[f64]) -> Result<f64> {
-    penalty_max_source(g, f)
-}
-
-/// As [`penalty_max`] for any [`AtomSource`].
 ///
 /// # Errors
 ///
 /// [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`.
-pub fn penalty_max_source<S: AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<f64> {
+pub fn penalty_max<S: AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<f64> {
     if f.len() != g.num_rows() {
         return Err(CoreError::ShapeMismatch {
             expected: format!("response of length {}", g.num_rows()),
@@ -134,6 +105,7 @@ mod tests {
     use super::*;
     use crate::lar::LarConfig;
     use rsm_linalg::vec_ops::norm2;
+    use rsm_linalg::Matrix;
     use rsm_stats::NormalSampler;
 
     fn problem(k: usize, m: usize, seed: u64) -> (Matrix, Vec<f64>) {

@@ -25,9 +25,8 @@
 //!   methods);
 //! - [`select`] — Q-fold cross-validated choice of the model order `λ`
 //!   (Section IV-C, Fig. 2);
-//! - [`session`] — resumable incremental solver sessions: the batch
-//!   `fit` entry points are thin wrappers over these, and the streaming
-//!   driver feeds them sample batches as they arrive;
+//! - [`session`] — step-by-step solver sessions built from one sample
+//!   set: the `fit` entry points are thin wrappers over these;
 //! - [`model`] — the sparse model type shared by all solvers;
 //! - [`bundle`] — the persisted model bundle (`rsm fit` output) the
 //!   offline and serving prediction paths both load;
@@ -89,10 +88,8 @@ pub mod star;
 pub use bundle::ModelBundle;
 pub use model::SparseModel;
 pub use path::SparsePath;
-pub use session::{
-    FitSession, LarSession, LassoCdSession, MethodSession, OmpSession, SampleDelta, StepOutcome,
-};
-pub use solver::{fit_streaming, FitReport, Method, ModelOrder, StreamConfig, StreamReport};
+pub use session::{LarSession, LassoCdSession, OmpSession, StepOutcome};
+pub use solver::{FitReport, Method, ModelOrder};
 
 use std::fmt;
 
@@ -139,3 +136,21 @@ impl From<rsm_linalg::LinalgError> for CoreError {
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+/// Validates a response against its design source: one entry per
+/// sample row, all finite.
+pub(crate) fn check_response<S: source::AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<()> {
+    let k = g.num_rows();
+    if f.len() != k {
+        return Err(CoreError::ShapeMismatch {
+            expected: format!("response of length {k}"),
+            found: format!("length {}", f.len()),
+        });
+    }
+    if f.iter().any(|v| !v.is_finite()) {
+        return Err(CoreError::BadConfig(
+            "response vector contains non-finite values".into(),
+        ));
+    }
+    Ok(())
+}

@@ -7,7 +7,7 @@
 
 use crate::model::SparseModel;
 use crate::source::AtomSource;
-use crate::{CoreError, Result};
+use crate::{check_response, CoreError, Result};
 use rsm_linalg::qr::QrDecomposition;
 use rsm_linalg::Matrix;
 
@@ -22,66 +22,24 @@ impl LsConfig {
     /// The result is returned as a [`SparseModel`] for interface
     /// uniformity; it is in general dense (`‖α‖₀ ≈ M`).
     ///
+    /// LS genuinely needs the full dense `G` (a QR factorization is
+    /// not a streaming operation), so the preconditions — crucially
+    /// `K ≥ M` — are checked *before* anything is allocated, and only
+    /// then is the `K×M` matrix gathered through
+    /// [`AtomSource::columns_into`]. Because LS is only legal in the
+    /// overdetermined regime, the gather is bounded by `K²` doubles and
+    /// the huge-`M` streaming problem a [`crate::source::DictionarySource`]
+    /// exists for can never reach it.
+    ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.rows()`;
+    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
     /// - [`CoreError::Unsolvable`] if `K < M` (the underdetermined case
     ///   this paper exists to solve — use OMP/LAR/STAR) or if `G` is
     ///   rank-deficient.
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparseModel> {
-        let (k, m) = g.shape();
-        if f.len() != k {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("response of length {k}"),
-                found: format!("length {}", f.len()),
-            });
-        }
-        if f.iter().any(|v| !v.is_finite()) {
-            return Err(CoreError::BadConfig(
-                "response vector contains non-finite values".into(),
-            ));
-        }
-        if k < m {
-            return Err(CoreError::Unsolvable(format!(
-                "least squares needs K >= M (got K = {k}, M = {m}); \
-                 use OMP/LAR/STAR for underdetermined systems"
-            )));
-        }
-        let qr = QrDecomposition::new(g)
-            .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
-        let alpha = qr
-            .solve_least_squares(f)
-            .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
-        Ok(SparseModel::new(m, alpha.into_iter().enumerate().collect()))
-    }
-
-    /// Fits by least squares against any [`AtomSource`].
-    ///
-    /// LS genuinely needs the full dense `G` (a QR factorization is
-    /// not a streaming operation), so this validates the same
-    /// preconditions as [`Self::fit`] — crucially `K ≥ M` *before*
-    /// allocating anything — and only then materializes the `K×M`
-    /// matrix through [`AtomSource::columns_into`]. Because LS is only
-    /// legal in the overdetermined regime, the materialization is
-    /// bounded by `K²` doubles and the huge-`M` streaming problem this
-    /// trait exists for can never reach it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
+        check_response(g, f)?;
         let (k, m) = (g.num_rows(), g.num_atoms());
-        if f.len() != k {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("response of length {k}"),
-                found: format!("length {}", f.len()),
-            });
-        }
-        if f.iter().any(|v| !v.is_finite()) {
-            return Err(CoreError::BadConfig(
-                "response vector contains non-finite values".into(),
-            ));
-        }
         if k < m {
             return Err(CoreError::Unsolvable(format!(
                 "least squares needs K >= M (got K = {k}, M = {m}); \
@@ -91,7 +49,12 @@ impl LsConfig {
         let js: Vec<usize> = (0..m).collect();
         let mut dense = Matrix::zeros(k, m);
         g.columns_into(&js, &mut dense);
-        self.fit(&dense, f)
+        let qr = QrDecomposition::new(&dense)
+            .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
+        let alpha = qr
+            .solve_least_squares(f)
+            .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
+        Ok(SparseModel::new(m, alpha.into_iter().enumerate().collect()))
     }
 }
 
@@ -100,7 +63,7 @@ impl LsConfig {
 /// # Errors
 ///
 /// As [`LsConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64]) -> Result<SparseModel> {
+pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<SparseModel> {
     LsConfig.fit(g, f)
 }
 

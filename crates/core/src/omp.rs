@@ -15,11 +15,11 @@
 //! not the `O(K·p²)` of re-factoring from scratch.
 //!
 //! The selection loop itself lives in [`crate::session::OmpSession`];
-//! the entry points here are thin single-batch wrappers over it.
+//! the entry points here are thin wrappers over it.
 
 use crate::model::SparseModel;
 use crate::path::SparsePath;
-use crate::session::{FitSession, OmpSession};
+use crate::session::OmpSession;
 use crate::source::AtomSource;
 use crate::Result;
 use rsm_linalg::tol;
@@ -59,35 +59,23 @@ impl OmpConfig {
 
     /// Runs OMP on the underdetermined system `G·α = F`.
     ///
-    /// Returns the full selection path (model snapshots after each
-    /// step), which cross-validation consumes.
+    /// `g` is any [`AtomSource`] — in particular an implicit dictionary
+    /// ([`crate::source::DictionarySource`]) for problems whose design
+    /// matrix is too large to materialize (`M ~ 10⁶`, the upper end of
+    /// the paper's target range). Returns the full selection path
+    /// (model snapshots after each step), which cross-validation
+    /// consumes. This is a wrapper over [`OmpSession`] that runs
+    /// selection to the configured `lambda`.
     ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.rows()`;
+    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.num_rows()`;
     /// - [`CoreError::BadConfig`](crate::CoreError::BadConfig) if `lambda == 0`;
     /// - [`CoreError::Unsolvable`](crate::CoreError::Unsolvable) if no informative column exists at
     ///   the very first step (e.g. `F = 0` handled gracefully — a
     ///   one-step zero path is returned instead).
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparsePath> {
-        self.fit_source(g, f)
-    }
-
-    /// Runs OMP against any [`AtomSource`] — in particular an implicit
-    /// dictionary ([`crate::source::DictionarySource`]) for problems
-    /// whose design matrix is too large to materialize (`M ~ 10⁶`,
-    /// the upper end of the paper's target range).
-    ///
-    /// This is a single-batch wrapper over [`OmpSession`]: all samples
-    /// are fed in one [`FitSession::extend_samples`] call and selection
-    /// runs to the configured `lambda`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
-        let mut session = OmpSession::new(self.clone(), g.num_atoms())?;
-        session.extend_samples(g, f, 0..g.num_rows())?;
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
+        let mut session = OmpSession::new(self.clone(), g, f)?;
         session.run(g, f)?;
         session.into_path()
     }
@@ -98,7 +86,7 @@ impl OmpConfig {
 /// # Errors
 ///
 /// As [`OmpConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
+pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
     Ok(OmpConfig::new(lambda).fit(g, f)?.final_model().clone())
 }
 

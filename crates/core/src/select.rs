@@ -12,7 +12,7 @@ use crate::source::{AtomSource, RowSubsetSource};
 use crate::{CoreError, Result};
 use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
-use rsm_stats::{NormalSampler, QFold};
+use rsm_stats::{EarlyStopMonitor, EarlyStopRule, NormalSampler, QFold};
 use std::collections::BTreeMap;
 
 /// Cross-validation configuration.
@@ -31,6 +31,11 @@ pub struct CvConfig {
     /// statistically indistinguishable accuracy (Hastie et al., the
     /// paper's reference \[22\]).
     pub one_se_rule: bool,
+    /// Cut the error curve where it flattens: `ε(λ)` is walked in
+    /// increasing `λ` and kept only up to the first `λ` at which the
+    /// rule says stop, so `λ*` is chosen from that prefix (`None` =
+    /// the whole `1..=lambda_max` curve).
+    pub early_stop: Option<EarlyStopRule>,
 }
 
 impl CvConfig {
@@ -41,6 +46,7 @@ impl CvConfig {
             lambda_max,
             shuffle_seed: None,
             one_se_rule: false,
+            early_stop: None,
         }
     }
 
@@ -49,12 +55,20 @@ impl CvConfig {
         self.one_se_rule = true;
         self
     }
+
+    /// Stops the error curve once it flattens under `rule`.
+    pub fn with_early_stop(mut self, rule: EarlyStopRule) -> Self {
+        self.early_stop = Some(rule);
+        self
+    }
 }
 
 /// Outcome of a cross-validation run.
 #[derive(Debug, Clone)]
 pub struct CvResult {
-    /// `ε(λ)` for `λ = 1..=lambda_explored` (index 0 ↦ λ = 1).
+    /// `ε(λ)` for `λ = 1..=lambda_explored` (index 0 ↦ λ = 1): the
+    /// whole `lambda_max` range, or the prefix kept by
+    /// [`CvConfig::early_stop`].
     pub errors: Vec<f64>,
     /// Standard error of `ε(λ)` across folds (same indexing).
     pub errors_se: Vec<f64>,
@@ -65,62 +79,32 @@ pub struct CvResult {
     pub best_error: f64,
 }
 
-/// Cross-validates any path-producing solver.
-///
-/// `fit_path(g_train, f_train)` must return the solver's solution path
-/// on the given training subset. The same closure is used for every
-/// fold, so its configuration (e.g. `lambda_max`) should allow at least
-/// `cfg.lambda_max` steps.
-///
-/// The folds are fit in parallel (`Fn + Sync`, one task per fold via
-/// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
-/// and its error curve lands at the fold's own index, so the result is
-/// bit-identical to the sequential loop at every thread count.
-///
-/// # Errors
-///
-/// - [`CoreError::BadConfig`] for degenerate fold counts / `λ` ranges;
-/// - any error from `fit_path` (the first failing fold in fold order).
-pub fn cross_validate<F>(g: &Matrix, f: &[f64], cfg: &CvConfig, fit_path: F) -> Result<CvResult>
-where
-    F: Fn(&Matrix, &[f64]) -> Result<SparsePath> + Sync,
-{
-    // Legacy dense entry point: materialize each fold's training view
-    // (a row gather, exactly `select_rows`) and hand the caller the
-    // `&Matrix` it expects. Scoring still happens source-side in
-    // `cross_validate_source`, with the same per-row accumulation
-    // order as `SparseModel::predict_matrix` — results are
-    // bit-identical to fitting on copied sub-matrices.
-    cross_validate_source(g, f, cfg, |view, ft| {
-        let rows: Vec<usize> = (0..view.num_rows()).collect();
-        let g_train = RowSubsetSource::new(view, &rows).materialize();
-        fit_path(&g_train, ft)
-    })
-}
-
 /// Cross-validates a path-producing solver against any [`AtomSource`].
 ///
 /// Each fold's training and test sets are [`RowSubsetSource`] views of
 /// `g` — nothing `K×M`-sized is ever copied or materialized. The
 /// closure receives the training view as `&dyn AtomSource` (the trait
 /// is object-safe) and the training response, and must return the
-/// solver's path; scoring gathers only the path's support columns on
-/// the test view.
+/// solver's path; the same closure is used for every fold, so its
+/// configuration should allow at least `cfg.lambda_max` steps. Scoring
+/// gathers only the path's support columns on the test view.
 ///
 /// The folds are fit in parallel (`Fn + Sync`, one task per fold via
 /// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
 /// and its error curve lands at the fold's own index, so the result is
 /// bit-identical to the sequential loop at every thread count.
 ///
+/// `ε(λ)` is the mean of the finite fold errors at `λ` and its standard
+/// error is `√(var / n)` over those `n` folds; a fold whose held-out
+/// responses are constant scores `∞` and is left out, and a `λ` with no
+/// finite fold scores `∞`.
+///
 /// # Errors
 ///
-/// As [`cross_validate`].
-pub fn cross_validate_source<S, F>(
-    g: &S,
-    f: &[f64],
-    cfg: &CvConfig,
-    fit_path: F,
-) -> Result<CvResult>
+/// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+/// - [`CoreError::BadConfig`] for degenerate fold counts / `λ` ranges;
+/// - any error from `fit_path` (the first failing fold in fold order).
+pub fn cross_validate<S, F>(g: &S, f: &[f64], cfg: &CvConfig, fit_path: F) -> Result<CvResult>
 where
     S: AtomSource + ?Sized + Sync,
     F: Fn(&dyn AtomSource, &[f64]) -> Result<SparsePath> + Sync,
@@ -196,25 +180,28 @@ where
     for r in fold_results {
         per_fold.push(r?);
     }
-    let q = per_fold.len() as f64;
     let mut errors = Vec::with_capacity(cfg.lambda_max);
     let mut errors_se = Vec::with_capacity(cfg.lambda_max);
+    let mut monitor = cfg.early_stop.map(EarlyStopMonitor::new);
     for l in 0..cfg.lambda_max {
         let vals: Vec<f64> = per_fold
             .iter()
             .map(|fe| fe[l])
             .filter(|v| v.is_finite())
             .collect();
-        if vals.is_empty() {
-            errors.push(f64::INFINITY);
-            errors_se.push(f64::INFINITY);
-            continue;
-        }
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        let var =
-            vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len().max(1) as f64;
+        let (mean, se) = if vals.is_empty() {
+            (f64::INFINITY, f64::INFINITY)
+        } else {
+            let n = vals.len() as f64;
+            let mean = vals.iter().sum::<f64>() / n;
+            let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+            (mean, (var / n).sqrt())
+        };
         errors.push(mean);
-        errors_se.push((var / q).sqrt());
+        errors_se.push(se);
+        if monitor.as_mut().is_some_and(|m| m.observe(mean)) {
+            break;
+        }
     }
     let (best_idx, &best_error) = errors
         .iter()
@@ -323,6 +310,43 @@ mod tests {
         .unwrap();
         assert_eq!(cv.errors_se.len(), 15);
         assert!(cv.errors_se.iter().all(|&s| s >= 0.0 && s.is_finite()));
+    }
+
+    #[test]
+    fn standard_error_counts_only_the_finite_folds() {
+        // Round-robin fold 0 holds out the rows r % 4 == 0, whose
+        // response is constant: that fold scores ∞ at every λ and drops
+        // out, so ε(λ) and its SE come from the other three folds.
+        let (g, mut f) = noisy_problem(40, 30, 3, 5);
+        for r in (0..40).step_by(4) {
+            f[r] = 1.0;
+        }
+        let fit = |gt: &dyn AtomSource, ft: &[f64]| OmpConfig::new(6).fit(gt, ft);
+        let cv = cross_validate(&g, &f, &CvConfig::new(6), fit).unwrap();
+        let folds = QFold::new(40, 4).unwrap();
+        for lambda in 1..=6 {
+            let errs: Vec<f64> = folds
+                .splits()
+                .map(|(train, test)| {
+                    let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
+                    let path = fit(&RowSubsetSource::new(&g, &train), &f_train).unwrap();
+                    let pred = path.model_at(lambda).predict_matrix(&g.select_rows(&test));
+                    let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
+                    relative_error(&pred, &f_test)
+                })
+                .collect();
+            assert!(errs[0].is_infinite(), "fold 0 at λ = {lambda}: {}", errs[0]);
+            let finite = &errs[1..];
+            let mean = finite.iter().sum::<f64>() / 3.0;
+            let var = finite.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / 3.0;
+            let se = (var / 3.0).sqrt();
+            let (got_mean, got_se) = (cv.errors[lambda - 1], cv.errors_se[lambda - 1]);
+            assert!((got_mean - mean).abs() <= 1e-12 * mean, "λ = {lambda}");
+            assert!(
+                (got_se - se).abs() <= 1e-12 * se,
+                "λ = {lambda}: SE {got_se}, hand-computed {se}"
+            );
+        }
     }
 
     #[test]

@@ -1,62 +1,46 @@
-//! Incremental solver sessions — resumable `FitSession` state objects
-//! for LAR, OMP, and coordinate-descent lasso.
+//! Solver sessions — the step-by-step state of LAR, OMP and
+//! coordinate-descent lasso over one fixed sample set.
 //!
-//! The batch entry points (`LarConfig::fit_source`, `OmpConfig::
-//! fit_source`, `LassoCdConfig::fit_warm_source`) are thin wrappers
-//! over the types in this module: they create a session, feed it the
-//! whole sample set in one [`extend_samples`](FitSession::extend_samples)
-//! call, and run the path to completion. The streaming driver
-//! ([`crate::solver::fit_streaming`]) instead alternates `extend_samples`
-//! with [`step`](LarSession::step)/`run_to` calls as sample batches
-//! arrive, so fitting overlaps sample production.
+//! A session is built once from the design source `g` and the response
+//! `f`: construction validates the operands and runs the data sweeps
+//! (column square norms, and for LAR the correlations `Gᵀ·F`), and each
+//! [`step`](LarSession::step) advances the path by one breakpoint. The
+//! `fit` entry points (`LarConfig::fit`, `OmpConfig::fit`,
+//! `LassoCdConfig::fit_warm`) are thin wrappers that build a session
+//! and run it to completion; cross-validation runs one such path per
+//! fold ([`crate::select::cross_validate`]).
 //!
-//! # What is incremental where
+//! A session does not keep `g` or `f`: every `step` takes them again,
+//! and they must be the data the session was built from.
 //!
-//! Every session splits its state into two layers:
+//! # Incremental factors
 //!
-//! - **Data-sweep accumulators** (column square norms, raw correlations
-//!   `Gᵀ·F`, response norm). These are rank-k updatable: a batch of
-//!   `ΔK` new rows contributes additively in `O(ΔK·M)`, so no full
-//!   re-sweep of the old rows ever happens.
-//! - **Path state** (active set, Cholesky/QR factors, residual,
-//!   snapshots). OMP's invariant — residual orthogonal to the selected
-//!   span — is restorable exactly after new rows arrive (one `O(K·p)`
-//!   refactorization over `p` selected atoms, not a re-selection), so
-//!   [`OmpSession`] *resumes* its greedy selection where it left off.
-//!   LAR's equiangular invariant (all active atoms tie in absolute
-//!   correlation) is a property of the data, not of the iterate, so
-//!   [`LarSession`] restarts its path from step 0 on extension — but
-//!   keeps the accumulated sweeps, and its per-step re-solve stays
-//!   `O(p²)` thanks to the persistent [`GrowingCholesky`] with
-//!   [`drop_column`](GrowingCholesky::drop_column) downdates on lasso
-//!   drops (previously an `O(p³)` rebuild).
+//! The path state keeps its factorizations between steps. LAR's
+//! per-step re-solve stays `O(p²)` thanks to the persistent
+//! [`GrowingCholesky`], with [`drop_column`](GrowingCholesky::drop_column)
+//! downdates on lasso drops; OMP's least-squares re-fit grows a
+//! [`GrowingQr`] by one column per selection, and
+//! [`OmpSession::deselect`] removes one with Givens rotations.
 //!
 //! # Numerical contract
 //!
-//! A session fed all samples in a single `extend_samples` call performs
-//! bit-for-bit the same floating-point operations as the pre-session
-//! batch solvers, with one sanctioned exception: the lasso drop path
-//! now downdates the Cholesky factor instead of refactorizing, which
-//! changes low-order bits after the first drop (pinned by the
-//! golden-bits tests in `tests/lasso_drop.rs`). Multi-batch extension
-//! accumulates the data sweeps batch-by-batch, which differs from the
-//! single-sweep result in low-order bits but is *bit-identical across
-//! thread counts* because every inner kernel goes through the runtime's
-//! fixed-order fold.
+//! Sessions perform bit-for-bit the same floating-point operations as
+//! the pre-session batch solvers, with one sanctioned exception: the
+//! lasso drop path downdates the Cholesky factor instead of
+//! refactorizing, which changes low-order bits after the first drop
+//! (pinned by the golden-bits tests in `tests/lasso_drop.rs`).
 
 use crate::lar::LarConfig;
 use crate::lasso_cd::{soft_threshold, LassoCdConfig};
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
 use crate::path::SparsePath;
-use crate::solver::Method;
-use crate::source::{AtomSource, RowSubsetSource};
-use crate::{CoreError, Result};
+use crate::source::AtomSource;
+use crate::{check_response, CoreError, Result};
 use rsm_linalg::cholesky::GrowingCholesky;
 use rsm_linalg::qr::GrowingQr;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, dot, norm2};
-use std::ops::Range;
 
 /// Outcome of a single [`step`](LarSession::step) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,160 +51,34 @@ pub enum StepOutcome {
     Finished,
 }
 
-/// Common surface of the incremental solver sessions.
-pub trait FitSession {
-    /// Number of sample rows consumed so far.
-    fn rows_seen(&self) -> usize;
-
-    /// Feeds the next contiguous batch of sample rows.
-    ///
-    /// `g` and `f` must describe the **full** data seen so far plus the
-    /// new batch (`g.num_rows() == f.len() == new_rows.end`), and
-    /// `new_rows.start` must equal [`rows_seen`](Self::rows_seen): the
-    /// session reads only the new rows for its rank-k sweep updates but
-    /// may gather full columns to restore factor invariants.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] on non-contiguous or misshapen
-    /// batches; [`CoreError::BadConfig`] if the new response rows are
-    /// non-finite.
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()>;
-}
-
-/// Validates a batch against the rows already consumed. Returns the
-/// batch row indices as a vector (for [`RowSubsetSource`] views).
-fn check_batch<S: AtomSource + ?Sized>(
-    rows_seen: usize,
+/// The path traced so far, or [`CoreError::Unsolvable`] before the
+/// first snapshot.
+fn traced_path(
     m: usize,
-    g: &S,
-    f: &[f64],
-    new_rows: &Range<usize>,
-) -> Result<Vec<usize>> {
-    if g.num_atoms() != m {
-        return Err(CoreError::ShapeMismatch {
-            expected: format!("source with {m} atoms"),
-            found: format!("{} atoms", g.num_atoms()),
-        });
-    }
-    if new_rows.start != rows_seen || new_rows.end < new_rows.start {
-        return Err(CoreError::ShapeMismatch {
-            expected: format!("contiguous batch starting at row {rows_seen}"),
-            found: format!("rows {}..{}", new_rows.start, new_rows.end),
-        });
-    }
-    if g.num_rows() != new_rows.end || f.len() != new_rows.end {
-        return Err(CoreError::ShapeMismatch {
-            expected: format!("response of length {}", new_rows.end),
-            found: format!(
-                "source with {} rows, response of length {}",
-                g.num_rows(),
-                f.len()
-            ),
-        });
-    }
-    if f[new_rows.clone()].iter().any(|v| !v.is_finite()) {
-        return Err(CoreError::BadConfig(
-            "response vector contains non-finite values".into(),
+    snapshots: Vec<SparseModel>,
+    residual_norms: Vec<f64>,
+) -> Result<SparsePath> {
+    if snapshots.is_empty() {
+        return Err(CoreError::Unsolvable(
+            "no informative basis vector found".into(),
         ));
     }
-    Ok(new_rows.clone().collect())
-}
-
-// ---------------------------------------------------------------------------
-// Sample deltas (streaming batches)
-// ---------------------------------------------------------------------------
-
-/// The rank-k data-sweep contribution of one contiguous batch of sample
-/// rows, computed away from any session (typically by a runtime worker)
-/// and applied in row order via [`LarSession::apply_delta`] /
-/// [`OmpSession::apply_delta`].
-///
-/// A delta carries `O(M)` numbers regardless of the batch length, so the
-/// pipelined driver ([`crate::solver::fit_streaming`]) moves deltas —
-/// not sample rows — from its producer workers to the fitter.
-#[derive(Debug, Clone)]
-pub struct SampleDelta {
-    /// The contiguous row range this delta covers.
-    pub rows: Range<usize>,
-    /// `Σ_{r∈rows} G[r,j]²` per atom.
-    pub col_sq: Vec<f64>,
-    /// `Σ_{r∈rows} G[r,j]·F[r]` per atom (empty when computed with
-    /// `with_correlations == false`).
-    pub c0: Vec<f64>,
-    /// `Σ_{r∈rows} F[r]²`.
-    pub f_sq: f64,
-}
-
-impl SampleDelta {
-    /// Sweeps the given rows of `g`/`f` into a delta. `f` is indexed
-    /// absolutely (`f.len() >= rows.end` and `rows.end <=
-    /// g.num_rows()`). Raw correlations are computed only when the
-    /// consuming session needs them (LAR does; OMP correlates against
-    /// its own residual instead).
-    ///
-    /// The response rows are *not* validated for finiteness here — the
-    /// streaming driver checks `f` once up front.
-    pub fn compute<S: AtomSource + ?Sized>(
-        g: &S,
-        f: &[f64],
-        rows: Range<usize>,
-        with_correlations: bool,
-    ) -> Self {
-        let idx: Vec<usize> = rows.clone().collect();
-        let view = RowSubsetSource::new(g, &idx);
-        let col_sq = view.column_sq_norms();
-        let fb = &f[rows.clone()];
-        let c0 = if with_correlations {
-            view.correlate(fb)
-        } else {
-            Vec::new()
-        };
-        SampleDelta {
-            rows,
-            col_sq,
-            c0,
-            f_sq: dot(fb, fb),
-        }
-    }
-
-    /// Validates the delta against a session that has consumed
-    /// `rows_seen` rows of an `m`-atom dictionary.
-    fn check(&self, rows_seen: usize, m: usize, need_c0: bool) -> Result<()> {
-        if self.rows.start != rows_seen || self.rows.end < self.rows.start {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("contiguous delta starting at row {rows_seen}"),
-                found: format!("rows {}..{}", self.rows.start, self.rows.end),
-            });
-        }
-        if self.col_sq.len() != m || (need_c0 && self.c0.len() != m) {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("delta over {m} atoms"),
-                found: format!(
-                    "{} square norms, {} correlations",
-                    self.col_sq.len(),
-                    self.c0.len()
-                ),
-            });
-        }
-        Ok(())
-    }
+    Ok(SparsePath::new(m, snapshots, residual_norms))
 }
 
 // ---------------------------------------------------------------------------
 // LAR
 // ---------------------------------------------------------------------------
 
-/// Per-path state of a [`LarSession`]; recreated whenever samples are
-/// extended (the equiangular invariant is data-dependent).
+/// Resumable least-angle-regression state.
+///
+/// See the [module docs](self) for the contract.
 #[derive(Debug, Clone)]
-struct LarPathState {
-    /// `‖G_j‖₂` over the rows seen (√ of the accumulated square norms).
+pub struct LarSession {
+    cfg: LarConfig,
+    m: usize,
+    k: usize,
+    /// `‖G_j‖₂` (the swept square norms, square-rooted in place).
     col_norms: Vec<f64>,
     /// Atoms excluded for this path: zero-norm or numerically dependent.
     excluded: Vec<bool>,
@@ -244,102 +102,25 @@ struct LarPathState {
     done: bool,
 }
 
-/// Resumable least-angle-regression state: accumulated data sweeps plus
-/// a restartable path.
-///
-/// See the [module docs](self) for the incrementality contract.
-#[derive(Debug, Clone)]
-pub struct LarSession {
-    cfg: LarConfig,
-    m: usize,
-    k: usize,
-    /// Accumulated `Σ_r G[r,j]²`.
-    col_sq: Vec<f64>,
-    /// Accumulated raw correlations `Σ_r G[r,j]·F[r]`.
-    c0: Vec<f64>,
-    /// Accumulated `Σ_r F[r]²` (the streaming response-norm source).
-    f_sq: f64,
-    /// `‖F‖₂` over the rows seen (recomputed exactly by
-    /// [`FitSession::extend_samples`]; derived from [`Self::f_sq`] on
-    /// the delta path).
-    f_norm: f64,
-    path: Option<LarPathState>,
-}
-
 impl LarSession {
-    /// Creates an empty session over a dictionary of `m` atoms.
+    /// Sweeps `g` and `f` into a session ready for its first step. A
+    /// zero response is fitted exactly by the zero model, so such a
+    /// session is finished on construction.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadConfig`] if `cfg.max_steps == 0`.
-    pub fn new(cfg: LarConfig, m: usize) -> Result<Self> {
+    /// [`CoreError::BadConfig`] if `cfg.max_steps == 0` or `f` is
+    /// non-finite; [`CoreError::ShapeMismatch`] if
+    /// `f.len() != g.num_rows()`.
+    pub fn new<S: AtomSource + ?Sized>(cfg: LarConfig, g: &S, f: &[f64]) -> Result<Self> {
         if cfg.max_steps == 0 {
             return Err(CoreError::BadConfig("max_steps must be at least 1".into()));
         }
-        Ok(LarSession {
-            cfg,
-            m,
-            k: 0,
-            col_sq: vec![0.0; m],
-            c0: vec![0.0; m],
-            f_sq: 0.0,
-            f_norm: 0.0,
-            path: None,
-        })
-    }
-
-    /// Applies a worker-produced batch without touching the data: the
-    /// streaming counterpart of [`FitSession::extend_samples`]. The
-    /// response norm is derived from the accumulated `Σ F[r]²` (instead
-    /// of an exact `O(K)` re-norm), so multi-delta sessions differ from
-    /// single-batch fits in low-order bits — but remain bit-identical
-    /// across thread counts for a fixed batch grid.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] for a non-contiguous batch or a
-    /// delta computed without correlations.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        d.check(self.k, self.m, true)?;
-        if self.k == 0 {
-            self.col_sq = d.col_sq;
-            self.c0 = d.c0;
-        } else {
-            // `d.check` proved both sides are m-length; the asserts
-            // document the lockstep contract at the zip itself.
-            debug_assert_eq!(self.col_sq.len(), d.col_sq.len());
-            debug_assert_eq!(self.c0.len(), d.c0.len());
-            for (acc, v) in self.col_sq.iter_mut().zip(&d.col_sq) {
-                *acc += v;
-            }
-            for (acc, v) in self.c0.iter_mut().zip(&d.c0) {
-                *acc += v;
-            }
-        }
-        self.k = d.rows.end;
-        self.f_sq += d.f_sq;
-        self.f_norm = self.f_sq.max(0.0).sqrt();
-        self.path = None;
-        Ok(())
-    }
-
-    /// Number of path steps taken so far (0 before the first `step`).
-    pub fn steps_taken(&self) -> usize {
-        self.path.as_ref().map_or(0, |p| p.steps)
-    }
-
-    /// `true` once the path can no longer advance.
-    pub fn is_finished(&self) -> bool {
-        self.path.as_ref().is_some_and(|p| p.done)
-    }
-
-    /// Starts (or restarts) the path from the accumulated sweeps.
-    fn ensure_started(&mut self) {
-        if self.path.is_some() {
-            return;
-        }
-        let m = self.m;
-        let mut col_norms = self.col_sq.clone();
+        check_response(g, f)?;
+        let (k, m) = (g.num_rows(), g.num_atoms());
+        let mut col_norms = g.column_sq_norms();
+        let mut c = g.correlate(f);
+        let f_norm = norm2(f);
         let mut excluded = vec![false; m];
         for (j, n) in col_norms.iter_mut().enumerate() {
             *n = n.sqrt();
@@ -347,14 +128,15 @@ impl LarSession {
                 excluded[j] = true;
             }
         }
-        let mut c = self.c0.clone();
         for (j, v) in c.iter_mut().enumerate() {
             *v /= col_norms[j].max(tol::NORM_FLOOR);
         }
-        let mut state = LarPathState {
+        let mut session = LarSession {
+            m,
+            k,
             col_norms,
             excluded,
-            mu: vec![0.0; self.k],
+            mu: vec![0.0; k],
             c,
             active: Vec::new(),
             in_active: vec![false; m],
@@ -364,104 +146,105 @@ impl LarSession {
             snapshots: Vec::new(),
             residual_norms: Vec::new(),
             steps: 0,
-            tol: self.cfg.rel_tol * self.f_norm,
-            max_active: self.cfg.max_steps.min(self.k).min(m),
+            tol: cfg.rel_tol * f_norm,
+            max_active: cfg.max_steps.min(k).min(m),
             done: false,
+            cfg,
         };
-        if tol::exactly_zero(self.f_norm) {
-            // Degenerate response: the zero model is exact.
-            state.snapshots.push(SparseModel::zero(m));
-            state.residual_norms.push(0.0);
-            state.done = true;
+        if tol::exactly_zero(f_norm) {
+            session.snapshots.push(SparseModel::zero(m));
+            session.residual_norms.push(0.0);
+            session.done = true;
         }
-        self.path = Some(state);
+        Ok(session)
+    }
+
+    /// Number of path steps taken so far (0 before the first `step`).
+    pub fn steps_taken(&self) -> usize {
+        self.steps
+    }
+
+    /// `true` once the path can no longer advance.
+    pub fn is_finished(&self) -> bool {
+        self.done
     }
 
     /// Advances the path by one LAR step (one activation / advance /
     /// possible lasso drop), recording one snapshot.
-    ///
-    /// `g` and `f` must cover exactly the rows fed so far.
     ///
     /// # Errors
     ///
     /// [`CoreError::Numerical`] if the active-set factorization breaks
     /// down irrecoverably.
     pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
-        self.ensure_started();
         let k = self.k;
         let m = self.m;
         let lasso = self.cfg.lasso;
         let max_steps = self.cfg.max_steps;
-        #[expect(
-            clippy::expect_used,
-            reason = "ensure_started() above guarantees the path state exists"
-        )]
-        let st = self.path.as_mut().expect("path state initialized");
-        if st.done || st.steps >= max_steps {
-            st.done = true;
+        if self.done || self.steps >= max_steps {
+            self.done = true;
             return Ok(StepOutcome::Finished);
         }
 
         // Activation: scan for the maximal absolute correlation among
         // non-active columns, retrying past numerically dependent atoms
-        // (each retry re-scans the unchanged correlation vector, which
-        // is exactly what the batch solver's `continue` did).
+        // (each retry re-scans the unchanged correlation vector).
         loop {
             let mut cmax = 0.0f64;
             let mut jbest: Option<usize> = None;
             for j in 0..m {
-                if st.in_active[j] || st.excluded[j] {
+                if self.in_active[j] || self.excluded[j] {
                     continue;
                 }
-                let a = st.c[j].abs();
+                let a = self.c[j].abs();
                 if a > cmax {
                     cmax = a;
                     jbest = Some(j);
                 }
             }
-            if st.active.len() < st.max_active {
+            if self.active.len() < self.max_active {
                 match jbest {
-                    Some(j) if cmax > st.tol => {
+                    Some(j) if cmax > self.tol => {
                         let mut col = vec![0.0; k];
                         g.column_into(j, &mut col);
-                        let inv = 1.0 / st.col_norms[j];
+                        let inv = 1.0 / self.col_norms[j];
                         for v in &mut col {
                             *v *= inv;
                         }
                         let cross: Vec<f64> =
-                            st.active_cols.iter().map(|ac| dot(ac, &col)).collect();
-                        match st.chol.push(&cross, 1.0) {
+                            self.active_cols.iter().map(|ac| dot(ac, &col)).collect();
+                        match self.chol.push(&cross, 1.0) {
                             Ok(()) => {
-                                st.active.push(j);
-                                st.in_active[j] = true;
-                                st.active_cols.push(col);
+                                self.active.push(j);
+                                self.in_active[j] = true;
+                                self.active_cols.push(col);
                                 break;
                             }
                             Err(_) => {
-                                st.excluded[j] = true;
+                                self.excluded[j] = true;
                                 continue; // try the next-best column
                             }
                         }
                     }
                     _ => {
                         // Nothing informative left.
-                        st.done = true;
+                        self.done = true;
                         return Ok(StepOutcome::Finished);
                     }
                 }
-            } else if st.active.is_empty() {
-                st.done = true;
+            } else if self.active.is_empty() {
+                self.done = true;
                 return Ok(StepOutcome::Finished);
             } else {
                 // Saturated: keep advancing along the current set.
                 break;
             }
         }
-        st.steps += 1;
+        self.steps += 1;
 
         // Equiangular direction.
-        let signs: Vec<f64> = st.active.iter().map(|&j| st.c[j].signum()).collect();
-        let w_raw = st.chol.solve(&signs)?;
+        let signs: Vec<f64> = self.active.iter().map(|&j| self.c[j].signum()).collect();
+        let w_raw = self.chol.solve(&signs)?;
         let s_dot_w = dot(&signs, &w_raw);
         if s_dot_w <= 0.0 {
             return Err(CoreError::Numerical(
@@ -472,29 +255,29 @@ impl LarSession {
         let w: Vec<f64> = w_raw.iter().map(|v| v * a_a).collect();
         // u = X_A·w ; a = Xᵀ·u.
         let mut u = vec![0.0; k];
-        for (ac, &wj) in st.active_cols.iter().zip(&w) {
+        for (ac, &wj) in self.active_cols.iter().zip(&w) {
             axpy(wj, ac, &mut u);
         }
         let mut a_vec = g.correlate(&u);
         for (j, v) in a_vec.iter_mut().enumerate() {
-            *v /= st.col_norms[j].max(tol::NORM_FLOOR);
+            *v /= self.col_norms[j].max(tol::NORM_FLOOR);
         }
         // Correlation level inside the active set.
-        let c_level = st
+        let c_level = self
             .active
             .iter()
-            .map(|&j| st.c[j].abs())
+            .map(|&j| self.c[j].abs())
             .fold(0.0f64, f64::max);
 
         // Step length to the next activation event.
         let mut gamma = c_level / a_a; // full step (last-variable case)
         for j in 0..m {
-            if st.in_active[j] || st.excluded[j] {
+            if self.in_active[j] || self.excluded[j] {
                 continue;
             }
             for cand in [
-                (c_level - st.c[j]) / (a_a - a_vec[j]),
-                (c_level + st.c[j]) / (a_a + a_vec[j]),
+                (c_level - self.c[j]) / (a_a - a_vec[j]),
+                (c_level + self.c[j]) / (a_a + a_vec[j]),
             ] {
                 if cand > tol::STEP_REL_TOL && cand < gamma {
                     gamma = cand;
@@ -504,9 +287,9 @@ impl LarSession {
         // Lasso: step length to the first zero crossing.
         let mut drop_idx: Option<usize> = None;
         if lasso {
-            for (pos, (&j, &wj)) in st.active.iter().zip(&w).enumerate() {
+            for (pos, (&j, &wj)) in self.active.iter().zip(&w).enumerate() {
                 if !tol::exactly_zero(wj) {
-                    let gd = -st.beta[j] / wj;
+                    let gd = -self.beta[j] / wj;
                     if gd > tol::STEP_REL_TOL && gd < gamma {
                         gamma = gd;
                         drop_idx = Some(pos);
@@ -516,22 +299,22 @@ impl LarSession {
         }
 
         // Advance.
-        for (&j, &wj) in st.active.iter().zip(&w) {
-            st.beta[j] += gamma * wj;
+        for (&j, &wj) in self.active.iter().zip(&w) {
+            self.beta[j] += gamma * wj;
         }
-        axpy(gamma, &u, &mut st.mu);
-        for (cj, aj) in st.c.iter_mut().zip(&a_vec) {
+        axpy(gamma, &u, &mut self.mu);
+        for (cj, aj) in self.c.iter_mut().zip(&a_vec) {
             *cj -= gamma * aj;
         }
 
         // Handle a lasso drop: a Givens downdate of the Cholesky factor
         // in O(p²) — no refactorization of the surviving active set.
         if let Some(pos) = drop_idx {
-            let j = st.active.remove(pos);
-            st.in_active[j] = false;
-            st.beta[j] = 0.0;
-            st.active_cols.remove(pos);
-            if st.chol.drop_column(pos).is_err() {
+            let j = self.active.remove(pos);
+            self.in_active[j] = false;
+            self.beta[j] = 0.0;
+            self.active_cols.remove(pos);
+            if self.chol.drop_column(pos).is_err() {
                 return Err(CoreError::Numerical(
                     "LARS active-set downdate failed after drop".into(),
                 ));
@@ -539,33 +322,34 @@ impl LarSession {
         }
 
         // Record a snapshot in the caller's (unnormalized) scale.
-        let coeffs: Vec<(usize, f64)> = st
+        let coeffs: Vec<(usize, f64)> = self
             .active
             .iter()
-            .map(|&j| (j, st.beta[j] / st.col_norms[j]))
+            .map(|&j| (j, self.beta[j] / self.col_norms[j]))
             .collect();
-        st.snapshots.push(SparseModel::new(m, coeffs));
-        let res: Vec<f64> = f.iter().zip(&st.mu).map(|(a, b)| a - b).collect();
-        st.residual_norms.push(norm2(&res));
+        self.snapshots.push(SparseModel::new(m, coeffs));
+        let res: Vec<f64> = f.iter().zip(&self.mu).map(|(a, b)| a - b).collect();
+        self.residual_norms.push(norm2(&res));
 
         // Converged: correlations exhausted.
-        let remaining =
-            st.c.iter()
-                .enumerate()
-                .filter(|&(j, _)| !st.excluded[j])
-                .map(|(_, v)| v.abs())
-                .fold(0.0f64, f64::max);
-        if remaining <= st.tol {
-            st.done = true;
+        let remaining = self
+            .c
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| !self.excluded[j])
+            .map(|(_, v)| v.abs())
+            .fold(0.0f64, f64::max);
+        if remaining <= self.tol {
+            self.done = true;
             return Ok(StepOutcome::Finished);
         }
-        if st.active.len() >= st.max_active && !lasso {
+        if self.active.len() >= self.max_active && !lasso {
             // One final full-length step was just taken.
-            st.done = true;
+            self.done = true;
             return Ok(StepOutcome::Finished);
         }
-        if st.steps >= max_steps {
-            st.done = true;
+        if self.steps >= max_steps {
+            self.done = true;
             return Ok(StepOutcome::Finished);
         }
         Ok(StepOutcome::Advanced)
@@ -583,7 +367,7 @@ impl LarSession {
         f: &[f64],
         lambda: usize,
     ) -> Result<()> {
-        while self.steps_taken() < lambda {
+        while self.steps < lambda {
             if self.step(g, f)? == StepOutcome::Finished {
                 break;
             }
@@ -606,16 +390,7 @@ impl LarSession {
     ///
     /// [`CoreError::Unsolvable`] if no step has produced a snapshot yet.
     pub fn path(&self) -> Result<SparsePath> {
-        match &self.path {
-            Some(st) if !st.snapshots.is_empty() => Ok(SparsePath::new(
-                self.m,
-                st.snapshots.clone(),
-                st.residual_norms.clone(),
-            )),
-            _ => Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            )),
-        }
+        traced_path(self.m, self.snapshots.clone(), self.residual_norms.clone())
     }
 
     /// Consumes the session, returning the traced path.
@@ -624,54 +399,7 @@ impl LarSession {
     ///
     /// As [`Self::path`].
     pub fn into_path(self) -> Result<SparsePath> {
-        match self.path {
-            Some(st) if !st.snapshots.is_empty() => {
-                Ok(SparsePath::new(self.m, st.snapshots, st.residual_norms))
-            }
-            _ => Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            )),
-        }
-    }
-}
-
-impl FitSession for LarSession {
-    fn rows_seen(&self) -> usize {
-        self.k
-    }
-
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        if self.k == 0 {
-            // First batch: direct sweeps over the source — for the
-            // single-batch (wrapper) case this is bit-identical to the
-            // historical batch solver.
-            self.col_sq = g.column_sq_norms();
-            self.c0 = g.correlate(f);
-        } else if !rows.is_empty() {
-            let view = RowSubsetSource::new(g, &rows);
-            let sq = view.column_sq_norms();
-            for (acc, v) in self.col_sq.iter_mut().zip(&sq) {
-                *acc += v;
-            }
-            let dc = view.correlate(&f[new_rows.clone()]);
-            for (acc, v) in self.c0.iter_mut().zip(&dc) {
-                *acc += v;
-            }
-        }
-        let fb = &f[new_rows.clone()];
-        self.f_sq += dot(fb, fb);
-        self.k = new_rows.end;
-        self.f_norm = norm2(f);
-        // The equiangular invariant does not survive a data change:
-        // restart the path (the accumulated sweeps carry over).
-        self.path = None;
-        Ok(())
+        traced_path(self.m, self.snapshots, self.residual_norms)
     }
 }
 
@@ -679,25 +407,16 @@ impl FitSession for LarSession {
 // OMP
 // ---------------------------------------------------------------------------
 
-/// Resumable orthogonal-matching-pursuit state.
-///
-/// Unlike [`LarSession`], the greedy selection genuinely survives a
-/// sample extension: the selected support is kept, the QR factor is
-/// rebuilt over the extended columns (`O(K·p)` per selected atom), all
-/// path snapshots are refreshed from prefix solves, and selection
-/// resumes where it left off.
+/// Resumable orthogonal-matching-pursuit state: the selected support,
+/// its QR factor and the residual, plus one snapshot per selection.
 #[derive(Debug, Clone)]
 pub struct OmpSession {
     cfg: OmpConfig,
     m: usize,
     k: usize,
-    /// Accumulated `Σ_r G[r,j]²` (only tracked under `normalize_atoms`).
-    col_sq: Option<Vec<f64>>,
-    /// Accumulated `Σ_r F[r]²` (the streaming response-norm source).
-    f_sq: f64,
-    /// `‖F‖₂` over the rows seen (recomputed exactly by
-    /// [`FitSession::extend_samples`]; derived from [`Self::f_sq`] on
-    /// the delta path).
+    /// `max(‖G_j‖₂, NORM_FLOOR)` per atom (normalized selection only).
+    norms: Option<Vec<f64>>,
+    /// `‖F‖₂`.
     f_norm: f64,
     qr: GrowingQr,
     selected: Vec<usize>,
@@ -706,74 +425,53 @@ pub struct OmpSession {
     res: Vec<f64>,
     snapshots: Vec<SparseModel>,
     residual_norms: Vec<f64>,
-    /// Set by [`Self::apply_delta`]: the QR factor / residual /
-    /// snapshots are stale and must be restored against the full data
-    /// before the next step.
-    pending_restore: bool,
     done: bool,
 }
 
 impl OmpSession {
-    /// Creates an empty session over a dictionary of `m` atoms.
+    /// Builds a session over `g` and `f` with an empty selection. A
+    /// zero response is fitted exactly by the zero model, so such a
+    /// session is finished on construction.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadConfig`] if `cfg.lambda == 0`.
-    pub fn new(cfg: OmpConfig, m: usize) -> Result<Self> {
+    /// [`CoreError::BadConfig`] if `cfg.lambda == 0` or `f` is
+    /// non-finite; [`CoreError::ShapeMismatch`] if
+    /// `f.len() != g.num_rows()`.
+    pub fn new<S: AtomSource + ?Sized>(cfg: OmpConfig, g: &S, f: &[f64]) -> Result<Self> {
         if cfg.lambda == 0 {
             return Err(CoreError::BadConfig("lambda must be at least 1".into()));
         }
-        let col_sq = cfg.normalize_atoms.then(|| vec![0.0; m]);
-        Ok(OmpSession {
+        check_response(g, f)?;
+        let (k, m) = (g.num_rows(), g.num_atoms());
+        let norms = cfg.normalize_atoms.then(|| {
+            g.column_sq_norms()
+                .iter()
+                .map(|&s| s.sqrt().max(tol::NORM_FLOOR))
+                .collect()
+        });
+        let f_norm = norm2(f);
+        let mut session = OmpSession {
             cfg,
             m,
-            k: 0,
-            col_sq,
-            f_sq: 0.0,
-            f_norm: 0.0,
-            qr: GrowingQr::new(0),
+            k,
+            norms,
+            f_norm,
+            qr: GrowingQr::new(k),
             selected: Vec::new(),
             in_model: vec![false; m],
             excluded: vec![false; m],
-            res: Vec::new(),
+            res: f.to_vec(),
             snapshots: Vec::new(),
             residual_norms: Vec::new(),
-            pending_restore: false,
             done: false,
-        })
-    }
-
-    /// Applies a worker-produced batch: the streaming counterpart of
-    /// [`FitSession::extend_samples`]. The expensive part of an OMP
-    /// extension — rebuilding the QR factor over the extended columns —
-    /// is deferred to the next [`step`](Self::step) (or
-    /// [`deselect`](Self::deselect)) call, so back-to-back deltas pay
-    /// for one restore, not one per batch. As on the LAR delta path,
-    /// the response norm is derived from the accumulated `Σ F[r]²`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ShapeMismatch`] for a non-contiguous or misshapen
-    /// delta.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        d.check(self.k, self.m, false)?;
-        if let Some(col_sq) = &mut self.col_sq {
-            if self.k == 0 {
-                *col_sq = d.col_sq;
-            } else {
-                // `d.check` proved the delta spans all m atoms.
-                debug_assert_eq!(col_sq.len(), d.col_sq.len());
-                for (acc, v) in col_sq.iter_mut().zip(&d.col_sq) {
-                    *acc += v;
-                }
-            }
+        };
+        if tol::exactly_zero(f_norm) {
+            session.snapshots.push(SparseModel::zero(m));
+            session.residual_norms.push(0.0);
+            session.done = true;
         }
-        self.k = d.rows.end;
-        self.f_sq += d.f_sq;
-        self.f_norm = self.f_sq.max(0.0).sqrt();
-        self.pending_restore = true;
-        self.done = false;
-        Ok(())
+        Ok(session)
     }
 
     /// Number of selection steps taken so far.
@@ -791,38 +489,6 @@ impl OmpSession {
         &self.selected
     }
 
-    /// Per-column norms for normalized selection, floored at
-    /// [`tol::NORM_FLOOR`].
-    fn norms(&self) -> Option<Vec<f64>> {
-        self.col_sq
-            .as_ref()
-            .map(|sq| sq.iter().map(|&s| s.sqrt().max(tol::NORM_FLOOR)).collect())
-    }
-
-    /// Restores the orthogonality invariant over the extended rows: one
-    /// QR rebuild across the selected support (`O(K·p)` per atom), a
-    /// residual re-fit, and a snapshot refresh — not a re-selection.
-    fn restore<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
-        self.qr = GrowingQr::new(self.k);
-        let mut col = vec![0.0; self.k];
-        for (pos, &s) in self.selected.iter().enumerate() {
-            g.column_into(s, &mut col);
-            if self.qr.push_column(&col).is_err() {
-                return Err(CoreError::Numerical(format!(
-                    "previously selected atom {s} (position {pos}) became dependent after extension"
-                )));
-            }
-        }
-        self.res = if self.selected.is_empty() {
-            f.to_vec()
-        } else {
-            self.qr.residual(f)?
-        };
-        self.refresh_snapshots(f)?;
-        self.pending_restore = false;
-        Ok(())
-    }
-
     /// Performs one greedy selection + LS re-fit step.
     ///
     /// # Errors
@@ -830,17 +496,6 @@ impl OmpSession {
     /// [`CoreError::Numerical`] if the LS re-fit fails.
     pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<StepOutcome> {
         if self.done {
-            return Ok(StepOutcome::Finished);
-        }
-        if self.pending_restore {
-            self.restore(g, f)?;
-        }
-        if tol::exactly_zero(self.f_norm) {
-            if self.snapshots.is_empty() {
-                self.snapshots.push(SparseModel::zero(self.m));
-                self.residual_norms.push(0.0);
-            }
-            self.done = true;
             return Ok(StepOutcome::Finished);
         }
         let lambda_max = self.cfg.lambda.min(self.k).min(self.m);
@@ -851,11 +506,10 @@ impl OmpSession {
         // ξ = Gᵀ·Res (the 1/K factor does not change the argmax). Under
         // normalized selection the norms are divided into the buffer
         // once — |ξ_j/n_j| = |ξ_j|/n_j for n_j > 0, so the selection is
-        // identical to scoring each candidate separately, without the
-        // per-candidate Option re-match.
+        // identical to scoring each candidate separately.
         let mut xi = g.correlate(&self.res);
-        if let Some(norms) = self.norms() {
-            for (v, n) in xi.iter_mut().zip(&norms) {
+        if let Some(norms) = &self.norms {
+            for (v, n) in xi.iter_mut().zip(norms) {
                 *v /= n;
             }
         }
@@ -959,15 +613,12 @@ impl OmpSession {
     ///
     /// [`CoreError::BadConfig`] if `pos` is out of range;
     /// [`CoreError::Numerical`] if the downdate or re-fit fails.
-    pub fn deselect<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64], pos: usize) -> Result<()> {
+    pub fn deselect(&mut self, f: &[f64], pos: usize) -> Result<()> {
         if pos >= self.selected.len() {
             return Err(CoreError::BadConfig(format!(
                 "deselect position {pos} out of range ({} selected)",
                 self.selected.len()
             )));
-        }
-        if self.pending_restore {
-            self.restore(g, f)?;
         }
         let j = self.selected.remove(pos);
         self.in_model[j] = false;
@@ -979,8 +630,8 @@ impl OmpSession {
     }
 
     /// Rebuilds every path snapshot from prefix solves of the current
-    /// factor (used after extensions and deselections, where the old
-    /// snapshots were fit against different data/support).
+    /// factor (after a deselection the old snapshots were fit on a
+    /// different support).
     fn refresh_snapshots(&mut self, f: &[f64]) -> Result<()> {
         self.snapshots.clear();
         self.residual_norms.clear();
@@ -1014,16 +665,7 @@ impl OmpSession {
     ///
     /// [`CoreError::Unsolvable`] if no snapshot exists yet.
     pub fn path(&self) -> Result<SparsePath> {
-        if self.snapshots.is_empty() {
-            return Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            ));
-        }
-        Ok(SparsePath::new(
-            self.m,
-            self.snapshots.clone(),
-            self.residual_norms.clone(),
-        ))
+        traced_path(self.m, self.snapshots.clone(), self.residual_norms.clone())
     }
 
     /// Consumes the session, returning the traced path.
@@ -1032,45 +674,7 @@ impl OmpSession {
     ///
     /// As [`Self::path`].
     pub fn into_path(self) -> Result<SparsePath> {
-        if self.snapshots.is_empty() {
-            return Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            ));
-        }
-        Ok(SparsePath::new(self.m, self.snapshots, self.residual_norms))
-    }
-}
-
-impl FitSession for OmpSession {
-    fn rows_seen(&self) -> usize {
-        self.k
-    }
-
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        if let Some(col_sq) = &mut self.col_sq {
-            if self.k == 0 {
-                *col_sq = g.column_sq_norms();
-            } else if !rows.is_empty() {
-                let view = RowSubsetSource::new(g, &rows);
-                let sq = view.column_sq_norms();
-                for (acc, v) in col_sq.iter_mut().zip(&sq) {
-                    *acc += v;
-                }
-            }
-        }
-        let fb = &f[new_rows.clone()];
-        self.f_sq += dot(fb, fb);
-        self.k = new_rows.end;
-        self.f_norm = norm2(f);
-        self.restore(g, f)?;
-        self.done = false;
-        Ok(())
+        traced_path(self.m, self.snapshots, self.residual_norms)
     }
 }
 
@@ -1078,16 +682,14 @@ impl FitSession for OmpSession {
 // Coordinate-descent lasso
 // ---------------------------------------------------------------------------
 
-/// Resumable coordinate-descent lasso state. The coefficient vector is
-/// its own warm start: extensions append residual rows for the new
-/// samples (gathering only the support's columns) and sweeping resumes
-/// from the current iterate.
+/// Resumable coordinate-descent lasso state: the coefficient vector
+/// (its own warm start) and the residual `F − G·α`.
 #[derive(Debug, Clone)]
 pub struct LassoCdSession {
     cfg: LassoCdConfig,
     m: usize,
     k: usize,
-    /// Accumulated `Σ_r G[r,j]²` (coordinate curvature).
+    /// `Σ_r G[r,j]²` (coordinate curvature).
     col_sq: Vec<f64>,
     alpha: Vec<f64>,
     res: Vec<f64>,
@@ -1097,17 +699,25 @@ pub struct LassoCdSession {
 }
 
 impl LassoCdSession {
-    /// Creates an empty session, optionally warm-started from a dense
-    /// coefficient vector of length `m`.
+    /// Builds a session over `g` and `f`, optionally warm-started from
+    /// a dense coefficient vector of length `M`; the residual gathers
+    /// only the warm start's support columns.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadConfig`] for a negative or non-finite penalty;
-    /// [`CoreError::ShapeMismatch`] for a misshapen warm start.
-    pub fn new(cfg: LassoCdConfig, m: usize, warm: Option<&[f64]>) -> Result<Self> {
+    /// [`CoreError::BadConfig`] for a negative or non-finite penalty or
+    /// a non-finite response; [`CoreError::ShapeMismatch`] for a
+    /// misshapen warm start or response.
+    pub fn new<S: AtomSource + ?Sized>(
+        cfg: LassoCdConfig,
+        g: &S,
+        f: &[f64],
+        warm: Option<&[f64]>,
+    ) -> Result<Self> {
         if cfg.penalty < 0.0 || !cfg.penalty.is_finite() {
             return Err(CoreError::BadConfig("penalty must be >= 0".into()));
         }
+        let (k, m) = (g.num_rows(), g.num_atoms());
         if let Some(w) = warm {
             if w.len() != m {
                 return Err(CoreError::ShapeMismatch {
@@ -1116,27 +726,37 @@ impl LassoCdSession {
                 });
             }
         }
+        check_response(g, f)?;
         let alpha = warm.map(|w| w.to_vec()).unwrap_or_else(|| vec![0.0; m]);
+        let col_sq = g.column_sq_norms();
+        let mut res = f.to_vec();
+        let mut col = vec![0.0; k];
+        for (j, &aj) in alpha.iter().enumerate() {
+            if tol::exactly_zero(aj) {
+                continue;
+            }
+            g.column_into(j, &mut col);
+            axpy(-aj, &col, &mut res);
+        }
         Ok(LassoCdSession {
             cfg,
             m,
-            k: 0,
-            col_sq: vec![0.0; m],
+            k,
+            col_sq,
             alpha,
-            res: Vec::new(),
-            fscale: tol::NORM_FLOOR,
+            res,
+            fscale: norm2(f).max(tol::NORM_FLOOR),
             sweeps_done: 0,
             converged: false,
         })
     }
 
-    /// `true` once a sweep has met the convergence criterion (reset by
-    /// extensions).
+    /// `true` once a sweep has met the convergence criterion.
     pub fn is_converged(&self) -> bool {
         self.converged
     }
 
-    /// Full coordinate sweeps performed since the last extension.
+    /// Full coordinate sweeps performed so far.
     pub fn sweeps_done(&self) -> usize {
         self.sweeps_done
     }
@@ -1209,197 +829,6 @@ impl LassoCdSession {
     }
 }
 
-impl FitSession for LassoCdSession {
-    fn rows_seen(&self) -> usize {
-        self.k
-    }
-
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        let rows = check_batch(self.k, self.m, g, f, &new_rows)?;
-        let first = self.k == 0;
-        if first {
-            self.col_sq = g.column_sq_norms();
-        } else if !rows.is_empty() {
-            let view = RowSubsetSource::new(g, &rows);
-            let sq = view.column_sq_norms();
-            for (acc, v) in self.col_sq.iter_mut().zip(&sq) {
-                *acc += v;
-            }
-        }
-        // Residual rows for the new samples: r = F − G·α, gathering
-        // only the support's columns.
-        let batch_len = new_rows.end - new_rows.start;
-        let start = new_rows.start;
-        self.res.extend_from_slice(&f[new_rows.clone()]);
-        if self.alpha.iter().any(|&a| !tol::exactly_zero(a)) {
-            if first {
-                // Single-batch (wrapper) case: full columns, identical
-                // to the historical warm-start residual build.
-                let mut col = vec![0.0; new_rows.end];
-                for (j, &aj) in self.alpha.clone().iter().enumerate() {
-                    if tol::exactly_zero(aj) {
-                        continue;
-                    }
-                    g.column_into(j, &mut col);
-                    axpy(-aj, &col, &mut self.res);
-                }
-            } else if batch_len > 0 {
-                let view = RowSubsetSource::new(g, &rows);
-                let mut col = vec![0.0; batch_len];
-                for (j, &aj) in self.alpha.clone().iter().enumerate() {
-                    if tol::exactly_zero(aj) {
-                        continue;
-                    }
-                    view.column_into(j, &mut col);
-                    axpy(-aj, &col, &mut self.res[start..]);
-                }
-            }
-        }
-        self.k = new_rows.end;
-        self.fscale = norm2(f).max(tol::NORM_FLOOR);
-        self.sweeps_done = 0;
-        self.converged = false;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Method-dispatched sessions (streaming driver support)
-// ---------------------------------------------------------------------------
-
-/// A [`LarSession`] or [`OmpSession`] behind one dispatch surface, so
-/// the streaming driver ([`crate::solver::fit_streaming`]) can treat
-/// the path-producing methods uniformly.
-#[derive(Debug, Clone)]
-pub enum MethodSession {
-    /// Least-angle regression (with or without the lasso modification).
-    Lar(LarSession),
-    /// Orthogonal matching pursuit.
-    Omp(OmpSession),
-}
-
-impl MethodSession {
-    /// Creates an empty session for `method` with path length
-    /// `lambda_max` over a dictionary of `m` atoms.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadConfig`] for `lambda_max == 0` or a method
-    /// without streaming-session support (`Ls`, `Star`).
-    pub fn new(method: Method, lambda_max: usize, m: usize) -> Result<Self> {
-        match method {
-            Method::Lar => Ok(MethodSession::Lar(LarSession::new(
-                LarConfig::new(lambda_max),
-                m,
-            )?)),
-            Method::LarLasso => Ok(MethodSession::Lar(LarSession::new(
-                LarConfig::new(lambda_max).with_lasso(),
-                m,
-            )?)),
-            Method::Omp => Ok(MethodSession::Omp(OmpSession::new(
-                OmpConfig::new(lambda_max),
-                m,
-            )?)),
-            Method::Ls | Method::Star => Err(CoreError::BadConfig(format!(
-                "{} does not support streaming sessions",
-                method.name()
-            ))),
-        }
-    }
-
-    /// `true` when [`SampleDelta`]s fed to this session must carry raw
-    /// correlations (LAR's data sweep needs `Gᵀ·F`; OMP correlates
-    /// against its own residual instead).
-    pub fn needs_correlations(&self) -> bool {
-        matches!(self, MethodSession::Lar(_))
-    }
-
-    /// See [`LarSession::apply_delta`] / [`OmpSession::apply_delta`].
-    ///
-    /// # Errors
-    ///
-    /// As the underlying session.
-    pub fn apply_delta(&mut self, d: SampleDelta) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.apply_delta(d),
-            MethodSession::Omp(s) => s.apply_delta(d),
-        }
-    }
-
-    /// Advances the path until `lambda` steps/selections have been
-    /// taken (or it finishes earlier). `g`/`f` must cover exactly the
-    /// rows fed so far.
-    ///
-    /// # Errors
-    ///
-    /// As the underlying session's `step`.
-    pub fn run_to<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        lambda: usize,
-    ) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.run_to(g, f, lambda),
-            MethodSession::Omp(s) => s.run_to(g, f, lambda),
-        }
-    }
-
-    /// Number of path steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        match self {
-            MethodSession::Lar(s) => s.steps_taken(),
-            MethodSession::Omp(s) => s.steps_taken(),
-        }
-    }
-
-    /// `true` once the path can no longer advance.
-    pub fn is_finished(&self) -> bool {
-        match self {
-            MethodSession::Lar(s) => s.is_finished(),
-            MethodSession::Omp(s) => s.is_finished(),
-        }
-    }
-
-    /// The path traced so far.
-    ///
-    /// # Errors
-    ///
-    /// As the underlying session's `path`.
-    pub fn path(&self) -> Result<SparsePath> {
-        match self {
-            MethodSession::Lar(s) => s.path(),
-            MethodSession::Omp(s) => s.path(),
-        }
-    }
-}
-
-impl FitSession for MethodSession {
-    fn rows_seen(&self) -> usize {
-        match self {
-            MethodSession::Lar(s) => s.rows_seen(),
-            MethodSession::Omp(s) => s.rows_seen(),
-        }
-    }
-
-    fn extend_samples<S: AtomSource + ?Sized>(
-        &mut self,
-        g: &S,
-        f: &[f64],
-        new_rows: Range<usize>,
-    ) -> Result<()> {
-        match self {
-            MethodSession::Lar(s) => s.extend_samples(g, f, new_rows),
-            MethodSession::Omp(s) => s.extend_samples(g, f, new_rows),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1415,54 +844,11 @@ mod tests {
         (g, f)
     }
 
-    fn take_rows(g: &Matrix, f: &[f64], k: usize) -> (Matrix, Vec<f64>) {
-        let sub = Matrix::from_fn(k, g.cols(), |i, j| g[(i, j)]);
-        (sub, f[..k].to_vec())
-    }
-
-    #[test]
-    fn lar_single_batch_session_matches_batch_fit() {
-        let (g, f) = sparse_problem(50, 40, 5);
-        let cfg = LarConfig::new(8);
-        let batch = cfg.fit(&g, &f).unwrap();
-        let mut s = LarSession::new(cfg, 40).unwrap();
-        s.extend_samples(&g, &f, 0..50).unwrap();
-        s.run(&g, &f).unwrap();
-        let path = s.into_path().unwrap();
-        assert_eq!(path.len(), batch.len());
-        for (a, b) in path.residual_norms().iter().zip(batch.residual_norms()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn lar_two_batch_extension_agrees_with_batch_fit() {
-        let (g, f) = sparse_problem(60, 30, 7);
-        let cfg = LarConfig::new(6);
-        let mut s = LarSession::new(cfg.clone(), 30).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 35);
-        s.extend_samples(&g1, &f1, 0..35).unwrap();
-        s.run(&g1, &f1).unwrap();
-        assert!(s.steps_taken() > 0);
-        // Extend: the path restarts, the sweeps accumulate.
-        s.extend_samples(&g, &f, 35..60).unwrap();
-        assert_eq!(s.steps_taken(), 0);
-        s.run(&g, &f).unwrap();
-        let inc = s.into_path().unwrap();
-        let batch = cfg.fit(&g, &f).unwrap();
-        assert_eq!(inc.len(), batch.len());
-        assert_eq!(inc.final_model().support(), batch.final_model().support());
-        for (a, b) in inc.residual_norms().iter().zip(batch.residual_norms()) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
     #[test]
     fn lar_run_to_is_resumable_mid_path() {
         let (g, f) = sparse_problem(45, 25, 9);
         let cfg = LarConfig::new(7);
-        let mut s = LarSession::new(cfg.clone(), 25).unwrap();
-        s.extend_samples(&g, &f, 0..45).unwrap();
+        let mut s = LarSession::new(cfg.clone(), &g, &f).unwrap();
         s.run_to(&g, &f, 3).unwrap();
         assert_eq!(s.steps_taken(), 3);
         s.run(&g, &f).unwrap();
@@ -1481,87 +867,58 @@ mod tests {
     #[test]
     fn lar_zero_response_yields_zero_path() {
         let g = Matrix::identity(4);
-        let mut s = LarSession::new(LarConfig::new(2), 4).unwrap();
-        s.extend_samples(&g, &[0.0; 4], 0..4).unwrap();
+        let mut s = LarSession::new(LarConfig::new(2), &g, &[0.0; 4]).unwrap();
+        assert!(s.is_finished());
         s.run(&g, &[0.0; 4]).unwrap();
         let path = s.into_path().unwrap();
         assert_eq!(path.final_model().num_nonzeros(), 0);
     }
 
     #[test]
-    fn lar_batch_shape_violations_rejected() {
+    fn construction_rejects_bad_operands_with_structured_errors() {
         let (g, f) = sparse_problem(25, 20, 3);
-        let mut s = LarSession::new(LarConfig::new(3), 20).unwrap();
-        // Non-contiguous start.
-        assert!(s.extend_samples(&g, &f, 5..20).is_err());
-        // Response/source row mismatch.
-        assert!(s.extend_samples(&g, &f[..10], 0..10).is_err());
-        // Wrong atom count.
-        assert!(LarSession::new(LarConfig::new(3), 7)
-            .unwrap()
-            .extend_samples(&g, &f, 0..20)
-            .is_err());
-        // Non-finite response.
+        assert!(matches!(
+            LarSession::new(LarConfig::new(0), &g, &f),
+            Err(CoreError::BadConfig(_))
+        ));
+        assert!(matches!(
+            LarSession::new(LarConfig::new(3), &g, &f[..10]),
+            Err(CoreError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            OmpSession::new(OmpConfig::new(3), &g, &f[..10]),
+            Err(CoreError::ShapeMismatch { .. })
+        ));
         let mut bad = f.clone();
         bad[3] = f64::NAN;
-        assert!(s.extend_samples(&g, &bad, 0..20).is_err());
-        assert!(LarSession::new(LarConfig::new(0), 4).is_err());
-    }
-
-    #[test]
-    fn omp_single_batch_session_matches_batch_fit() {
-        let (g, f) = sparse_problem(50, 40, 13);
-        let cfg = OmpConfig::new(6);
-        let batch = cfg.fit(&g, &f).unwrap();
-        let mut s = OmpSession::new(cfg, 40).unwrap();
-        s.extend_samples(&g, &f, 0..50).unwrap();
-        s.run(&g, &f).unwrap();
-        let path = s.into_path().unwrap();
-        assert_eq!(path.len(), batch.len());
-        for (a, b) in path.residual_norms().iter().zip(batch.residual_norms()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(path.final_model().support(), batch.final_model().support());
-    }
-
-    #[test]
-    fn omp_extension_resumes_selection() {
-        let (g, f) = sparse_problem(64, 32, 17);
-        let cfg = OmpConfig::new(5);
-        let mut s = OmpSession::new(cfg.clone(), 32).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 40);
-        s.extend_samples(&g1, &f1, 0..40).unwrap();
-        s.run_to(&g1, &f1, 2).unwrap();
-        assert_eq!(s.selected().len(), 2);
-        let selected_before: Vec<usize> = s.selected().to_vec();
-        s.extend_samples(&g, &f, 40..64).unwrap();
-        // Support survives the extension; snapshots refreshed against
-        // the full data.
-        assert_eq!(s.selected(), &selected_before[..]);
-        assert_eq!(s.path().unwrap().len(), 2);
-        s.run(&g, &f).unwrap();
-        let path = s.into_path().unwrap();
-        // The resumed prefix is pinned to the early selection; the
-        // batch fit on the full data must find the same truth support.
-        let batch = cfg.fit(&g, &f).unwrap();
-        let mut resumed = path.final_model().support().to_vec();
-        let mut straight = batch.final_model().support().to_vec();
-        resumed.sort_unstable();
-        straight.sort_unstable();
-        assert_eq!(resumed, straight);
+        assert!(matches!(
+            LarSession::new(LarConfig::new(3), &g, &bad),
+            Err(CoreError::BadConfig(_))
+        ));
+        assert!(matches!(
+            OmpSession::new(OmpConfig::new(3), &g, &bad),
+            Err(CoreError::BadConfig(_))
+        ));
+        assert!(matches!(
+            LassoCdSession::new(LassoCdConfig::new(0.1), &g, &bad, None),
+            Err(CoreError::BadConfig(_))
+        ));
+        assert!(matches!(
+            LassoCdSession::new(LassoCdConfig::new(0.1), &g, &f, Some(&[0.0; 3])),
+            Err(CoreError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
     fn omp_snapshot_refresh_matches_prefix_refits() {
         let (g, f) = sparse_problem(48, 24, 19);
-        let mut s = OmpSession::new(OmpConfig::new(4), 24).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 30);
-        s.extend_samples(&g1, &f1, 0..30).unwrap();
-        s.run(&g1, &f1).unwrap();
-        s.extend_samples(&g, &f, 30..48).unwrap();
+        let mut s = OmpSession::new(OmpConfig::new(4), &g, &f).unwrap();
+        s.run(&g, &f).unwrap();
+        s.deselect(&f, 1).unwrap();
         let path = s.path().unwrap();
+        assert_eq!(path.len(), s.selected().len());
         // Each refreshed snapshot must equal an LS fit of its prefix
-        // support against the full data.
+        // support.
         for (p, (_, model)) in path.iter().enumerate() {
             let support = &s.selected()[..=p];
             let mut qr = GrowingQr::new(48);
@@ -1583,13 +940,12 @@ mod tests {
     #[test]
     fn omp_deselect_removes_atom_and_allows_reselection() {
         let (g, f) = sparse_problem(40, 20, 23);
-        let mut s = OmpSession::new(OmpConfig::new(4), 20).unwrap();
-        s.extend_samples(&g, &f, 0..40).unwrap();
+        let mut s = OmpSession::new(OmpConfig::new(4), &g, &f).unwrap();
         s.run(&g, &f).unwrap();
         let selected = s.selected().to_vec();
         assert!(selected.len() >= 3);
         let victim = selected[1];
-        s.deselect(&g, &f, 1).unwrap();
+        s.deselect(&f, 1).unwrap();
         assert!(!s.selected().contains(&victim));
         assert_eq!(s.path().unwrap().len(), selected.len() - 1);
         // The dropped atom is informative again: continuing selection
@@ -1598,194 +954,23 @@ mod tests {
         let path = s.into_path().unwrap();
         let rn = *path.residual_norms().last().unwrap();
         assert!(rn <= 0.2 * norm2(&f), "residual {rn} after re-selection");
-        assert!(s0_err(&g, &f, &path) < 0.2);
-    }
-
-    fn s0_err(g: &Matrix, f: &[f64], path: &SparsePath) -> f64 {
-        let pred = path.final_model().predict_matrix(g);
-        let num = norm2(&pred.iter().zip(f).map(|(a, b)| a - b).collect::<Vec<_>>());
-        num / norm2(f)
+        let pred = path.final_model().predict_matrix(&g);
+        let err: Vec<f64> = pred.iter().zip(&f).map(|(a, b)| a - b).collect();
+        assert!(norm2(&err) / norm2(&f) < 0.2);
     }
 
     #[test]
     fn omp_deselect_out_of_range_rejected() {
         let (g, f) = sparse_problem(30, 20, 29);
-        let mut s = OmpSession::new(OmpConfig::new(2), 20).unwrap();
-        s.extend_samples(&g, &f, 0..30).unwrap();
+        let mut s = OmpSession::new(OmpConfig::new(2), &g, &f).unwrap();
         s.run(&g, &f).unwrap();
-        assert!(s.deselect(&g, &f, 99).is_err());
-    }
-
-    #[test]
-    fn lasso_cd_single_batch_session_matches_batch_fit() {
-        let (g, f) = sparse_problem(60, 20, 31);
-        let pen = crate::lasso_cd::penalty_max(&g, &f).unwrap() * 0.3;
-        let cfg = LassoCdConfig::new(pen);
-        let batch = cfg.fit(&g, &f).unwrap();
-        let mut s = LassoCdSession::new(cfg, 20, None).unwrap();
-        s.extend_samples(&g, &f, 0..60).unwrap();
-        s.run(&g, &f).unwrap();
-        let model = s.model();
-        assert_eq!(model.support(), batch.support());
-        for &(j, a) in batch.coefficients() {
-            let b = model.coefficient(j).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn lasso_cd_extension_warm_starts_from_iterate() {
-        let (g, f) = sparse_problem(80, 25, 37);
-        let pen = crate::lasso_cd::penalty_max(&g, &f).unwrap() * 0.25;
-        let cfg = LassoCdConfig::new(pen);
-        let mut s = LassoCdSession::new(cfg.clone(), 25, None).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 50);
-        s.extend_samples(&g1, &f1, 0..50).unwrap();
-        s.run(&g1, &f1).unwrap();
-        let sweeps_cold = s.sweeps_done();
-        s.extend_samples(&g, &f, 50..80).unwrap();
-        assert!(!s.is_converged());
-        s.run(&g, &f).unwrap();
-        // Warm resume converges no slower than the cold full-data run
-        // would (the penalty and problem scale match).
-        let _ = sweeps_cold;
-        let incremental = s.model();
-        let batch = cfg.fit(&g, &f).unwrap();
-        assert_eq!(incremental.support(), batch.support());
-        for &(j, a) in batch.coefficients() {
-            let b = incremental.coefficient(j).unwrap();
-            assert!(
-                (a - b).abs() < 1e-7 * (1.0 + a.abs()),
-                "atom {j}: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn lar_delta_feed_agrees_with_extension_feed() {
-        // Deltas accumulate the exact same view sweeps as extensions;
-        // only the response norm differs (√ΣF² vs the scaled norm2),
-        // so the paths agree to low-order bits and in support.
-        let (g, f) = sparse_problem(64, 30, 41);
-        let cfg = LarConfig::new(6);
-        let mut by_ext = LarSession::new(cfg.clone(), 30).unwrap();
-        let (g1, f1) = take_rows(&g, &f, 40);
-        by_ext.extend_samples(&g1, &f1, 0..40).unwrap();
-        by_ext.extend_samples(&g, &f, 40..64).unwrap();
-        by_ext.run(&g, &f).unwrap();
-        let mut by_delta = LarSession::new(cfg, 30).unwrap();
-        by_delta
-            .apply_delta(SampleDelta::compute(&g, &f, 0..40, true))
-            .unwrap();
-        by_delta
-            .apply_delta(SampleDelta::compute(&g, &f, 40..64, true))
-            .unwrap();
-        assert_eq!(by_delta.rows_seen(), 64);
-        by_delta.run(&g, &f).unwrap();
-        let pe = by_ext.into_path().unwrap();
-        let pd = by_delta.into_path().unwrap();
-        assert_eq!(pe.len(), pd.len());
-        assert_eq!(pe.final_model().support(), pd.final_model().support());
-        for (a, b) in pe.residual_norms().iter().zip(pd.residual_norms()) {
-            assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn omp_delta_defers_restore_until_step() {
-        let (g, f) = sparse_problem(70, 28, 43);
-        let cfg = OmpConfig::new(5);
-        let batch = cfg.fit(&g, &f).unwrap();
-        let mut s = OmpSession::new(cfg, 28).unwrap();
-        // Back-to-back deltas: no QR work happens until the first step.
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..32, false))
-            .unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 32..70, false))
-            .unwrap();
-        assert_eq!(s.rows_seen(), 70);
-        assert_eq!(s.steps_taken(), 0);
-        s.run(&g, &f).unwrap();
-        let path = s.into_path().unwrap();
-        assert_eq!(path.final_model().support(), batch.final_model().support());
-        for (a, b) in path.residual_norms().iter().zip(batch.residual_norms()) {
-            assert!((a - b).abs() <= 1e-10 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn omp_delta_mid_path_resumes_selection() {
-        let (g, f) = sparse_problem(80, 26, 47);
-        let cfg = OmpConfig::new(6);
-        let mut s = OmpSession::new(cfg.clone(), 26).unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..50, false))
-            .unwrap();
-        let (g1, f1) = take_rows(&g, &f, 50);
-        s.run_to(&g1, &f1, 2).unwrap();
-        let kept: Vec<usize> = s.selected().to_vec();
-        assert_eq!(kept.len(), 2);
-        s.apply_delta(SampleDelta::compute(&g, &f, 50..80, false))
-            .unwrap();
-        assert!(!s.is_finished());
-        s.run(&g, &f).unwrap();
-        // The pre-delta selection survives the extension as a prefix.
-        assert_eq!(&s.selected()[..2], &kept[..]);
-        let mut by_ext = OmpSession::new(cfg, 26).unwrap();
-        by_ext.extend_samples(&g1, &f1, 0..50).unwrap();
-        by_ext.run_to(&g1, &f1, 2).unwrap();
-        by_ext.extend_samples(&g, &f, 50..80).unwrap();
-        by_ext.run(&g, &f).unwrap();
-        assert_eq!(s.selected(), by_ext.selected());
-    }
-
-    #[test]
-    fn delta_shape_violations_rejected() {
-        let (g, f) = sparse_problem(40, 22, 53);
-        let mut lar = LarSession::new(LarConfig::new(3), 22).unwrap();
-        // Gap: delta must start at the session's row count.
-        let gap = SampleDelta::compute(&g, &f, 10..20, true);
-        assert!(lar.apply_delta(gap).is_err());
-        // LAR deltas must carry correlations.
-        let no_c0 = SampleDelta::compute(&g, &f, 0..20, false);
-        assert!(lar.apply_delta(no_c0).is_err());
-        // Wrong atom count.
-        let mut wrong = SampleDelta::compute(&g, &f, 0..20, true);
-        wrong.col_sq.pop();
-        assert!(lar.apply_delta(wrong).is_err());
-        // A valid delta still lands after the rejections.
-        let ok = SampleDelta::compute(&g, &f, 0..20, true);
-        assert!(lar.apply_delta(ok).is_ok());
-        let mut omp = OmpSession::new(OmpConfig::new(2), 22).unwrap();
-        let gap = SampleDelta::compute(&g, &f, 5..15, false);
-        assert!(omp.apply_delta(gap).is_err());
-    }
-
-    #[test]
-    fn method_session_dispatch_and_rejections() {
-        use crate::solver::Method;
-        let (g, f) = sparse_problem(50, 24, 59);
-        for method in [Method::Lar, Method::LarLasso, Method::Omp] {
-            let mut s = MethodSession::new(method, 4, 24).unwrap();
-            assert_eq!(
-                s.needs_correlations(),
-                matches!(method, Method::Lar | Method::LarLasso)
-            );
-            s.apply_delta(SampleDelta::compute(&g, &f, 0..50, s.needs_correlations()))
-                .unwrap();
-            s.run_to(&g, &f, 4).unwrap();
-            assert!(s.steps_taken() >= 1);
-            let path = s.path().unwrap();
-            assert!(path.model_at(4).num_nonzeros() >= 1, "{method:?}");
-        }
-        assert!(MethodSession::new(Method::Ls, 4, 24).is_err());
-        assert!(MethodSession::new(Method::Star, 4, 24).is_err());
-        assert!(MethodSession::new(Method::Omp, 0, 24).is_err());
+        assert!(s.deselect(&f, 99).is_err());
     }
 
     #[test]
     fn step_after_finish_is_idempotent_and_unpoisoned() {
         let (g, f) = sparse_problem(30, 20, 61);
-        let mut s = LarSession::new(LarConfig::new(3), 20).unwrap();
-        s.extend_samples(&g, &f, 0..30).unwrap();
+        let mut s = LarSession::new(LarConfig::new(3), &g, &f).unwrap();
         s.run(&g, &f).unwrap();
         assert!(s.is_finished());
         let steps = s.steps_taken();
@@ -1797,71 +982,11 @@ mod tests {
         assert_eq!(s.steps_taken(), steps);
         assert_eq!(s.into_path().unwrap().len(), len_before);
 
-        let mut o = OmpSession::new(OmpConfig::new(3), 20).unwrap();
-        o.extend_samples(&g, &f, 0..30).unwrap();
+        let mut o = OmpSession::new(OmpConfig::new(3), &g, &f).unwrap();
         o.run(&g, &f).unwrap();
         assert!(o.is_finished());
         let picked = o.selected().to_vec();
         assert_eq!(o.step(&g, &f).unwrap(), StepOutcome::Finished);
         assert_eq!(o.selected(), &picked[..], "no phantom selection");
-    }
-
-    #[test]
-    fn delta_after_finish_resumes_the_session() {
-        let (g, f) = sparse_problem(60, 20, 67);
-        let (g1, f1) = take_rows(&g, &f, 40);
-        let mut s = LarSession::new(LarConfig::new(4), 20).unwrap();
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, true))
-            .unwrap();
-        s.run(&g1, &f1).unwrap();
-        assert!(s.is_finished());
-        // Feeding a finished session is legal: the path restarts over
-        // the accumulated data and the session runs again.
-        s.apply_delta(SampleDelta::compute(&g, &f, 40..60, true))
-            .unwrap();
-        assert!(!s.is_finished());
-        assert_eq!(s.steps_taken(), 0);
-        assert_eq!(s.rows_seen(), 60);
-        s.run(&g, &f).unwrap();
-        assert!(!s.into_path().unwrap().is_empty());
-    }
-
-    #[test]
-    fn non_contiguous_delta_reports_structured_shape_mismatch() {
-        let (g, f) = sparse_problem(40, 18, 71);
-        let mut s = OmpSession::new(OmpConfig::new(3), 18).unwrap();
-        let gap = SampleDelta::compute(&g, &f, 12..30, false);
-        match s.apply_delta(gap) {
-            Err(CoreError::ShapeMismatch { expected, found }) => {
-                assert!(
-                    expected.contains("contiguous delta starting at row 0"),
-                    "{expected}"
-                );
-                assert!(found.contains("12..30"), "{found}");
-            }
-            other => panic!("expected a structured ShapeMismatch, got {other:?}"),
-        }
-        // The rejection leaves the session unpoisoned: nothing was
-        // consumed and a well-formed feed still works.
-        assert_eq!(s.rows_seen(), 0);
-        s.apply_delta(SampleDelta::compute(&g, &f, 0..40, false))
-            .unwrap();
-        s.run(&g, &f).unwrap();
-        assert!(!s.into_path().unwrap().is_empty());
-    }
-
-    #[test]
-    fn streaming_rejection_names_the_method_in_bad_config() {
-        use crate::solver::Method;
-        for method in [Method::Ls, Method::Star] {
-            match MethodSession::new(method, 4, 10) {
-                Err(CoreError::BadConfig(msg)) => {
-                    assert!(msg.contains("does not support streaming sessions"), "{msg}");
-                    assert!(msg.contains(method.name()), "{msg}");
-                }
-                Err(other) => panic!("expected BadConfig for {method:?}, got {other:?}"),
-                Ok(_) => panic!("{method:?} must reject streaming sessions"),
-            }
-        }
     }
 }

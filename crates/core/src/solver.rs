@@ -1,30 +1,19 @@
 //! Unified solver front-end: pick a [`Method`] and a [`ModelOrder`]
 //! policy, get a fitted [`SparseModel`] plus diagnostics.
 //!
-//! Two drivers share this surface:
-//!
-//! - [`fit`] — the batch driver: sweep all samples, fit, optionally
-//!   cross-validate (each fold re-fit from scratch, full `λ` range).
-//! - [`fit_streaming`] — the pipelined driver: runtime workers sweep
-//!   sample batches into [`SampleDelta`]s in parallel while the fitter
-//!   consumes them in row order; cross-validation advances all folds in
-//!   `λ`-lockstep on warm sessions and can stop early once the error
-//!   curve flattens ([`StreamConfig::early_stop`]).
+//! [`fit`] is the one solve path: it optionally cross-validates the
+//! model order ([`crate::select::cross_validate`], one full path per
+//! fold, folds in parallel), then runs [`fit_path`] on all samples to
+//! the chosen `λ`.
 
 use crate::lar::LarConfig;
 use crate::ls::LsConfig;
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
-use crate::select::{cross_validate_source, CvConfig, CvResult};
-use crate::session::{FitSession, MethodSession, SampleDelta};
-use crate::source::{AtomSource, RowSubsetSource};
+use crate::select::{cross_validate, CvConfig, CvResult};
+use crate::source::AtomSource;
 use crate::star::StarConfig;
 use crate::{CoreError, Result};
-use rsm_stats::metrics::relative_error;
-use rsm_stats::{EarlyStopMonitor, EarlyStopRule, QFold};
-use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The four modeling techniques compared throughout the paper's
@@ -92,9 +81,10 @@ pub struct FitReport {
 /// streaming [`crate::source::DictionarySource`], or an adapter stack.
 /// With a streaming source, nothing `K×M`-sized is materialized by any
 /// sparse method (LS is the exception: it refuses underdetermined
-/// problems first, so its dense fallback is bounded by `K²`).
+/// problems first, so its dense gather is bounded by `K²`).
 /// Cross-validation folds are [`crate::source::RowSubsetSource`] views
-/// fit in parallel.
+/// fit in parallel; with [`CvConfig::early_stop`] the error curve ends
+/// where it flattens and `λ*` comes from that prefix.
 ///
 /// # Errors
 ///
@@ -109,7 +99,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
     let t0 = Instant::now();
     let report = match method {
         Method::Ls => {
-            let model = LsConfig.fit_source(g, f)?;
+            let model = LsConfig.fit(g, f)?;
             FitReport {
                 lambda: model.num_bases(),
                 model,
@@ -122,7 +112,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
             let (lambda, cv) = match order {
                 ModelOrder::Fixed(l) => (*l, None),
                 ModelOrder::CrossValidated(cfg) => {
-                    let cv = cross_validate_source(g, f, cfg, |gt, ft| {
+                    let cv = cross_validate(g, f, cfg, |gt, ft| {
                         fit_path(method, gt, ft, cfg.lambda_max)
                     })?;
                     (cv.best_lambda, Some(cv))
@@ -164,332 +154,11 @@ pub fn fit_path<S: AtomSource + ?Sized>(
         Method::Ls => Err(CoreError::BadConfig(
             "LS does not produce a selection path".into(),
         )),
-        Method::Star => StarConfig::new(lambda_max).fit_source(g, f),
-        Method::Lar => LarConfig::new(lambda_max).fit_source(g, f),
-        Method::LarLasso => LarConfig::new(lambda_max).with_lasso().fit_source(g, f),
-        Method::Omp => OmpConfig::new(lambda_max).fit_source(g, f),
+        Method::Star => StarConfig::new(lambda_max).fit(g, f),
+        Method::Lar => LarConfig::new(lambda_max).fit(g, f),
+        Method::LarLasso => LarConfig::new(lambda_max).with_lasso().fit(g, f),
+        Method::Omp => OmpConfig::new(lambda_max).fit(g, f),
     }
-}
-
-/// Configuration for the pipelined driver ([`fit_streaming`]).
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Sample rows per produced batch (the pipeline's work unit).
-    pub batch: usize,
-    /// Stop the cross-validation `λ` walk early once the mean error
-    /// curve flattens (`None` = explore the full `λ` range, matching
-    /// the batch driver).
-    pub early_stop: Option<EarlyStopRule>,
-}
-
-impl StreamConfig {
-    /// A pipeline producing `batch`-row sample batches, no early stop.
-    pub fn new(batch: usize) -> Self {
-        StreamConfig {
-            batch,
-            early_stop: None,
-        }
-    }
-
-    /// Enables early-stopped cross-validation under the given rule.
-    pub fn with_early_stop(mut self, rule: EarlyStopRule) -> Self {
-        self.early_stop = Some(rule);
-        self
-    }
-}
-
-/// Outcome of [`fit_streaming`]: the fitted model plus pipeline
-/// diagnostics.
-#[derive(Debug, Clone)]
-pub struct StreamReport {
-    /// The fitted model and selection diagnostics (as [`fit`] returns).
-    pub report: FitReport,
-    /// Number of sample batches produced and consumed.
-    pub batches: usize,
-    /// Largest `λ` whose cross-validation error was actually measured
-    /// (`< lambda_max` when early stopping fired; equals the fitted `λ`
-    /// for [`ModelOrder::Fixed`]).
-    pub lambda_explored: usize,
-    /// Wall-clock seconds in the sample→delta production pipeline.
-    pub produce_seconds: f64,
-    /// Wall-clock seconds in cross-validation (0 for fixed order).
-    pub cv_seconds: f64,
-}
-
-/// Per-fold state of the lockstep cross-validation walk: a warm
-/// session over the training rows plus a column-caching scorer for the
-/// held-out rows.
-struct FoldState {
-    session: MethodSession,
-    train: Vec<usize>,
-    f_train: Vec<f64>,
-    scorer: TestScorer,
-}
-
-/// Scores models on one fold's held-out rows, gathering each support
-/// column at most once across the whole `λ` walk.
-struct TestScorer {
-    test: Vec<usize>,
-    f_test: Vec<f64>,
-    cols: BTreeMap<usize, Vec<f64>>,
-}
-
-impl TestScorer {
-    fn new(test: Vec<usize>, f_test: Vec<f64>) -> Self {
-        TestScorer {
-            test,
-            f_test,
-            cols: BTreeMap::new(),
-        }
-    }
-
-    /// Relative error of `model` on the held-out rows. Gathers are
-    /// pure data movement, so the scores are bit-identical to the
-    /// batch driver's slab-gathered scoring.
-    fn score<S: AtomSource + ?Sized>(&mut self, g: &S, model: &SparseModel) -> f64 {
-        let view = RowSubsetSource::new(g, &self.test);
-        for &(j, _) in model.coefficients() {
-            if !self.cols.contains_key(&j) {
-                let mut col = vec![0.0; self.test.len()];
-                view.column_into(j, &mut col);
-                self.cols.insert(j, col);
-            }
-        }
-        let mut pred = vec![0.0; self.test.len()];
-        for (r, p) in pred.iter_mut().enumerate() {
-            // Same term order as `SparseModel::predict_row` (coefficient
-            // order, from 0.0) so fold errors match the batch driver.
-            *p = model
-                .coefficients()
-                .iter()
-                .map(|&(j, c)| c * self.cols[&j][r])
-                .sum();
-        }
-        relative_error(&pred, &self.f_test)
-    }
-}
-
-/// Fits `G·α = F` with the sample→fit pipeline: runtime workers sweep
-/// `stream.batch`-row batches into [`SampleDelta`]s in parallel while
-/// the fitter consumes them in row order via
-/// [`MethodSession::apply_delta`] — fitting state accumulates while
-/// later batches are still being produced.
-///
-/// With [`ModelOrder::CrossValidated`], every fold keeps a warm
-/// [`MethodSession`] and all folds advance in `λ`-lockstep: step `λ`
-/// resumes each fold's path from step `λ − 1` (no per-`λ` re-fit), and
-/// the walk stops early once the mean error curve flattens under
-/// [`StreamConfig::early_stop`]. The explored prefix of the error curve
-/// is identical to the batch driver's ([`CvConfig::shuffle_seed`] must
-/// be `None`: lockstep folds are round-robin by construction).
-///
-/// Multi-batch sweep accumulation differs from the batch driver's
-/// single sweep in low-order bits, but is bit-identical across thread
-/// counts for a fixed batch size (deltas fold in row order).
-///
-/// # Errors
-///
-/// - [`CoreError::ShapeMismatch`] / [`CoreError::BadConfig`] for
-///   misshapen or non-finite inputs, `stream.batch == 0`, a shuffled
-///   CV request, or a method without path sessions (LS, STAR);
-/// - any session error (first failing fold in fold order).
-pub fn fit_streaming<S: AtomSource + ?Sized + Sync>(
-    g: &S,
-    f: &[f64],
-    method: Method,
-    order: &ModelOrder,
-    stream: &StreamConfig,
-) -> Result<StreamReport> {
-    let t0 = Instant::now();
-    let k = g.num_rows();
-    let m = g.num_atoms();
-    if f.len() != k {
-        return Err(CoreError::ShapeMismatch {
-            expected: format!("response of length {k}"),
-            found: format!("length {}", f.len()),
-        });
-    }
-    if f.iter().any(|v| !v.is_finite()) {
-        return Err(CoreError::BadConfig(
-            "response vector contains non-finite values".into(),
-        ));
-    }
-    if stream.batch == 0 {
-        return Err(CoreError::BadConfig("batch size must be at least 1".into()));
-    }
-    let lambda_max = match order {
-        ModelOrder::Fixed(l) => *l,
-        ModelOrder::CrossValidated(cfg) => cfg.lambda_max,
-    };
-    if lambda_max == 0 {
-        return Err(CoreError::BadConfig("lambda must be at least 1".into()));
-    }
-    let mut full = MethodSession::new(method, lambda_max, m)?;
-    let needs_c0 = full.needs_correlations();
-
-    // Pipelined production: the map side runs on the worker pool, the
-    // fold side applies deltas in row order as they arrive.
-    let tp = Instant::now();
-    let mut apply_err: Option<CoreError> = None;
-    let mut batches = 0usize;
-    rsm_runtime::par_chunks_reduce_until(
-        k,
-        stream.batch,
-        |r: Range<usize>| SampleDelta::compute(g, f, r, needs_c0),
-        |d| match full.apply_delta(d) {
-            Ok(()) => {
-                batches += 1;
-                true
-            }
-            Err(e) => {
-                apply_err = Some(e);
-                false
-            }
-        },
-    );
-    if let Some(e) = apply_err {
-        return Err(e);
-    }
-    let produce_seconds = tp.elapsed().as_secs_f64();
-
-    let (lambda, cv, lambda_explored, cv_seconds) = match order {
-        ModelOrder::Fixed(l) => (*l, None, *l, 0.0),
-        ModelOrder::CrossValidated(cfg) => {
-            let tcv = Instant::now();
-            let cv = stream_cross_validate(g, f, method, cfg, stream)?;
-            let explored = cv.errors.len();
-            (
-                cv.best_lambda,
-                Some(cv),
-                explored,
-                tcv.elapsed().as_secs_f64(),
-            )
-        }
-    };
-
-    full.run_to(g, f, lambda)?;
-    let model = full.path()?.model_at(lambda);
-    Ok(StreamReport {
-        report: FitReport {
-            model,
-            method,
-            lambda,
-            cv,
-            fit_seconds: t0.elapsed().as_secs_f64(),
-        },
-        batches,
-        lambda_explored,
-        produce_seconds,
-        cv_seconds,
-    })
-}
-
-/// Lockstep-`λ` cross-validation over warm per-fold sessions.
-fn stream_cross_validate<S: AtomSource + ?Sized + Sync>(
-    g: &S,
-    f: &[f64],
-    method: Method,
-    cfg: &CvConfig,
-    stream: &StreamConfig,
-) -> Result<CvResult> {
-    if cfg.shuffle_seed.is_some() {
-        return Err(CoreError::BadConfig(
-            "streaming CV requires round-robin folds (shuffle_seed must be None)".into(),
-        ));
-    }
-    let k = g.num_rows();
-    let m = g.num_atoms();
-    let folds = QFold::new(k, cfg.folds).ok_or_else(|| {
-        CoreError::BadConfig(format!("cannot split {k} samples into {} folds", cfg.folds))
-    })?;
-    let splits: Vec<(Vec<usize>, Vec<usize>)> = folds.splits().collect();
-
-    // Build the per-fold warm sessions in parallel (one task per fold,
-    // results placed at the fold's index — thread-count invariant).
-    let built: Vec<Result<FoldState>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
-        let (train, test) = splits[q].clone();
-        let mut session = MethodSession::new(method, cfg.lambda_max, m)?;
-        let train_view = RowSubsetSource::new(g, &train);
-        let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-        session.extend_samples(&train_view, &f_train, 0..train.len())?;
-        let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
-        Ok(FoldState {
-            session,
-            train,
-            f_train,
-            scorer: TestScorer::new(test, f_test),
-        })
-    });
-    let mut states: Vec<Mutex<FoldState>> = Vec::with_capacity(built.len());
-    for b in built {
-        states.push(Mutex::new(b?));
-    }
-
-    let q = states.len() as f64;
-    let mut errors = Vec::with_capacity(cfg.lambda_max);
-    let mut errors_se = Vec::with_capacity(cfg.lambda_max);
-    let mut monitor = stream.early_stop.map(EarlyStopMonitor::new);
-    for lambda in 1..=cfg.lambda_max {
-        // Advance every fold's warm session to step λ and score its
-        // held-out rows; par_map_indexed keeps fold order.
-        let fold_errs: Vec<Result<f64>> = rsm_runtime::par_map_indexed(states.len(), |i| {
-            let mut guard = states[i].lock().unwrap_or_else(|p| p.into_inner());
-            let FoldState {
-                session,
-                train,
-                f_train,
-                scorer,
-            } = &mut *guard;
-            let train_view = RowSubsetSource::new(g, train);
-            session.run_to(&train_view, f_train, lambda)?;
-            let model = session.path()?.model_at(lambda);
-            Ok(scorer.score(g, &model))
-        });
-        let mut vals = Vec::with_capacity(fold_errs.len());
-        for e in fold_errs {
-            vals.push(e?);
-        }
-        // Same aggregation as the batch driver: non-finite folds are
-        // dropped, an all-bad λ scores infinity.
-        let finite: Vec<f64> = vals.into_iter().filter(|v| v.is_finite()).collect();
-        let (mean, se) = if finite.is_empty() {
-            (f64::INFINITY, f64::INFINITY)
-        } else {
-            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
-            let var = finite.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-                / finite.len().max(1) as f64;
-            (mean, (var / q).sqrt())
-        };
-        errors.push(mean);
-        errors_se.push(se);
-        if let Some(mon) = &mut monitor {
-            if mon.observe(mean) {
-                break;
-            }
-        }
-    }
-
-    let (best_idx, &best_error) = errors
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .ok_or_else(|| CoreError::BadConfig("empty CV error curve".into()))?;
-    let best_lambda = if cfg.one_se_rule {
-        let threshold = best_error + errors_se[best_idx];
-        errors
-            .iter()
-            .position(|&e| e <= threshold)
-            .map(|i| i + 1)
-            .unwrap_or(best_idx + 1)
-    } else {
-        best_idx + 1
-    };
-    Ok(CvResult {
-        best_error: errors[best_lambda - 1],
-        errors,
-        errors_se,
-        best_lambda,
-    })
 }
 
 #[cfg(test)]
@@ -565,148 +234,26 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fixed_order_matches_batch_fit() {
-        let (g, f) = problem(90, 120, 11);
-        for method in [Method::Lar, Method::LarLasso, Method::Omp] {
-            let batch = fit(&g, &f, method, &ModelOrder::Fixed(5)).unwrap();
-            let stream = fit_streaming(
-                &g,
-                &f,
-                method,
-                &ModelOrder::Fixed(5),
-                &StreamConfig::new(16),
-            )
-            .unwrap();
-            assert_eq!(stream.batches, 6);
-            assert_eq!(stream.lambda_explored, 5);
-            assert!(stream.report.cv.is_none());
-            assert_eq!(
-                stream.report.model.support(),
-                batch.model.support(),
-                "{method:?}"
-            );
-            for &(j, a) in batch.model.coefficients() {
-                let b = stream.report.model.coefficient(j).unwrap();
-                assert!(
-                    (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                    "{method:?} atom {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_cv_matches_batch_cv_without_early_stop() {
-        let (g, f) = problem(100, 150, 13);
-        let cfg = CvConfig::new(12);
-        let order = ModelOrder::CrossValidated(cfg.clone());
-        let batch = fit(&g, &f, Method::Omp, &order).unwrap();
-        let stream = fit_streaming(&g, &f, Method::Omp, &order, &StreamConfig::new(100)).unwrap();
-        let bcv = batch.cv.unwrap();
-        let scv = stream.report.cv.unwrap();
-        // Single-batch production + full λ walk: the error curve and
-        // the selected order must match the batch driver exactly.
-        assert_eq!(scv.best_lambda, bcv.best_lambda);
-        assert_eq!(scv.errors.len(), bcv.errors.len());
-        for (a, b) in scv.errors.iter().zip(&bcv.errors) {
+    fn cv_early_stop_shortens_the_curve_to_a_prefix() {
+        let (g, f) = problem(80, 100, 17);
+        let full = ModelOrder::CrossValidated(CvConfig::new(40));
+        let rule = rsm_stats::EarlyStopRule::new().with_patience(3);
+        let stopped = ModelOrder::CrossValidated(CvConfig::new(40).with_early_stop(rule));
+        let base = fit(&g, &f, Method::Omp, &full).unwrap().cv.unwrap();
+        let rep = fit(&g, &f, Method::Omp, &stopped).unwrap();
+        let cv = rep.cv.clone().unwrap();
+        // The 3-sparse truth overfits well before λ = 40.
+        assert!(cv.errors.len() < 40, "explored {} of 40", cv.errors.len());
+        assert_eq!(cv.errors_se.len(), cv.errors.len());
+        // The stopped curve is the unstopped one cut short, bit for bit.
+        for (a, b) in cv.errors.iter().zip(&base.errors) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        for (a, b) in scv.errors_se.iter().zip(&bcv.errors_se) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (a, b) in cv.errors_se.iter().zip(&base.errors_se) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        assert_eq!(stream.report.lambda, batch.lambda);
-        assert_eq!(stream.report.model.support(), batch.model.support());
-    }
-
-    #[test]
-    fn streaming_cv_early_stop_shortens_the_walk() {
-        let (g, f) = problem(80, 100, 17);
-        let cfg = CvConfig::new(40);
-        let order = ModelOrder::CrossValidated(cfg);
-        let rule = rsm_stats::EarlyStopRule::new().with_patience(3);
-        let stream = fit_streaming(
-            &g,
-            &f,
-            Method::Omp,
-            &order,
-            &StreamConfig::new(20).with_early_stop(rule),
-        )
-        .unwrap();
-        // The 3-sparse truth overfits well before λ = 40.
-        assert!(
-            stream.lambda_explored < 40,
-            "explored {} of 40",
-            stream.lambda_explored
-        );
-        let cv = stream.report.cv.unwrap();
-        assert_eq!(cv.errors.len(), stream.lambda_explored);
-        assert!(cv.best_lambda <= stream.lambda_explored);
-        assert!(stream.report.lambda >= 3 && stream.report.lambda <= 12);
-        assert!(stream.cv_seconds >= 0.0 && stream.produce_seconds >= 0.0);
-    }
-
-    #[test]
-    fn streaming_rejects_bad_configs() {
-        let (g, f) = problem(40, 60, 19);
-        // Zero batch.
-        assert!(fit_streaming(
-            &g,
-            &f,
-            Method::Lar,
-            &ModelOrder::Fixed(3),
-            &StreamConfig::new(0)
-        )
-        .is_err());
-        // Methods without sessions.
-        for m in [Method::Ls, Method::Star] {
-            assert!(
-                fit_streaming(&g, &f, m, &ModelOrder::Fixed(3), &StreamConfig::new(8)).is_err()
-            );
-        }
-        // Shuffled CV is incompatible with lockstep folds.
-        let shuffled = ModelOrder::CrossValidated(CvConfig {
-            shuffle_seed: Some(1),
-            ..CvConfig::new(5)
-        });
-        assert!(fit_streaming(&g, &f, Method::Omp, &shuffled, &StreamConfig::new(8)).is_err());
-        // Non-finite response.
-        let mut bad = f.clone();
-        bad[7] = f64::NAN;
-        assert!(fit_streaming(
-            &g,
-            &bad,
-            Method::Lar,
-            &ModelOrder::Fixed(3),
-            &StreamConfig::new(8)
-        )
-        .is_err());
-        // Zero lambda.
-        assert!(fit_streaming(
-            &g,
-            &f,
-            Method::Lar,
-            &ModelOrder::Fixed(0),
-            &StreamConfig::new(8)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn streaming_is_invariant_across_batch_grids_in_support() {
-        let (g, f) = problem(120, 80, 23);
-        let mut supports = Vec::new();
-        for batch in [7, 30, 120] {
-            let rep = fit_streaming(
-                &g,
-                &f,
-                Method::Lar,
-                &ModelOrder::Fixed(4),
-                &StreamConfig::new(batch),
-            )
-            .unwrap();
-            supports.push(rep.report.model.support());
-        }
-        assert_eq!(supports[0], supports[1]);
-        assert_eq!(supports[1], supports[2]);
+        assert!(cv.best_lambda <= cv.errors.len());
+        assert_eq!(rep.lambda, cv.best_lambda);
+        assert!(rep.lambda >= 3 && rep.lambda <= 12, "λ* = {}", rep.lambda);
     }
 }

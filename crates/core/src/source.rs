@@ -583,17 +583,6 @@ impl<'a, S: AtomSource + ?Sized> RowSubsetSource<'a, S> {
     pub fn rows(&self) -> &[usize] {
         self.rows
     }
-
-    /// Materializes the view as a dense matrix (row gather). Only
-    /// sensible for small `M`; the dense [`crate::select::cross_validate`]
-    /// wrapper uses it to keep the legacy `&Matrix` closure signature.
-    pub fn materialize(&self) -> Matrix {
-        let mut g = Matrix::zeros(self.rows.len(), self.inner.num_atoms());
-        for (r, &src_r) in self.rows.iter().enumerate() {
-            self.inner.row_into(src_r, g.row_mut(r));
-        }
-        g
-    }
 }
 
 impl<S: AtomSource + ?Sized> AtomSource for RowSubsetSource<'_, S> {
@@ -819,9 +808,6 @@ mod tests {
         let dense = g.select_rows(&rows);
         assert_eq!(view.num_rows(), 4);
         assert_eq!(view.num_atoms(), g.cols());
-        // Materialization is exactly the row-gathered matrix.
-        let mat = view.materialize();
-        assert_eq!(mat.as_slice(), dense.as_slice());
         // correlate agrees with the copied sub-matrix.
         let res = [0.5, -1.0, 2.0, 0.25];
         let xi_view = view.correlate(&res);

@@ -15,10 +15,9 @@
 use crate::model::SparseModel;
 use crate::path::SparsePath;
 use crate::source::AtomSource;
-use crate::{CoreError, Result};
+use crate::{check_response, CoreError, Result};
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, norm2};
-use rsm_linalg::Matrix;
 
 /// STAR configuration.
 #[derive(Debug, Clone)]
@@ -38,37 +37,17 @@ impl StarConfig {
         }
     }
 
-    /// Runs STAR on `G·α = F`.
+    /// Runs STAR on `G·α = F` for any [`AtomSource`].
     ///
     /// # Errors
     ///
     /// Same contract as [`crate::omp::OmpConfig::fit`].
-    pub fn fit(&self, g: &Matrix, f: &[f64]) -> Result<SparsePath> {
-        self.fit_source(g, f)
-    }
-
-    /// Runs STAR against any [`AtomSource`] (see
-    /// [`crate::omp::OmpConfig::fit_source`] for when this matters).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::fit`].
-    pub fn fit_source<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
-        let (k, m) = (g.num_rows(), g.num_atoms());
-        if f.len() != k {
-            return Err(CoreError::ShapeMismatch {
-                expected: format!("response of length {k}"),
-                found: format!("length {}", f.len()),
-            });
-        }
+    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
+        check_response(g, f)?;
         if self.lambda == 0 {
             return Err(CoreError::BadConfig("lambda must be at least 1".into()));
         }
-        if f.iter().any(|v| !v.is_finite()) {
-            return Err(CoreError::BadConfig(
-                "response vector contains non-finite values".into(),
-            ));
-        }
+        let (k, m) = (g.num_rows(), g.num_atoms());
         let f_norm = norm2(f);
         if tol::exactly_zero(f_norm) {
             return Ok(SparsePath::new(m, vec![SparseModel::zero(m)], vec![0.0]));
@@ -124,7 +103,7 @@ impl StarConfig {
 /// # Errors
 ///
 /// As [`StarConfig::fit`].
-pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
+pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
     Ok(StarConfig::new(lambda).fit(g, f)?.final_model().clone())
 }
 
@@ -132,6 +111,7 @@ pub fn fit(g: &Matrix, f: &[f64], lambda: usize) -> Result<SparseModel> {
 mod tests {
     use super::*;
     use crate::omp::OmpConfig;
+    use rsm_linalg::Matrix;
     use rsm_stats::metrics::relative_error;
     use rsm_stats::NormalSampler;
 

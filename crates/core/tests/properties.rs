@@ -169,7 +169,7 @@ proptest! {
             .collect();
         let src = DictionarySource::new(&dict, &samples);
         let dense = LarConfig::new(6).fit(&g, &f).unwrap();
-        let implicit = LarConfig::new(6).fit_source(&src, &f).unwrap();
+        let implicit = LarConfig::new(6).fit(&src, &f).unwrap();
         prop_assert_eq!(dense.len(), implicit.len());
         for lambda in 1..=dense.len() {
             let ma = dense.model_at(lambda);
@@ -204,7 +204,7 @@ proptest! {
         let src = DictionarySource::new(&dict, &samples);
         let penalty = 0.1 * penalty_max(&g, &f).unwrap();
         let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit_source(&src, &f).unwrap();
+        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
         prop_assert_eq!(dense.support(), implicit.support());
         for &(j, c) in dense.coefficients() {
             let cb = implicit.coefficient(j).unwrap();
@@ -230,8 +230,8 @@ proptest! {
             .collect();
         let src = DictionarySource::new(&dict, &samples);
         let cached = CachedSource::new(&src);
-        let plain = LarConfig::new(5).fit_source(&src, &f).unwrap();
-        let memo = LarConfig::new(5).fit_source(&cached, &f).unwrap();
+        let plain = LarConfig::new(5).fit(&src, &f).unwrap();
+        let memo = LarConfig::new(5).fit(&cached, &f).unwrap();
         prop_assert_eq!(plain.len(), memo.len());
         for lambda in 1..=plain.len() {
             let ma = plain.model_at(lambda);
@@ -309,7 +309,7 @@ fn streaming_omp_matches_materialized() {
     let g = dict.design_matrix(&samples);
     let materialized = OmpConfig::new(8).fit(&g, &f).unwrap();
     let src = DictionarySource::new(&dict, &samples);
-    let streaming = OmpConfig::new(8).fit_source(&src, &f).unwrap();
+    let streaming = OmpConfig::new(8).fit(&src, &f).unwrap();
     assert_eq!(materialized.len(), streaming.len());
     for ((_, a), (_, b)) in materialized.iter().zip(streaming.iter()) {
         assert_eq!(a.support(), b.support());

@@ -16,8 +16,7 @@
 //! - **Chunk boundaries are a function of problem size only.** A
 //!   caller states the chunk length; the chunk grid never adapts to
 //!   [`threads()`].
-//! - **Reduction order is fixed.** [`par_chunks_reduce`] (and its
-//!   fold-steered variant [`par_chunks_reduce_until`]) hands chunk
+//! - **Reduction order is fixed.** [`par_chunks_reduce`] hands chunk
 //!   partials to the caller's `fold` in ascending chunk order, however
 //!   the workers were scheduled; [`par_map_indexed`] places each
 //!   result at its own index.
@@ -214,96 +213,6 @@ where
     });
 }
 
-/// As [`par_chunks_reduce`], but the in-order fold steers production:
-/// it returns `true` to keep going and `false` to stop. Returns the
-/// number of chunks actually folded.
-///
-/// This is the primitive behind the streaming sample→fit pipeline:
-/// workers produce batch partials ahead of the consumer, and the
-/// consumer can cut production short (fitter error, enough samples for
-/// the target accuracy) without losing determinism. The folded prefix
-/// is a pure function of the fold's own decisions on in-order partials
-/// — workers may *speculatively* map a few chunks past the stop point,
-/// but those partials are discarded unobserved, so results remain
-/// bit-identical for every thread count.
-///
-/// With one worker the chunks are mapped and folded inline in the same
-/// order and production stops immediately at the fold's first `false`.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero, or propagates a panic from `map`.
-pub fn par_chunks_reduce_until<T, M, F>(len: usize, chunk_len: usize, map: M, mut fold: F) -> usize
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    F: FnMut(T) -> bool,
-{
-    let chunks = num_chunks(len, chunk_len);
-    let workers = effective_workers(chunks);
-    if workers <= 1 {
-        for idx in 0..chunks {
-            if !fold(map(chunk_range(len, chunk_len, idx))) {
-                return idx + 1;
-            }
-        }
-        return chunks;
-    }
-
-    let next = AtomicUsize::new(0);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers);
-    thread::scope(|scope| {
-        let next = &next;
-        let stop = &stop;
-        let map = &map;
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= chunks {
-                        break;
-                    }
-                    let partial = map(chunk_range(len, chunk_len, idx));
-                    if tx.send((idx, partial)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut expected = 0usize;
-        let mut stopped = false;
-        let mut pending: std::collections::BTreeMap<usize, T> = std::collections::BTreeMap::new();
-        // Keep draining after a stop so no worker blocks on a full
-        // channel; post-stop partials are dropped unobserved.
-        for (idx, partial) in rx {
-            if stopped {
-                continue;
-            }
-            pending.insert(idx, partial);
-            while let Some(p) = pending.remove(&expected) {
-                expected += 1;
-                if !fold(p) {
-                    stopped = true;
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-            }
-        }
-        assert!(
-            stopped || expected == chunks,
-            "worker panicked before finishing"
-        );
-        expected
-    })
-}
-
 /// Computes `f(0)..f(n-1)` in parallel, returning the results in index
 /// order.
 ///
@@ -444,64 +353,6 @@ mod tests {
             .zip(&nested)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "{serial:?} vs {nested:?}");
-    }
-
-    #[test]
-    fn reduce_until_runs_all_chunks_when_never_stopped() {
-        let xs: Vec<f64> = (0..5_000).map(|i| (i as f64).cos()).collect();
-        set_threads(4);
-        let mut total = 0.0;
-        let folded = par_chunks_reduce_until(
-            xs.len(),
-            128,
-            |r| xs[r].iter().sum::<f64>(),
-            |p: f64| {
-                total += p;
-                true
-            },
-        );
-        assert_eq!(folded, xs.len().div_ceil(128));
-        set_threads(1);
-        let mut serial = 0.0;
-        par_chunks_reduce(
-            xs.len(),
-            128,
-            |r| xs[r].iter().sum::<f64>(),
-            |p: f64| serial += p,
-        );
-        assert_eq!(total.to_bits(), serial.to_bits());
-        set_threads(0);
-    }
-
-    #[test]
-    fn reduce_until_stops_at_a_deterministic_prefix() {
-        // Stop after folding 5 chunks; the folded set must be chunks
-        // 0..5 in order at every thread count.
-        for t in [1, 2, 4, 7] {
-            set_threads(t);
-            let mut seen = Vec::new();
-            let folded = par_chunks_reduce_until(
-                1_000,
-                10,
-                |r| r.start,
-                |start| {
-                    seen.push(start);
-                    seen.len() < 5
-                },
-            );
-            assert_eq!(folded, 5, "threads = {t}");
-            assert_eq!(seen, vec![0, 10, 20, 30, 40], "threads = {t}");
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn reduce_until_handles_empty_and_stop_on_first() {
-        set_threads(4);
-        assert_eq!(par_chunks_reduce_until(0, 8, |_| 0usize, |_| true), 0);
-        let folded = par_chunks_reduce_until(100, 10, |r| r, |_| false);
-        assert_eq!(folded, 1);
-        set_threads(0);
     }
 
     #[test]

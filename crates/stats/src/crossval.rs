@@ -6,8 +6,10 @@
 //! the final error estimate `ε(λ)` used to pick the model order.
 //!
 //! [`EarlyStopRule`] / [`EarlyStopMonitor`] implement the flattening
-//! test the streaming CV driver uses to cut the `λ` exploration short
-//! once the cross-fold error curve stops improving.
+//! test that cross-validation (`rsm_core::select::CvConfig::early_stop`)
+//! applies to the fold-mean error curve `ε(λ)`: walked in increasing
+//! `λ`, the curve is cut at the first observation where it has stopped
+//! improving, and `λ*` is chosen from the kept prefix.
 
 use crate::rng::NormalSampler;
 

@@ -21,7 +21,7 @@
 use sparse_rsm::basis::{Dictionary, DictionaryKind};
 use sparse_rsm::core::lar::LarConfig;
 use sparse_rsm::core::lasso_cd::{penalty_max, LassoCdConfig};
-use sparse_rsm::core::select::{cross_validate, cross_validate_source, CvConfig};
+use sparse_rsm::core::select::{cross_validate, CvConfig};
 use sparse_rsm::core::solver::fit_path;
 use sparse_rsm::core::source::{AtomSource, CachedSource, DictionarySource, RowSubsetSource};
 use sparse_rsm::core::{Method, SparsePath};
@@ -139,10 +139,10 @@ fn dictionary_backend_paths_are_thread_count_invariant() {
     use sparse_rsm::core::star::StarConfig;
     let src = DictionarySource::new(&dict, &samples);
     sweep_threads("OMP on DictionarySource", || {
-        OmpConfig::new(10).fit_source(&src, &f).unwrap()
+        OmpConfig::new(10).fit(&src, &f).unwrap()
     });
     sweep_threads("STAR on DictionarySource", || {
-        StarConfig::new(10).fit_source(&src, &f).unwrap()
+        StarConfig::new(10).fit(&src, &f).unwrap()
     });
     runtime::set_threads(0);
 }
@@ -161,7 +161,7 @@ fn dictionary_backend_matches_materialized_matrix_exactly_per_thread_count() {
     for &n in &THREAD_COUNTS {
         runtime::set_threads(n);
         let via_matrix = OmpConfig::new(8).fit(&g, &f).unwrap();
-        let via_source = OmpConfig::new(8).fit_source(&src, &f).unwrap();
+        let via_source = OmpConfig::new(8).fit(&src, &f).unwrap();
         assert_eq!(
             via_matrix.final_model().support(),
             via_source.final_model().support(),
@@ -175,29 +175,39 @@ fn dictionary_backend_matches_materialized_matrix_exactly_per_thread_count() {
 fn cross_validation_is_thread_count_invariant() {
     let _guard = THREADS_LOCK.lock().unwrap();
     let (g, f) = matrix_problem();
-    let cfg = CvConfig::new(12);
-    runtime::set_threads(1);
-    let base = cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Omp, gt, ft, 12)).unwrap();
-    for &n in &THREAD_COUNTS[1..] {
-        runtime::set_threads(n);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Omp, gt, ft, 12)).unwrap();
-        assert_eq!(
-            cv.best_lambda, base.best_lambda,
-            "λ* differs at {n} threads"
-        );
-        for (a, b) in base.errors.iter().zip(&cv.errors) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "CV error curve differs at {n} threads ({a} vs {b})"
-            );
-        }
-        for (a, b) in base.errors_se.iter().zip(&cv.errors_se) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "CV SE curve differs at {n} threads"
-            );
+    let shuffled = CvConfig {
+        shuffle_seed: Some(3),
+        ..CvConfig::new(12)
+    };
+    for cfg in [CvConfig::new(12), shuffled] {
+        for method in [Method::Omp, Method::Star] {
+            let what = format!("{method:?}, shuffle {:?}", cfg.shuffle_seed);
+            let run =
+                || cross_validate(&g, &f, &cfg, |gt, ft| fit_path(method, gt, ft, 12)).unwrap();
+            runtime::set_threads(1);
+            let base = run();
+            for &n in &THREAD_COUNTS[1..] {
+                runtime::set_threads(n);
+                let cv = run();
+                assert_eq!(
+                    cv.best_lambda, base.best_lambda,
+                    "{what}: λ* differs at {n} threads"
+                );
+                for (a, b) in base.errors.iter().zip(&cv.errors) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what}: CV error curve differs at {n} threads ({a} vs {b})"
+                    );
+                }
+                for (a, b) in base.errors_se.iter().zip(&cv.errors_se) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what}: CV SE curve differs at {n} threads"
+                    );
+                }
+            }
         }
     }
     runtime::set_threads(0);
@@ -237,7 +247,7 @@ fn lar_dense_and_source_backends_agree_per_thread_count() {
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
         let dense = LarConfig::new(10).fit(&g, &f).unwrap();
-        let implicit = LarConfig::new(10).fit_source(&src, &f).unwrap();
+        let implicit = LarConfig::new(10).fit(&src, &f).unwrap();
         assert_paths_same_support_close_coeffs(
             &dense,
             &implicit,
@@ -257,7 +267,7 @@ fn lasso_cd_dense_and_source_backends_agree_per_thread_count() {
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
         let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit_source(&src, &f).unwrap();
+        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
         assert_eq!(
             dense.support(),
             implicit.support(),
@@ -285,7 +295,7 @@ fn cv_dense_and_source_backends_pick_the_same_model() {
         runtime::set_threads(n);
         let dense =
             cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Lar, gt, ft, 8)).unwrap();
-        let implicit = cross_validate_source(&src, &f, &cfg, |view, ft| {
+        let implicit = cross_validate(&src, &f, &cfg, |view, ft| {
             fit_path(Method::Lar, view, ft, 8)
         })
         .unwrap();
@@ -313,8 +323,8 @@ fn cached_source_is_bit_transparent() {
     let cached = CachedSource::new(&src);
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
-        let plain = LarConfig::new(10).fit_source(&src, &f).unwrap();
-        let memo = LarConfig::new(10).fit_source(&cached, &f).unwrap();
+        let plain = LarConfig::new(10).fit(&src, &f).unwrap();
+        let memo = LarConfig::new(10).fit(&cached, &f).unwrap();
         assert_paths_bit_identical(&plain, &memo, &format!("CachedSource LAR @ {n} threads"));
     }
     runtime::set_threads(0);
@@ -582,70 +592,44 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming (pipelined) driver
+// Early-stopped cross-validation
 // ---------------------------------------------------------------------------
 
 #[test]
-fn streaming_fixed_order_is_thread_count_invariant() {
-    // The pipelined producer computes batch deltas on worker threads,
-    // but the fitter folds them in row order — so the fitted model must
-    // be bit-identical at every thread count for a fixed batch size.
-    use sparse_rsm::core::solver::{fit_streaming, ModelOrder, StreamConfig};
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let (g, f) = matrix_problem();
-    for method in [Method::Omp, Method::Lar, Method::LarLasso] {
-        let stream = StreamConfig::new(32);
-        runtime::set_threads(THREAD_COUNTS[0]);
-        let base = fit_streaming(&g, &f, method, &ModelOrder::Fixed(10), &stream).unwrap();
-        assert_eq!(base.batches, 4); // 120 rows / 32-row batches
-        for &n in &THREAD_COUNTS[1..] {
-            runtime::set_threads(n);
-            let rep = fit_streaming(&g, &f, method, &ModelOrder::Fixed(10), &stream).unwrap();
-            assert_eq!(
-                rep.report.model.support(),
-                base.report.model.support(),
-                "{method:?}: support differs at {n} threads"
-            );
-            for ((ia, ca), (ib, cb)) in rep
-                .report
-                .model
-                .coefficients()
-                .iter()
-                .zip(base.report.model.coefficients())
-            {
-                assert_eq!(ia, ib, "{method:?}: atom order differs at {n} threads");
-                assert_eq!(
-                    ca.to_bits(),
-                    cb.to_bits(),
-                    "{method:?}: coefficient {ia} differs at {n} threads"
-                );
-            }
-        }
-    }
-    runtime::set_threads(0);
-}
-
-#[test]
-fn streaming_cv_with_early_stop_is_thread_count_invariant() {
-    // Early stopping depends only on the observed error sequence, and
-    // every fold's error lands at the fold's own index — so the stop
-    // point, the error curve, and the selected λ* are thread-count
-    // invariant.
-    use sparse_rsm::core::solver::{fit_streaming, ModelOrder, StreamConfig};
+fn cv_with_early_stop_is_thread_count_invariant() {
+    // Early stopping depends only on the fold-mean error curve, and
+    // every fold's errors land at the fold's own index — so the stop
+    // point, the kept curve, and the selected λ* are thread-count
+    // invariant, and the kept curve is a prefix of the unstopped one.
+    use sparse_rsm::core::solver::{fit, ModelOrder};
     use sparse_rsm::stats::EarlyStopRule;
     let _guard = THREADS_LOCK.lock().unwrap();
     let (g, f) = matrix_problem();
-    let order = ModelOrder::CrossValidated(CvConfig::new(12));
-    let stream = StreamConfig::new(32).with_early_stop(EarlyStopRule::new().with_patience(2));
+    let rule = EarlyStopRule::new().with_patience(2);
+    let full = ModelOrder::CrossValidated(CvConfig::new(12));
+    let stopped = ModelOrder::CrossValidated(CvConfig::new(12).with_early_stop(rule));
     runtime::set_threads(THREAD_COUNTS[0]);
-    let base = fit_streaming(&g, &f, Method::Omp, &order, &stream).unwrap();
-    let base_cv = base.report.cv.clone().unwrap();
+    let unstopped = fit(&g, &f, Method::Omp, &full).unwrap().cv.unwrap();
+    let base = fit(&g, &f, Method::Omp, &stopped).unwrap();
+    let base_cv = base.cv.clone().unwrap();
+    assert!(
+        base_cv.errors.len() < unstopped.errors.len(),
+        "early stop kept all {} λ",
+        base_cv.errors.len()
+    );
+    for (a, b) in base_cv.errors.iter().zip(&unstopped.errors) {
+        assert_eq!(a.to_bits(), b.to_bits(), "stopped curve is not a prefix");
+    }
+    for (a, b) in base_cv.errors_se.iter().zip(&unstopped.errors_se) {
+        assert_eq!(a.to_bits(), b.to_bits(), "stopped SE curve is not a prefix");
+    }
     for &n in &THREAD_COUNTS[1..] {
         runtime::set_threads(n);
-        let rep = fit_streaming(&g, &f, Method::Omp, &order, &stream).unwrap();
-        let cv = rep.report.cv.unwrap();
+        let rep = fit(&g, &f, Method::Omp, &stopped).unwrap();
+        let cv = rep.cv.unwrap();
         assert_eq!(
-            rep.lambda_explored, base.lambda_explored,
+            cv.errors.len(),
+            base_cv.errors.len(),
             "early-stop point differs at {n} threads"
         );
         assert_eq!(
@@ -656,12 +640,12 @@ fn streaming_cv_with_early_stop_is_thread_count_invariant() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "streaming CV error curve differs at {n} threads"
+                "early-stopped CV error curve differs at {n} threads"
             );
         }
         assert_eq!(
-            rep.report.model.support(),
-            base.report.model.support(),
+            rep.model.support(),
+            base.model.support(),
             "final model differs at {n} threads"
         );
     }
