@@ -23,8 +23,8 @@
 //!   exactly and the CV(LAR) model's support contains every planted
 //!   atom — the CI gate for the streaming path.
 //!
-//! Per-method records (method, M, K, threads, fit seconds, per-step
-//! seconds, peak-RSS estimate, errors) are written to
+//! Per-method records (method, M, K, threads, nproc, sweep kernel, fit
+//! seconds, per-step seconds, peak-RSS estimate, errors) are written to
 //! `results/BENCH_sources.json`; the OMP record additionally keeps its
 //! historical shape in `results/million.json`.
 
@@ -78,6 +78,11 @@ struct SourceBenchRecord {
     m: usize,
     k: usize,
     threads: usize,
+    /// Cores the host reports (`available_parallelism`).
+    nproc: usize,
+    /// The kernel the dictionary sweep ran (`rsm_basis::sweep_kernel`):
+    /// `"avx2"`, or the slower `"plain"`.
+    sweep_kernel: &'static str,
     fit_seconds: f64,
     /// `VmHWM` of the process in MB after this fit — cumulative over
     /// the run, so it upper-bounds the streaming footprint.
@@ -196,6 +201,8 @@ fn main() {
     let expected = prob.expected_support();
     let lambda = prob.truth.len() + 5;
     let threads = opts.threads;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sweep_kernel = rsm_basis::sweep_kernel();
     let mut records: Vec<SourceBenchRecord> = Vec::new();
     let mut all_recovered = true;
 
@@ -217,6 +224,8 @@ fn main() {
         m,
         k,
         threads,
+        nproc,
+        sweep_kernel,
         fit_seconds: omp_secs,
         peak_rss_mb: peak_rss_mb(),
         train_error: omp_train,
@@ -268,6 +277,8 @@ fn main() {
         m,
         k,
         threads,
+        nproc,
+        sweep_kernel,
         fit_seconds: lar_secs,
         peak_rss_mb: peak_rss_mb(),
         train_error: lar_train,
@@ -321,6 +332,8 @@ fn main() {
         m,
         k,
         threads,
+        nproc,
+        sweep_kernel,
         fit_seconds: cv_secs,
         peak_rss_mb: peak_rss_mb(),
         train_error: cv_train,

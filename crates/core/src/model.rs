@@ -99,9 +99,14 @@ impl SparseModel {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the row is shorter than the largest index.
+    /// Panics if the row is shorter than a selected index, and in debug
+    /// builds whenever `row.len()` is not the model's basis count `M`.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        debug_assert!(row.len() >= self.num_bases.min(row.len()));
+        debug_assert_eq!(
+            row.len(),
+            self.num_bases,
+            "predict_row: design row width is not the basis count"
+        );
         self.coeffs.iter().map(|&(i, c)| c * row[i]).sum()
     }
 
@@ -288,6 +293,16 @@ mod tests {
         assert!((m.predict_row(&[1.0, 9.0, 4.0]) - (2.0 - 4.0)).abs() < 1e-15);
         let g = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[1.0, 0.0, -1.0]]).unwrap();
         assert_eq!(m.predict_matrix(&g), vec![1.0, 3.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "design row width is not the basis count")]
+    fn predict_row_rejects_a_row_of_the_wrong_width() {
+        // Every selected index is in range, so only the width check
+        // can catch the row of a different design.
+        let m = SparseModel::new(3, vec![(0, 2.0), (2, -1.0)]);
+        let _ = m.predict_row(&[1.0, 9.0, 4.0, 5.0]);
     }
 
     #[test]

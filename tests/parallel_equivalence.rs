@@ -524,6 +524,8 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
     // Quadratic N = 200 has 20 301 atoms, so its cross block spans two
     // atom tiles; K = 1 and 17 stay below the parallel gate for small
     // dictionaries, and K = 80 is above it for all but the smallest.
+    // K = 304 gives each of the 16 row chunks 19 rows: two full 8-row
+    // blocks of `Dictionary::accumulate` and a remainder.
     let _guard = THREADS_LOCK.lock().unwrap();
     let dicts = [
         Dictionary::new(500, DictionaryKind::Linear),
@@ -541,7 +543,7 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
     ];
     let mut s = NormalSampler::seed_from_u64(13);
     for dict in &dicts {
-        for k in [1usize, 17, 80] {
+        for k in [1usize, 17, 80, 304] {
             let samples = Matrix::from_fn(k, dict.num_vars(), |_, _| s.sample());
             let base: Vec<f64> = (0..k).map(|_| s.sample()).collect();
             // The plain residual, then one with every fourth row
