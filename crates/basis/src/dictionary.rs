@@ -57,8 +57,28 @@ pub enum DictionaryKind {
 pub struct Dictionary {
     n: usize,
     kind: DictionaryKind,
-    /// Materialized terms for [`DictionaryKind::TotalDegree`].
-    terms: Option<Vec<Term>>,
+    /// Materialized terms for [`DictionaryKind::TotalDegree`]; empty for
+    /// the structured families.
+    terms: Vec<Term>,
+}
+
+/// One basis function of a [`Dictionary`], decoded from its index by
+/// [`Dictionary::atom`]: [`Dictionary::eval_atom`] evaluates it with no
+/// index arithmetic, so a caller that evaluates the same atoms at many
+/// points decodes each one once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Atom {
+    /// The constant `g ≡ 1`.
+    Constant,
+    /// `Δy_v`.
+    Linear(usize),
+    /// `ψ₂(Δy_v) = (Δy_v² − 1)/√2`.
+    PureQuadratic(usize),
+    /// `Δy_i·Δy_j`, `i < j`.
+    Cross(usize, usize),
+    /// Term `m` of a [`DictionaryKind::TotalDegree`] dictionary's
+    /// materialized list.
+    Listed(usize),
 }
 
 impl Dictionary {
@@ -103,9 +123,9 @@ impl Dictionary {
                         t.factors().iter().map(|&(v, _)| v).collect::<Vec<_>>(),
                     )
                 });
-                Some(terms)
+                terms
             }
-            _ => None,
+            _ => Vec::new(),
         };
         Dictionary { n, kind, terms }
     }
@@ -123,15 +143,11 @@ impl Dictionary {
     }
 
     /// Number of basis functions `M`.
-    #[expect(
-        clippy::expect_used,
-        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
-    )]
     pub fn len(&self) -> usize {
         match self.kind {
             DictionaryKind::Linear => 1 + self.n,
             DictionaryKind::Quadratic => 1 + 2 * self.n + self.n * (self.n - 1) / 2,
-            DictionaryKind::TotalDegree(_) => self.terms.as_ref().expect("materialized").len(),
+            DictionaryKind::TotalDegree(_) => self.terms.len(),
         }
     }
 
@@ -146,66 +162,73 @@ impl Dictionary {
     /// # Panics
     ///
     /// Panics if `m >= len()`.
-    #[expect(
-        clippy::expect_used,
-        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
-    )]
     pub fn term(&self, m: usize) -> Term {
+        match self.atom(m) {
+            Atom::Constant => Term::constant(),
+            Atom::Linear(v) => Term::linear(v),
+            Atom::PureQuadratic(v) => Term::pure_quadratic(v),
+            Atom::Cross(i, j) => Term::cross(i, j),
+            Atom::Listed(m) => self.terms[m].clone(),
+        }
+    }
+
+    /// The `m`-th basis function, decoded for [`Self::eval_atom`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m >= len()`.
+    pub fn atom(&self, m: usize) -> Atom {
         assert!(m < self.len(), "term index {m} out of range {}", self.len());
+        let n = self.n;
+        // A linear dictionary ends at `m = n`, so only a quadratic one
+        // reaches the last two arms.
         match self.kind {
-            DictionaryKind::Linear => {
-                if m == 0 {
-                    Term::constant()
-                } else {
-                    Term::linear(m - 1)
-                }
+            DictionaryKind::TotalDegree(_) => Atom::Listed(m),
+            _ if m == 0 => Atom::Constant,
+            _ if m <= n => Atom::Linear(m - 1),
+            _ if m <= 2 * n => Atom::PureQuadratic(m - n - 1),
+            _ => {
+                let (i, j) = cross_pair(n, m - 2 * n - 1);
+                Atom::Cross(i, j)
             }
-            DictionaryKind::Quadratic => {
-                let n = self.n;
-                if m == 0 {
-                    Term::constant()
-                } else if m <= n {
-                    Term::linear(m - 1)
-                } else if m <= 2 * n {
-                    Term::pure_quadratic(m - n - 1)
-                } else {
-                    let (i, j) = cross_pair(n, m - 2 * n - 1);
-                    Term::cross(i, j)
-                }
+        }
+    }
+
+    /// Evaluates a decoded basis function at one point: the one place
+    /// each kind's expression is written for single-term queries, so
+    /// the value has the bits [`Self::eval_point_into`] computes for
+    /// the same atom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the atom names a variable beyond `dy`, or is
+    /// [`Atom::Listed`] past this dictionary's term list (atoms come
+    /// from [`Self::atom`] of the same dictionary).
+    #[inline]
+    pub fn eval_atom(&self, atom: Atom, dy: &[f64]) -> f64 {
+        match atom {
+            Atom::Constant => 1.0,
+            Atom::Linear(v) => dy[v],
+            Atom::PureQuadratic(v) => {
+                let y = dy[v];
+                (y * y - 1.0) * FRAC_1_SQRT_2
             }
-            DictionaryKind::TotalDegree(_) => self.terms.as_ref().expect("materialized")[m].clone(),
+            Atom::Cross(i, j) => dy[i] * dy[j],
+            Atom::Listed(m) => self.terms[m].eval(dy),
         }
     }
 
     /// Evaluates basis function `m` at one point.
     ///
     /// For scattered single-term queries; use [`Self::eval_point_into`]
-    /// when all `M` values are needed.
+    /// when all `M` values are needed, and [`Self::atom`] with
+    /// [`Self::eval_atom`] to evaluate the same term at many points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m >= len()` or `dy` is shorter than `N`.
     pub fn eval_term(&self, m: usize, dy: &[f64]) -> f64 {
-        match self.kind {
-            DictionaryKind::Linear => {
-                if m == 0 {
-                    1.0
-                } else {
-                    dy[m - 1]
-                }
-            }
-            DictionaryKind::Quadratic => {
-                let n = self.n;
-                if m == 0 {
-                    1.0
-                } else if m <= n {
-                    dy[m - 1]
-                } else if m <= 2 * n {
-                    let y = dy[m - n - 1];
-                    (y * y - 1.0) * std::f64::consts::FRAC_1_SQRT_2
-                } else {
-                    let (i, j) = cross_pair(n, m - 2 * n - 1);
-                    dy[i] * dy[j]
-                }
-            }
-            DictionaryKind::TotalDegree(_) => self.term(m).eval(dy),
-        }
+        self.eval_atom(self.atom(m), dy)
     }
 
     /// Evaluates all `M` basis functions at one point into `out`.
@@ -213,10 +236,6 @@ impl Dictionary {
     /// # Panics
     ///
     /// Panics if `dy.len() != N` or `out.len() != M`.
-    #[expect(
-        clippy::expect_used,
-        reason = "constructor materializes `terms` for TotalDegree; absence is a construction bug"
-    )]
     pub fn eval_point_into(&self, dy: &[f64], out: &mut [f64]) {
         assert_eq!(dy.len(), self.n, "eval_point_into: wrong input dimension");
         assert_eq!(out.len(), self.len(), "eval_point_into: wrong output size");
@@ -230,7 +249,7 @@ impl Dictionary {
                 out[0] = 1.0;
                 out[1..=n].copy_from_slice(dy);
                 for (v, &y) in dy.iter().enumerate() {
-                    out[n + 1 + v] = (y * y - 1.0) * std::f64::consts::FRAC_1_SQRT_2;
+                    out[n + 1 + v] = (y * y - 1.0) * FRAC_1_SQRT_2;
                 }
                 let mut p = 2 * n + 1;
                 for (i, &yi) in dy.iter().enumerate() {
@@ -247,13 +266,7 @@ impl Dictionary {
                 for (chunk, &yv) in psis.chunks_exact_mut(dmax + 1).zip(dy) {
                     hermite::psi_all(yv, chunk);
                 }
-                for (m, t) in self
-                    .terms
-                    .as_ref()
-                    .expect("materialized")
-                    .iter()
-                    .enumerate()
-                {
+                for (m, t) in self.terms.iter().enumerate() {
                     let mut prod = 1.0;
                     for &(v, deg) in t.factors() {
                         prod *= psis[v * (dmax + 1) + deg as usize];
@@ -373,14 +386,14 @@ impl Dictionary {
         let live = live_rows(rows, weights);
         // A total-degree dictionary evaluates its materialized terms
         // through the shared ψ table of `eval_point_into`, row by row.
-        if let (DictionaryKind::TotalDegree(d), Some(terms)) = (self.kind, &self.terms) {
+        if let DictionaryKind::TotalDegree(d) = self.kind {
             let stride = d as usize + 1;
             let mut psis = vec![0.0; self.n * stride];
             for (k, wk) in live {
                 for (chunk, &yv) in psis.chunks_exact_mut(stride).zip(samples.row(k)) {
                     hermite::psi_all(yv, chunk);
                 }
-                for (o, t) in out.iter_mut().zip(&terms[atoms.clone()]) {
+                for (o, t) in out.iter_mut().zip(&self.terms[atoms.clone()]) {
                     let mut prod = 1.0;
                     for &(v, deg) in t.factors() {
                         prod *= psis[v * stride + deg as usize];
@@ -687,6 +700,124 @@ mod tests {
             let direct = d.eval_term(m, &dy);
             let via_term = d.term(m).eval(&dy);
             assert!((direct - via_term).abs() < 1e-13, "m={m}");
+        }
+    }
+
+    /// The dictionaries the atom pins run over: every kind, with the
+    /// quadratic one large enough that `cross_pair`'s square root has
+    /// many ranks to resolve.
+    fn pinned_dictionaries() -> [Dictionary; 3] {
+        [
+            Dictionary::new(7, DictionaryKind::Linear),
+            Dictionary::new(70, DictionaryKind::Quadratic),
+            Dictionary::new(6, DictionaryKind::TotalDegree(3)),
+        ]
+    }
+
+    /// Points over `n` variables whose every third coordinate cycles
+    /// through 0, −0, ±inf, NaN and 1e±300; the others are ordinary.
+    fn special_points(n: usize) -> Vec<Vec<f64>> {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            1e-300,
+            -1e-300,
+        ];
+        (0..specials.len())
+            .map(|p| {
+                (0..n)
+                    .map(|v| match v % 3 {
+                        0 => specials[(v / 3 + p) % specials.len()],
+                        _ => ((v * 7 + p * 13) as f64 * 0.37).sin() * 2.1,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every basis value of `d` at `dy` in index order, from the
+    /// per-kind expressions written out once more, with the cross pairs
+    /// enumerated by nested loops rather than decoded by rank.
+    fn written_out(d: &Dictionary, dy: &[f64]) -> Vec<f64> {
+        if let DictionaryKind::TotalDegree(_) = d.kind() {
+            return (0..d.len())
+                .map(|m| {
+                    d.term(m)
+                        .factors()
+                        .iter()
+                        .fold(1.0, |p, &(v, deg)| p * hermite::psi(deg as usize, dy[v]))
+                })
+                .collect();
+        }
+        let mut row = vec![1.0];
+        row.extend_from_slice(dy);
+        if d.kind() == DictionaryKind::Quadratic {
+            row.extend(dy.iter().map(|&y| (y * y - 1.0) * FRAC_1_SQRT_2));
+            for (i, &yi) in dy.iter().enumerate() {
+                row.extend(dy[i + 1..].iter().map(|&yj| yi * yj));
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn eval_atom_pins_the_bits_of_every_kind() {
+        for d in pinned_dictionaries() {
+            let mut row = vec![0.0; d.len()];
+            for dy in special_points(d.num_vars()) {
+                let want = written_out(&d, &dy);
+                assert_eq!(want.len(), d.len());
+                d.eval_point_into(&dy, &mut row);
+                for (m, &w) in want.iter().enumerate() {
+                    let got = d.eval_atom(d.atom(m), &dy);
+                    for (what, v) in [("eval_atom", got), ("eval_point_into", row[m])] {
+                        if w.is_nan() {
+                            assert!(v.is_nan(), "{what} {:?} m={m}: {v} for NaN", d.kind());
+                        } else {
+                            assert_eq!(v.to_bits(), w.to_bits(), "{what} {:?} m={m}", d.kind());
+                        }
+                    }
+                    assert_eq!(d.eval_term(m, &dy).to_bits(), got.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn atoms_name_the_factors_of_their_terms() {
+        for d in pinned_dictionaries() {
+            if let DictionaryKind::TotalDegree(_) = d.kind() {
+                assert!((0..d.len()).all(|m| d.atom(m) == Atom::Listed(m)));
+                continue;
+            }
+            let n = d.num_vars();
+            // The structured layout, enumerated without `cross_pair`.
+            let mut layout = vec![Atom::Constant];
+            layout.extend((0..n).map(Atom::Linear));
+            if d.kind() == DictionaryKind::Quadratic {
+                layout.extend((0..n).map(Atom::PureQuadratic));
+                layout.extend((0..n).flat_map(|i| (i + 1..n).map(move |j| Atom::Cross(i, j))));
+                assert_eq!(d.atom(2 * n + 1), Atom::Cross(0, 1), "first cross rank");
+                assert_eq!(d.atom(d.len() - 1), Atom::Cross(n - 2, n - 1), "last");
+            }
+            assert_eq!(layout.len(), d.len());
+            for (m, &want) in layout.iter().enumerate() {
+                let atom = d.atom(m);
+                let factors = match atom {
+                    Atom::Constant => vec![],
+                    Atom::Linear(v) => vec![(v, 1)],
+                    Atom::PureQuadratic(v) => vec![(v, 2)],
+                    Atom::Cross(i, j) => vec![(i, 1), (j, 1)],
+                    Atom::Listed(_) => unreachable!("a structured dictionary lists no terms"),
+                };
+                assert_eq!(atom, want, "{:?} m={m}", d.kind());
+                assert_eq!(d.term(m).factors(), factors, "{:?} m={m}", d.kind());
+            }
         }
     }
 

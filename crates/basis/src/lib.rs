@@ -34,5 +34,5 @@ pub mod dictionary;
 pub mod hermite;
 pub mod term;
 
-pub use dictionary::{sweep_kernel, Accumulation, Dictionary, DictionaryKind};
+pub use dictionary::{sweep_kernel, Accumulation, Atom, Dictionary, DictionaryKind};
 pub use term::Term;

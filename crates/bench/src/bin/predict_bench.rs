@@ -3,7 +3,8 @@
 //! Fits a small quadratic bundle in-process, serves it over TCP with
 //! the real `rsm-serve` stack, and drives it with batched predict
 //! frames at 1 and 4 worker threads. Records predictions/sec, p50/p99
-//! round-trip latency, and peak RSS into `results/BENCH_serve.json`.
+//! round-trip latency, the host's core count and peak RSS into
+//! `results/BENCH_serve.json`.
 //!
 //! Every response is verified **bit-exact** against the in-process
 //! [`predict_point`](rsm_core::SparseModel::predict_point) evaluation;
@@ -57,6 +58,9 @@ struct ThreadRun {
 #[derive(Debug, Clone, Serialize)]
 struct BenchRecord {
     config: BenchConfig,
+    /// Cores the host reports (`available_parallelism`): the 4-thread
+    /// run only shows a parallel speed-up where this is at least 4.
+    nproc: usize,
     runs: Vec<ThreadRun>,
     train_error: f64,
     peak_rss_mb: Option<f64>,
@@ -205,6 +209,7 @@ fn main() {
             batches,
             smoke,
         },
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         runs,
         train_error: bundle.train_error,
         peak_rss_mb: rsm_bench::peak_rss_mb(),

@@ -6,8 +6,9 @@
 //! family, and the sparse coefficient vector. `rsm fit` writes one as
 //! JSON; the offline scorer (`rsm predict`) and the serving path
 //! (`rsm serve` / `rsm-serve`) both reconstruct the dictionary from it
-//! and evaluate through [`SparseModel::predict_batch`], so there is
-//! exactly one scoring code path regardless of transport.
+//! and evaluate through [`SparseModel::predict_rows`] (the CSV path by
+//! way of [`SparseModel::predict_batch`]), so there is exactly one
+//! scoring code path regardless of transport.
 //!
 //! The JSON encoding is pinned by the golden-bundle regression test
 //! (`tests/golden_bundle.rs` at the workspace root): a committed bundle

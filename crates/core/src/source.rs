@@ -384,8 +384,9 @@ impl AtomSource for DictionarySource<'_> {
 
     fn column_into(&self, j: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.samples.rows());
+        let atom = self.dict.atom(j);
         for (k, o) in out.iter_mut().enumerate() {
-            *o = self.dict.eval_term(j, self.samples.row(k));
+            *o = self.dict.eval_atom(atom, self.samples.row(k));
         }
     }
 

@@ -27,7 +27,8 @@
 //! The worker count is resolved per call by [`threads()`]:
 //! a process-wide [`set_threads`] override (used by the CLI `--threads`
 //! flag and the equivalence tests), else the `RSM_THREADS` environment
-//! variable, else [`std::thread::available_parallelism`].
+//! variable, else [`std::thread::available_parallelism`] as read on the
+//! first call.
 //!
 //! Nested calls (e.g. a parallel cross-validation fold whose solver
 //! calls a parallel correlation) do not oversubscribe: a primitive
@@ -51,7 +52,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::thread;
 
 /// Process-wide worker-count override; 0 means "not set".
@@ -73,11 +74,18 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
+/// [`std::thread::available_parallelism`] as first read by [`threads`].
+static AVAILABLE: OnceLock<usize> = OnceLock::new();
+
 /// The worker count parallel calls will use right now.
 ///
 /// Resolution order: [`set_threads`] override, then a positive integer
 /// in `RSM_THREADS`, then [`std::thread::available_parallelism`]
-/// (falling back to 1 if that is unavailable).
+/// (falling back to 1 if that is unavailable). The override and the
+/// variable are read on every call; the CPU count is read once per
+/// process, because the query costs microseconds and a one-point
+/// prediction makes a parallel call. So a CPU quota or affinity mask
+/// changed while the process runs is not seen.
 #[expect(
     clippy::disallowed_methods,
     reason = "the sanctioned RSM_THREADS knob: thread count only affects speed, never results (tests/parallel_equivalence.rs)"
@@ -94,7 +102,7 @@ pub fn threads() -> usize {
             }
         }
     }
-    thread::available_parallelism().map_or(1, |n| n.get())
+    *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Splits `0..len` into the fixed chunk grid used by

@@ -2,7 +2,7 @@
 //! bench harness, the equivalence tests, and anything else that wants
 //! predictions over a socket without hand-rolling frames.
 
-use crate::frame::{read_frame, write_frame, DecodeError, ErrorCode, Frame};
+use crate::frame::{encode_predict, read_frame, DecodeError, ErrorCode, Frame};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -71,24 +71,26 @@ impl<S: Read + Write> Client<S> {
     }
 
     /// Sends one batch (`points` row-major, `num_vars` per point) and
-    /// waits for the answer.
+    /// waits for the answer: one prediction per point.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] carries the server's in-band error
     /// frame; [`ClientError::Protocol`] an undecodable or out-of-order
-    /// response; [`ClientError::Io`] a dead transport.
+    /// response, or one with a prediction count other than the point
+    /// count; [`ClientError::Io`] a dead transport or a batch the wire
+    /// cannot carry.
     pub fn predict(&mut self, num_vars: usize, points: &[f64]) -> Result<Vec<f64>, ClientError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::Predict {
-                num_vars,
-                points: points.to_vec(),
-            },
-        )?;
+        self.stream.write_all(&encode_predict(num_vars, points)?)?;
         self.stream.flush()?;
+        // The encoder accepted the batch, so `num_vars` divides it.
+        let num_points = points.len() / num_vars;
         match read_frame(&mut self.stream)? {
-            Some(Frame::Predictions { values }) => Ok(values),
+            Some(Frame::Predictions { values }) if values.len() == num_points => Ok(values),
+            Some(Frame::Predictions { values }) => Err(ClientError::Protocol(format!(
+                "server answered {num_points} points with {} predictions",
+                values.len()
+            ))),
             Some(Frame::Error { code, message }) => Err(ClientError::Server { code, message }),
             Some(Frame::Predict { .. }) => Err(ClientError::Protocol(
                 "server sent a predict frame as a response".to_string(),

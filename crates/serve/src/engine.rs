@@ -2,9 +2,9 @@
 //! to response frame.
 //!
 //! [`PredictEngine`] owns a loaded [`ModelBundle`] and its
-//! reconstructed dictionary, and scores batches through
-//! [`SparseModel::predict_batch`](rsm_core::SparseModel::predict_batch)
-//! — the same evaluator `rsm predict` uses, so wire predictions are
+//! reconstructed dictionary, and scores the decoded points in place
+//! through [`SparseModel::predict_rows`](rsm_core::SparseModel::predict_rows)
+//! — the evaluator behind `rsm predict` too, so wire predictions are
 //! bit-identical to offline ones. Everything here is infallible by
 //! construction: invalid requests map to [`Frame::Error`] values, never
 //! panics, which is what keeps the request loop alive across abusive
@@ -14,7 +14,6 @@
 use crate::frame::{ErrorCode, Frame};
 use rsm_basis::Dictionary;
 use rsm_core::{CoreError, ModelBundle};
-use rsm_linalg::Matrix;
 
 /// A loaded model ready to score batches.
 #[derive(Debug, Clone)]
@@ -80,17 +79,7 @@ impl PredictEngine {
                 message: "points length is not a multiple of num_vars".to_string(),
             };
         }
-        let num_points = points.len() / num_vars;
-        let batch = match Matrix::from_vec(num_points, num_vars, points.to_vec()) {
-            Ok(m) => m,
-            Err(e) => {
-                return Frame::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("cannot shape batch: {e}"),
-                }
-            }
-        };
-        match self.bundle.model.predict_batch(&self.dict, &batch) {
+        match self.bundle.model.predict_rows(&self.dict, points) {
             Ok(values) => Frame::Predictions { values },
             Err(e) => Frame::Error {
                 code: ErrorCode::Internal,

@@ -207,49 +207,19 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Reads little-endian scalars off a payload slice without panicking.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u16_le(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32_le(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f64_le(&mut self) -> Option<f64> {
-        let b = self.take(8)?;
-        Some(f64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-}
+/// Largest read the decoder makes into its scratch when streaming a
+/// payload's doubles; a multiple of 8, so every read holds whole values.
+const SCRATCH: usize = 64 * 1024;
 
 /// Reads one frame. `Ok(None)` is a clean end of stream (EOF before
 /// the first header byte); EOF anywhere inside a frame is
 /// [`DecodeError::Truncated`].
+///
+/// The payload is never buffered whole: the count head is read and
+/// checked against the declared length, then the doubles stream through
+/// a scratch of at most 64 KiB straight into the frame's `Vec<f64>`. A
+/// recoverable error skips the rest of the payload, so the next frame
+/// starts in place.
 ///
 /// # Errors
 ///
@@ -276,12 +246,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, DecodeError> {
     if len > MAX_PAYLOAD {
         return Err(DecodeError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    let got = read_up_to(r, &mut payload).map_err(DecodeError::Io)?;
-    if got < payload.len() {
-        return Err(DecodeError::Truncated);
+    let mut payload = Payload {
+        r,
+        left: len as usize,
+    };
+    let decoded = decode_payload(kind, &mut payload);
+    if matches!(&decoded, Err(e) if !e.is_fatal()) {
+        payload.skip()?;
     }
-    decode_payload(kind, &payload).map(Some)
+    decoded.map(Some)
 }
 
 /// Reads until `buf` is full or EOF; returns the byte count read.
@@ -298,63 +271,124 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
-    let mut c = Cursor::new(payload);
+/// The unread part of one frame's payload on the stream.
+struct Payload<'a, R> {
+    r: &'a mut R,
+    left: usize,
+}
+
+impl<R: Read> Payload<'_, R> {
+    /// Fills `buf`, which must fit in the rest of the payload; EOF
+    /// first is [`DecodeError::Truncated`].
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), DecodeError> {
+        let got = read_up_to(self.r, buf).map_err(DecodeError::Io)?;
+        self.left -= got;
+        if got < buf.len() {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(())
+    }
+
+    /// The next `N` bytes, or `None` when fewer are left.
+    fn head<const N: usize>(&mut self) -> Result<Option<[u8; N]>, DecodeError> {
+        if self.left < N {
+            return Ok(None);
+        }
+        let mut b = [0u8; N];
+        self.fill(&mut b)?;
+        Ok(Some(b))
+    }
+
+    /// The rest of the payload as little-endian doubles, read through a
+    /// scratch of at most [`SCRATCH`] bytes. The caller has checked that
+    /// the rest is a whole number of them.
+    fn floats(&mut self) -> Result<Vec<f64>, DecodeError> {
+        let mut values = Vec::with_capacity(self.left / 8);
+        let mut scratch = vec![0u8; self.left.min(SCRATCH)];
+        while self.left > 0 {
+            let chunk = &mut scratch[..self.left.min(SCRATCH)];
+            self.fill(chunk)?;
+            let (doubles, _) = chunk.as_chunks::<8>();
+            values.extend(doubles.iter().map(|&b| f64::from_le_bytes(b)));
+        }
+        Ok(values)
+    }
+
+    /// The rest of the payload as bytes.
+    fn rest(&mut self) -> Result<Vec<u8>, DecodeError> {
+        let mut b = vec![0u8; self.left];
+        self.fill(&mut b)?;
+        Ok(b)
+    }
+
+    /// Reads and drops the rest of the payload.
+    fn skip(&mut self) -> Result<(), DecodeError> {
+        let want = self.left as u64;
+        let got =
+            io::copy(&mut self.r.by_ref().take(want), &mut io::sink()).map_err(DecodeError::Io)?;
+        self.left = 0;
+        if got < want {
+            return Err(DecodeError::Truncated);
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a payload of `kind`, one decoder per frame kind. A
+/// recoverable error may leave part of the payload unread.
+fn decode_payload<R: Read>(kind: u8, p: &mut Payload<'_, R>) -> Result<Frame, DecodeError> {
     match kind {
         KIND_PREDICT => {
-            let (Some(num_points), Some(num_vars)) = (c.u32_le(), c.u32_le()) else {
+            let Some([p0, p1, p2, p3, v0, v1, v2, v3]) = p.head()? else {
                 return Err(DecodeError::Malformed(
                     "predict payload shorter than its 8-byte count header".to_string(),
                 ));
             };
-            let want = u64::from(num_points) * u64::from(num_vars) * 8;
-            if c.remaining() as u64 != want {
+            let num_points = u32::from_le_bytes([p0, p1, p2, p3]);
+            let num_vars = u32::from_le_bytes([v0, v1, v2, v3]);
+            // Two u32 counts times 8 can overflow u64, not u128.
+            let want = u128::from(num_points) * u128::from(num_vars) * 8;
+            if p.left as u128 != want {
                 return Err(DecodeError::Malformed(format!(
                     "predict payload declares {num_points} points x {num_vars} vars \
                      ({want} bytes of coordinates) but carries {}",
-                    c.remaining()
+                    p.left
                 )));
-            }
-            let count = (num_points as usize) * (num_vars as usize);
-            let mut points = Vec::with_capacity(count);
-            while let Some(v) = c.f64_le() {
-                points.push(v);
             }
             Ok(Frame::Predict {
                 num_vars: num_vars as usize,
-                points,
+                points: p.floats()?,
             })
         }
         KIND_PREDICTIONS => {
-            let Some(num_points) = c.u32_le() else {
+            let Some(head) = p.head()? else {
                 return Err(DecodeError::Malformed(
                     "predictions payload shorter than its 4-byte count header".to_string(),
                 ));
             };
+            let num_points = u32::from_le_bytes(head);
             let want = u64::from(num_points) * 8;
-            if c.remaining() as u64 != want {
+            if p.left as u64 != want {
                 return Err(DecodeError::Malformed(format!(
                     "predictions payload declares {num_points} values but carries {} bytes",
-                    c.remaining()
+                    p.left
                 )));
             }
-            let mut values = Vec::with_capacity(num_points as usize);
-            while let Some(v) = c.f64_le() {
-                values.push(v);
-            }
-            Ok(Frame::Predictions { values })
+            Ok(Frame::Predictions {
+                values: p.floats()?,
+            })
         }
         KIND_ERROR => {
-            let Some(raw) = c.u16_le() else {
+            let Some(head) = p.head()? else {
                 return Err(DecodeError::Malformed(
                     "error payload shorter than its 2-byte code".to_string(),
                 ));
             };
+            let raw = u16::from_le_bytes(head);
             let Some(code) = ErrorCode::from_u16(raw) else {
                 return Err(DecodeError::Malformed(format!("unknown error code {raw}")));
             };
-            let rest = c.take(c.remaining()).unwrap_or(&[]);
-            let message = String::from_utf8_lossy(rest).into_owned();
+            let message = String::from_utf8_lossy(&p.rest()?).into_owned();
             Ok(Frame::Error { code, message })
         }
         other => Err(DecodeError::BadKind(other)),
@@ -368,54 +402,70 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
 /// Fails with `InvalidInput` when the frame would exceed the wire's
 /// `u32` count fields or the [`MAX_PAYLOAD`] cap.
 pub fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
-    let (kind, payload) = match frame {
-        Frame::Predict { num_vars, points } => {
-            let nv = u32_count(*num_vars, "num_vars")?;
-            if nv == 0 || points.len() % num_vars != 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "points length is not a multiple of a positive num_vars",
-                ));
-            }
-            let np = u32_count(points.len() / num_vars, "num_points")?;
-            let mut p = Vec::with_capacity(8 + points.len() * 8);
-            p.extend_from_slice(&np.to_le_bytes());
-            p.extend_from_slice(&nv.to_le_bytes());
-            for v in points {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-            (KIND_PREDICT, p)
-        }
+    match frame {
+        Frame::Predict { num_vars, points } => encode_predict(*num_vars, points),
         Frame::Predictions { values } => {
             let np = u32_count(values.len(), "num_points")?;
-            let mut p = Vec::with_capacity(4 + values.len() * 8);
-            p.extend_from_slice(&np.to_le_bytes());
-            for v in values {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-            (KIND_PREDICTIONS, p)
+            let mut out = with_header(KIND_PREDICTIONS, 4 + 8 * values.len())?;
+            out.extend_from_slice(&np.to_le_bytes());
+            put_floats(&mut out, values);
+            Ok(out)
         }
         Frame::Error { code, message } => {
-            let mut p = Vec::with_capacity(2 + message.len());
-            p.extend_from_slice(&code.to_u16().to_le_bytes());
-            p.extend_from_slice(message.as_bytes());
-            (KIND_ERROR, p)
+            let mut out = with_header(KIND_ERROR, 2 + message.len())?;
+            out.extend_from_slice(&code.to_u16().to_le_bytes());
+            out.extend_from_slice(message.as_bytes());
+            Ok(out)
         }
-    };
-    let len = u32_count(payload.len(), "payload length")?;
+    }
+}
+
+/// Encodes a predict frame from borrowed points (`num_vars` per point,
+/// row-major): the encoder behind both [`encode_frame`] and
+/// [`Client::predict`](crate::Client::predict).
+///
+/// # Errors
+///
+/// As [`encode_frame`]; also `InvalidInput` when `num_vars` is zero or
+/// does not divide the coordinate count.
+pub(crate) fn encode_predict(num_vars: usize, points: &[f64]) -> io::Result<Vec<u8>> {
+    let nv = u32_count(num_vars, "num_vars")?;
+    if nv == 0 || !points.len().is_multiple_of(num_vars) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "points length is not a multiple of a positive num_vars",
+        ));
+    }
+    let np = u32_count(points.len() / num_vars, "num_points")?;
+    let mut out = with_header(KIND_PREDICT, 8 + 8 * points.len())?;
+    out.extend_from_slice(&np.to_le_bytes());
+    out.extend_from_slice(&nv.to_le_bytes());
+    put_floats(&mut out, points);
+    Ok(out)
+}
+
+/// A frame header of `kind`, in a vector sized for the header and its
+/// `payload_len` bytes of payload.
+fn with_header(kind: u8, payload_len: usize) -> io::Result<Vec<u8>> {
+    let len = u32_count(payload_len, "payload length")?;
     if len > MAX_PAYLOAD {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"),
         ));
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&payload);
     Ok(out)
+}
+
+/// Appends `values` as little-endian doubles, into capacity reserved
+/// by [`with_header`].
+fn put_floats(out: &mut Vec<u8>, values: &[f64]) {
+    out.extend(values.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// Encodes and writes one frame (no implicit flush — callers decide

@@ -13,7 +13,7 @@
 //!   (never a panic, never a dead server), keep or drop the connection
 //!   according to whether the stream is still framable;
 //! - [`engine`] — the compute path: a pure `Frame → Frame` function
-//!   over [`SparseModel::predict_batch`](rsm_core::SparseModel::predict_batch),
+//!   over [`SparseModel::predict_rows`](rsm_core::SparseModel::predict_rows),
 //!   the same evaluator the offline `rsm predict` command uses.
 //!
 //! Because the evaluator is shared and `rsm-runtime`'s chunking is

@@ -7,7 +7,7 @@ use rsm_serve::frame::{
     encode_frame, read_frame, write_frame, HEADER_LEN, KIND_PREDICT, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use rsm_serve::{serve_stream, serve_tcp, Client, ClientError, ErrorCode, Frame, PredictEngine};
-use std::io::Write as _;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
 
@@ -47,6 +47,68 @@ fn expect_error(frames: &[Frame], idx: usize, code: ErrorCode) {
     }
 }
 
+/// The decoder reads a payload's doubles through a scratch of this many
+/// bytes at most.
+const SCRATCH: usize = 64 * 1024;
+
+/// 3000 points x 5 vars: a predict payload of 120 008 bytes, nearly two
+/// scratches, with coordinates of every sign and magnitude.
+fn big_points() -> Vec<f64> {
+    (0..3000 * 5)
+        .map(|i| ((i as f64) * 0.61).sin() * 10f64.powi(i % 7 - 3))
+        .collect()
+}
+
+/// Hands out at most `step` bytes per `read`, like a slow socket.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_frame_larger_than_the_scratch_decodes_the_same_at_any_read_size() {
+    let points = big_points();
+    let bytes = encode_frame(&Frame::Predict {
+        num_vars: 5,
+        points: points.clone(),
+    })
+    .expect("encodes");
+    assert!(
+        bytes.len() - HEADER_LEN - 8 > SCRATCH,
+        "the doubles fill two scratches"
+    );
+    for step in [1, 7, bytes.len()] {
+        let mut r = Trickle {
+            bytes: &bytes,
+            step,
+        };
+        match read_frame(&mut r) {
+            Ok(Some(Frame::Predict {
+                num_vars,
+                points: got,
+            })) => {
+                assert_eq!(num_vars, 5);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&points), "{step} bytes per read");
+            }
+            other => panic!("{step} bytes per read: {other:?}"),
+        }
+        assert!(
+            matches!(read_frame(&mut r), Ok(None)),
+            "frame consumed whole"
+        );
+    }
+}
+
 #[test]
 fn truncated_frame_yields_truncated_error() {
     let full = encode_frame(&Frame::Predict {
@@ -57,6 +119,28 @@ fn truncated_frame_yields_truncated_error() {
     // Cut inside the header and inside the payload.
     for cut in [3, HEADER_LEN - 1, HEADER_LEN + 5, full.len() - 1] {
         let frames = poke(&full[..cut]);
+        assert_eq!(frames.len(), 1, "cut at {cut}");
+        expect_error(&frames, 0, ErrorCode::Truncated);
+    }
+    // A payload streamed through several scratches: cut inside the
+    // count head, at and inside the first double, either side of the
+    // first scratch boundary, and one byte short of the end. Each is
+    // answered once and the connection closes.
+    let big = encode_frame(&Frame::Predict {
+        num_vars: 5,
+        points: big_points(),
+    })
+    .expect("encodes");
+    let floats = HEADER_LEN + 8;
+    for cut in [
+        HEADER_LEN + 3,
+        floats,
+        floats + 4,
+        floats + SCRATCH - 1,
+        floats + SCRATCH + 1,
+        big.len() - 1,
+    ] {
+        let frames = poke(&big[..cut]);
         assert_eq!(frames.len(), 1, "cut at {cut}");
         expect_error(&frames, 0, ErrorCode::Truncated);
     }
@@ -215,6 +299,118 @@ fn count_mismatch_payload_is_recoverable() {
     assert_eq!(frames.len(), 2, "{frames:?}");
     expect_error(&frames, 0, ErrorCode::Malformed);
     assert!(matches!(frames[1], Frame::Predictions { .. }));
+
+    // Counts whose byte size overflows 64 bits are a mismatch too.
+    let mut input = Vec::new();
+    input.extend_from_slice(&MAGIC);
+    input.push(VERSION);
+    input.push(KIND_PREDICT);
+    input.extend_from_slice(&16u32.to_le_bytes());
+    input.extend_from_slice(&u32::MAX.to_le_bytes());
+    input.extend_from_slice(&u32::MAX.to_le_bytes());
+    input.extend_from_slice(&1.0f64.to_le_bytes());
+    let frames = poke(&input);
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    expect_error(&frames, 0, ErrorCode::Malformed);
+
+    // Over 64 KiB: 3000 points x 3 vars declared, one double missing.
+    // The decoder skips the rest of the payload, so the next frame is
+    // read from its own header.
+    let carried = 3000 * 3 * 8 - 8;
+    let mut input = Vec::new();
+    input.extend_from_slice(&MAGIC);
+    input.push(VERSION);
+    input.push(KIND_PREDICT);
+    input.extend_from_slice(&(8 + carried as u32).to_le_bytes());
+    input.extend_from_slice(&3000u32.to_le_bytes());
+    input.extend_from_slice(&3u32.to_le_bytes());
+    input.extend(std::iter::repeat_n(0x3f, carried));
+    input.extend(
+        encode_frame(&Frame::Predict {
+            num_vars: 3,
+            points: vec![1.0, 2.0, 3.0],
+        })
+        .expect("encodes"),
+    );
+    let frames = poke(&input);
+    assert_eq!(frames.len(), 2, "{frames:?}");
+    expect_error(&frames, 0, ErrorCode::Malformed);
+    assert!(
+        matches!(frames[1], Frame::Predictions { ref values } if values.len() == 1),
+        "{frames:?}"
+    );
+}
+
+/// An in-memory server: reads come from a preloaded answer, and writes
+/// are kept for inspection.
+struct Canned {
+    answer: io::Cursor<Vec<u8>>,
+    sent: Vec<u8>,
+}
+
+impl Canned {
+    fn answering(frame: &Frame) -> Canned {
+        Canned {
+            answer: io::Cursor::new(encode_frame(frame).expect("encodes")),
+            sent: Vec::new(),
+        }
+    }
+}
+
+impl Read for Canned {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.answer.read(buf)
+    }
+}
+
+impl Write for Canned {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.sent.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn client_rejects_a_wrong_number_of_predictions() {
+    // Two points sent, one value answered.
+    let mut client = Client::new(Canned::answering(&Frame::Predictions { values: vec![1.0] }));
+    match client.predict(3, &[0.0; 6]) {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("2 points"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+#[test]
+fn client_decodes_a_large_answer_bit_exactly() {
+    // 10 000 values (80 004 payload bytes) with special bit patterns.
+    let mut values = big_points()[..10_000].to_vec();
+    values[..6].copy_from_slice(&[
+        -0.0,
+        f64::INFINITY,
+        f64::from_bits(0x7ff8_0000_dead_beef),
+        f64::MIN_POSITIVE / 8.0,
+        f64::MAX,
+        -1e-300,
+    ]);
+    let points = vec![0.5; values.len()];
+    let mut client = Client::new(Canned::answering(&Frame::Predictions {
+        values: values.clone(),
+    }));
+    let got = client.predict(1, &points).expect("answer decodes");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&values));
+    // The request went out as one predict frame of the borrowed points.
+    let sent = client.into_inner().sent;
+    assert_eq!(
+        read_frame(&mut &sent[..]).expect("request decodes"),
+        Some(Frame::Predict {
+            num_vars: 1,
+            points
+        })
+    );
 }
 
 /// A fatal frame from one client must not take the listener down: the
