@@ -299,27 +299,6 @@ impl Dictionary {
         g
     }
 
-    /// Evaluates a block of columns `[col_start, col_start + out.cols())`
-    /// of the design matrix into `out` — the streaming path for
-    /// dictionaries too large to materialize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds `M` or `samples.cols() != N` or
-    /// `out.rows() != samples.rows()`.
-    pub fn eval_column_block(&self, samples: &Matrix, col_start: usize, out: &mut Matrix) {
-        assert_eq!(samples.cols(), self.n);
-        assert_eq!(out.rows(), samples.rows());
-        let width = out.cols();
-        assert!(col_start + width <= self.len(), "column block out of range");
-        for r in 0..samples.rows() {
-            let dy = samples.row(r);
-            for c in 0..width {
-                out[(r, c)] = self.eval_term(col_start + c, dy);
-            }
-        }
-    }
-
     /// Adds one pass over the sample rows `rows` (in ascending order)
     /// into the atom range `atoms`: for every row `k` and atom `j`,
     /// `out[j − atoms.start] += w_k·g_j(x_k)`, or `g_j(x_k)²` (see
@@ -840,20 +819,6 @@ mod tests {
         assert_eq!(g.shape(), (2, 4));
         assert_eq!(g.row(0), &[1.0, 1.0, 2.0, 3.0]);
         assert_eq!(g.row(1), &[1.0, -1.0, 0.0, 0.5]);
-    }
-
-    #[test]
-    fn column_block_matches_design_matrix() {
-        let d = Dictionary::new(4, DictionaryKind::Quadratic);
-        let samples = Matrix::from_fn(7, 4, |r, c| ((r * 3 + c) as f64 * 0.37).sin());
-        let g = d.design_matrix(&samples);
-        let mut block = Matrix::zeros(7, 5);
-        d.eval_column_block(&samples, 6, &mut block);
-        for r in 0..7 {
-            for c in 0..5 {
-                assert!((block[(r, c)] - g[(r, 6 + c)]).abs() < 1e-14);
-            }
-        }
     }
 
     /// Row-at-a-time reference for `accumulate`: whole rows from

@@ -29,7 +29,7 @@ struct Options {
 }
 
 /// Flags that take no value (presence alone turns them on).
-const BOOL_FLAGS: &[&str] = &["implicit", "stdio", "early-stop"];
+const BOOL_FLAGS: &[&str] = &["stdio", "early-stop"];
 
 /// The options each subcommand reads; `--threads` is accepted by all.
 const FIT_OPTIONS: &[&str] = &[
@@ -39,7 +39,6 @@ const FIT_OPTIONS: &[&str] = &[
     "basis",
     "lambda-max",
     "lambda",
-    "implicit",
     "early-stop",
     "model",
     "emit-c",
@@ -98,7 +97,7 @@ rsm — sparse response-surface modeling (OMP / LAR / STAR / LS)
 USAGE:
   rsm fit --input <samples.csv> --response <column> [--method omp|lar|star|ls]
           [--basis linear|quadratic] [--lambda-max N [--early-stop] | --lambda N]
-          [--implicit] [--model out.json] [--emit-c out.c] [--emit-veriloga out.va]
+          [--model out.json] [--emit-c out.c] [--emit-veriloga out.va]
   rsm predict --model <model.json> --input <samples.csv> [--output pred.csv]
   rsm serve --model <model.json> (--stdio | --listen <addr:port> | --unix <path>)
             [--max-conns N]
@@ -115,10 +114,6 @@ after N connections (for tests and benchmarks).
 Every subcommand also accepts --threads N (default: the RSM_THREADS
 environment variable, else all available cores). The thread count only
 affects speed: fitted models are bit-identical for any value.
-
---implicit streams the basis dictionary instead of materializing the
-K x M design matrix — required memory drops from O(K*M) to O(K + M),
-which is what makes million-basis dictionaries fit in RAM.
 
 Without --lambda, fit picks lambda by 4-fold cross-validation over
 1..=--lambda-max (default 50). --early-stop cuts the cross-fold error
@@ -219,24 +214,14 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
         }
         ModelOrder::CrossValidated(cfg)
     };
-    let (report, train_error) = if opts.boolean("implicit") {
-        // Matrix-free: the solver streams dictionary columns on
-        // demand; the K×M design matrix is never allocated.
-        let src = DictionarySource::new(&dict, &inputs);
-        let report = solver::fit(&src, &f, method, &order).map_err(|e| e.to_string())?;
-        let pred: Vec<f64> = (0..inputs.rows())
-            .map(|r| report.model.predict_point(&dict, inputs.row(r)))
-            .collect();
-        let err = relative_error(&pred, &f);
-        (report, err)
-    } else {
-        // Explicit dense path, chosen by the user: the only non-test
-        // library call of `design_matrix`; no solver entry reaches it.
-        let g = dict.design_matrix(&inputs);
-        let report = solver::fit(&g, &f, method, &order).map_err(|e| e.to_string())?;
-        let err = relative_error(&report.model.predict_matrix(&g), &f);
-        (report, err)
-    };
+    // The solver streams the dictionary: the K×M design matrix is
+    // never allocated.
+    let src = DictionarySource::new(&dict, &inputs);
+    let report = solver::fit(&src, &f, method, &order).map_err(|e| e.to_string())?;
+    let pred: Vec<f64> = (0..inputs.rows())
+        .map(|r| report.model.predict_point(&dict, inputs.row(r)))
+        .collect();
+    let train_error = relative_error(&pred, &f);
 
     let bundle = ModelBundle {
         input_columns,
@@ -550,41 +535,50 @@ mod tests {
 
     #[test]
     fn implicit_fit_matches_dense_fit() {
+        // `rsm fit` streams the dictionary; an in-process fit on the
+        // materialized design matrix must pick the same λ and support,
+        // with coefficients equal to 1e-9 relative.
         let (dir, csv_path) = sample_csv(110, 8);
-        let dense = dir.join("dense.json").to_string_lossy().into_owned();
-        let implicit = dir.join("implicit.json").to_string_lossy().into_owned();
-        for (extra, path) in [(None, &dense), (Some("--implicit"), &implicit)] {
-            let mut args = s(&[
-                "fit",
-                "--input",
-                &csv_path,
-                "--response",
-                "delay",
-                "--method",
-                "lar",
-                "--basis",
-                "quadratic",
-                "--lambda-max",
-                "8",
-                "--model",
-                path,
-            ]);
-            if let Some(flag) = extra {
-                args.push(flag.to_string());
-            }
-            let out = run(&args).unwrap();
-            assert!(out.contains("fit LAR"), "{out}");
-        }
-        let jd = std::fs::read_to_string(&dense).unwrap();
-        let ji = std::fs::read_to_string(&implicit).unwrap();
-        let bd: ModelBundle = serde_json::from_str(&jd).unwrap();
-        let bi: ModelBundle = serde_json::from_str(&ji).unwrap();
-        assert_eq!(bd.lambda, bi.lambda);
-        assert_eq!(bd.model.support(), bi.model.support());
-        for (&(ja, ca), &(jb, cb)) in bd.model.coefficients().iter().zip(bi.model.coefficients()) {
+        let model = dir.join("m.json").to_string_lossy().into_owned();
+        let args = s(&[
+            "fit",
+            "--input",
+            &csv_path,
+            "--response",
+            "delay",
+            "--method",
+            "lar",
+            "--basis",
+            "quadratic",
+            "--lambda-max",
+            "8",
+            "--model",
+            &model,
+        ]);
+        let out = run(&args).unwrap();
+        assert!(out.contains("fit LAR"), "{out}");
+        let streamed = ModelBundle::from_json(&std::fs::read_to_string(&model).unwrap()).unwrap();
+
+        let table = csv::Table::parse(&std::fs::read_to_string(&csv_path).unwrap()).unwrap();
+        let (inputs, f) = table.split_response("delay").unwrap();
+        let g = Dictionary::new(inputs.cols(), DictionaryKind::Quadratic).design_matrix(&inputs);
+        let order = ModelOrder::CrossValidated(CvConfig::new(8));
+        let dense = solver::fit(&g, &f, Method::Lar, &order).unwrap();
+        assert_eq!(streamed.lambda, dense.lambda);
+        assert_eq!(streamed.model.support(), dense.model.support());
+        for (&(ja, ca), &(jb, cb)) in dense
+            .model
+            .coefficients()
+            .iter()
+            .zip(streamed.model.coefficients())
+        {
             assert_eq!(ja, jb);
             assert!((ca - cb).abs() < 1e-9 * (1.0 + ca.abs()), "{ca} vs {cb}");
         }
+
+        // There is no dense path to select.
+        let err = run(&[args, s(&["--implicit"])].concat()).unwrap_err();
+        assert!(err.contains("unknown option --implicit"), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 

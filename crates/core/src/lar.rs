@@ -9,8 +9,10 @@
 //! correlated with the residual, which then joins the active set.
 //!
 //! The optional **lasso modification** drops an active variable the
-//! moment its coefficient crosses zero, making the path coincide with
-//! the L1-penalized regression path.
+//! moment its coefficient crosses zero, and the next step moves along
+//! the reduced active set without activating anything (§3.1 of Efron
+//! et al.), making the path coincide with the L1-penalized regression
+//! path.
 //!
 //! Predictors are normalized internally to unit column norm (the
 //! algorithm's equal-angle geometry assumes it); reported coefficients
@@ -28,8 +30,9 @@ use crate::Result;
 /// LARS configuration.
 #[derive(Debug, Clone)]
 pub struct LarConfig {
-    /// Maximum number of path steps (≈ the paper's `λ`: each non-drop
-    /// step activates one basis function).
+    /// Maximum number of path steps (≈ the paper's `λ`: a step
+    /// activates one basis function, except the step right after a
+    /// lasso drop, which activates none).
     pub max_steps: usize,
     /// Enable the lasso modification (drop variables whose coefficient
     /// hits zero).

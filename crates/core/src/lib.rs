@@ -20,9 +20,6 @@
 //!   but coefficients set directly to the inner-product estimate;
 //! - [`ls`] — classical over-determined least squares (needs `K ≥ M`);
 //! - [`codegen`] — export fitted models as C or Verilog-A source;
-//! - [`lasso_cd`] — a cyclic coordinate-descent lasso, included as an
-//!   independent cross-check of the LARS path (not one of the paper's
-//!   methods);
 //! - [`select`] — Q-fold cross-validated choice of the model order `λ`
 //!   (Section IV-C, Fig. 2);
 //! - [`session`] — step-by-step solver sessions built from one sample
@@ -74,7 +71,6 @@
 pub mod bundle;
 pub mod codegen;
 pub mod lar;
-pub mod lasso_cd;
 pub mod ls;
 pub mod model;
 pub mod omp;
@@ -88,7 +84,7 @@ pub mod star;
 pub use bundle::ModelBundle;
 pub use model::SparseModel;
 pub use path::SparsePath;
-pub use session::{LarSession, LassoCdSession, OmpSession, StepOutcome};
+pub use session::{LarSession, OmpSession, StepOutcome};
 pub use solver::{FitReport, Method, ModelOrder};
 
 use std::fmt;

@@ -1,14 +1,14 @@
-//! Solver sessions — the step-by-step state of LAR, OMP and
-//! coordinate-descent lasso over one fixed sample set.
+//! Solver sessions — the step-by-step state of LAR and OMP over one
+//! fixed sample set.
 //!
 //! A session is built once from the design source `g` and the response
 //! `f`: construction validates the operands and runs the data sweeps
 //! (column square norms, and for LAR the correlations `Gᵀ·F`), and each
 //! [`step`](LarSession::step) advances the path by one breakpoint. The
-//! `fit` entry points (`LarConfig::fit`, `OmpConfig::fit`,
-//! `LassoCdConfig::fit_warm`) are thin wrappers that build a session
-//! and run it to completion; cross-validation runs one such path per
-//! fold ([`crate::select::cross_validate`]).
+//! `fit` entry points (`LarConfig::fit`, `OmpConfig::fit`) are thin
+//! wrappers that build a session and run it to completion;
+//! cross-validation runs one such path per fold
+//! ([`crate::select::cross_validate`]).
 //!
 //! A session does not keep `g` or `f`: every `step` takes them again,
 //! and they must be the data the session was built from.
@@ -19,19 +19,19 @@
 //! per-step re-solve stays `O(p²)` thanks to the persistent
 //! [`GrowingCholesky`], with [`drop_column`](GrowingCholesky::drop_column)
 //! downdates on lasso drops; OMP's least-squares re-fit grows a
-//! [`GrowingQr`] by one column per selection, and
-//! [`OmpSession::deselect`] removes one with Givens rotations.
+//! [`GrowingQr`] by one column per selection.
 //!
 //! # Numerical contract
 //!
-//! Sessions perform bit-for-bit the same floating-point operations as
-//! the pre-session batch solvers, with one sanctioned exception: the
-//! lasso drop path downdates the Cholesky factor instead of
-//! refactorizing, which changes low-order bits after the first drop
-//! (pinned by the golden-bits tests in `tests/lasso_drop.rs`).
+//! Plain LAR and OMP sessions perform bit-for-bit the same
+//! floating-point operations as the batch solvers they replaced. A
+//! lasso drop downdates the Cholesky factor instead of refactorizing
+//! it, which changes low-order bits, and the step after a drop moves
+//! along the reduced active set without activating an atom (Efron et
+//! al. 2004, §3.1). `tests/lasso_drop.rs` pins the path's bits and
+//! checks the lasso KKT conditions at every snapshot.
 
 use crate::lar::LarConfig;
-use crate::lasso_cd::{soft_threshold, LassoCdConfig};
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
 use crate::path::SparsePath;
@@ -99,6 +99,9 @@ pub struct LarSession {
     /// Absolute correlation floor `rel_tol · ‖F‖₂`.
     tol: f64,
     max_active: usize,
+    /// Set by a lasso drop: the next step moves along the reduced
+    /// active set without activating an atom.
+    after_drop: bool,
     done: bool,
 }
 
@@ -148,6 +151,7 @@ impl LarSession {
             steps: 0,
             tol: cfg.rel_tol * f_norm,
             max_active: cfg.max_steps.min(k).min(m),
+            after_drop: false,
             done: false,
             cfg,
         };
@@ -188,7 +192,12 @@ impl LarSession {
 
         // Activation: scan for the maximal absolute correlation among
         // non-active columns, retrying past numerically dependent atoms
-        // (each retry re-scans the unchanged correlation vector).
+        // (each retry re-scans the unchanged correlation vector). Right
+        // after a lasso drop the dropped atom still sits at the
+        // correlation level, so the scan would pick it straight back;
+        // instead the step moves along the reduced active set (Efron et
+        // al. 2004, §3.1), unless the drop emptied it.
+        let after_drop = std::mem::take(&mut self.after_drop) && !self.active.is_empty();
         loop {
             let mut cmax = 0.0f64;
             let mut jbest: Option<usize> = None;
@@ -202,7 +211,7 @@ impl LarSession {
                     jbest = Some(j);
                 }
             }
-            if self.active.len() < self.max_active {
+            if !after_drop && self.active.len() < self.max_active {
                 match jbest {
                     Some(j) if cmax > self.tol => {
                         let mut col = vec![0.0; k];
@@ -236,7 +245,8 @@ impl LarSession {
                 self.done = true;
                 return Ok(StepOutcome::Finished);
             } else {
-                // Saturated: keep advancing along the current set.
+                // Saturated, or right after a drop: keep advancing
+                // along the current set.
                 break;
             }
         }
@@ -319,6 +329,7 @@ impl LarSession {
                     "LARS active-set downdate failed after drop".into(),
                 ));
             }
+            self.after_drop = true;
         }
 
         // Record a snapshot in the caller's (unnormalized) scale.
@@ -603,62 +614,6 @@ impl OmpSession {
         self.run_to(g, f, self.cfg.lambda)
     }
 
-    /// Removes the `pos`-th *selected* atom from the model via a Givens
-    /// column removal on the QR factor (`O((K + p)·(p − pos))`, no
-    /// refactorization), refreshing all snapshots.
-    ///
-    /// The atom is **not** excluded: subsequent steps may re-select it.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadConfig`] if `pos` is out of range;
-    /// [`CoreError::Numerical`] if the downdate or re-fit fails.
-    pub fn deselect(&mut self, f: &[f64], pos: usize) -> Result<()> {
-        if pos >= self.selected.len() {
-            return Err(CoreError::BadConfig(format!(
-                "deselect position {pos} out of range ({} selected)",
-                self.selected.len()
-            )));
-        }
-        let j = self.selected.remove(pos);
-        self.in_model[j] = false;
-        self.qr.remove_column(pos)?;
-        self.res = self.qr.residual(f)?;
-        self.refresh_snapshots(f)?;
-        self.done = false;
-        Ok(())
-    }
-
-    /// Rebuilds every path snapshot from prefix solves of the current
-    /// factor (after a deselection the old snapshots were fit on a
-    /// different support).
-    fn refresh_snapshots(&mut self, f: &[f64]) -> Result<()> {
-        self.snapshots.clear();
-        self.residual_norms.clear();
-        if self.selected.is_empty() {
-            return Ok(());
-        }
-        let y = self.qr.qt_apply(f)?;
-        let f_sq = dot(f, f);
-        let mut fitted_sq = 0.0;
-        for p in 1..=self.selected.len() {
-            let coef = self.qr.solve_r_prefix(&y[..p])?;
-            fitted_sq += y[p - 1] * y[p - 1];
-            // ‖f − Q_p Q_pᵀ f‖² = ‖f‖² − Σ_{i<p} (Qᵀf)_i² (orthonormal Q).
-            let rn = (f_sq - fitted_sq).max(0.0).sqrt();
-            self.snapshots.push(SparseModel::new(
-                self.m,
-                self.selected[..p]
-                    .iter()
-                    .copied()
-                    .zip(coef.iter().copied())
-                    .collect(),
-            ));
-            self.residual_norms.push(rn);
-        }
-        Ok(())
-    }
-
     /// The selection path traced so far.
     ///
     /// # Errors
@@ -675,157 +630,6 @@ impl OmpSession {
     /// As [`Self::path`].
     pub fn into_path(self) -> Result<SparsePath> {
         traced_path(self.m, self.snapshots, self.residual_norms)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Coordinate-descent lasso
-// ---------------------------------------------------------------------------
-
-/// Resumable coordinate-descent lasso state: the coefficient vector
-/// (its own warm start) and the residual `F − G·α`.
-#[derive(Debug, Clone)]
-pub struct LassoCdSession {
-    cfg: LassoCdConfig,
-    m: usize,
-    k: usize,
-    /// `Σ_r G[r,j]²` (coordinate curvature).
-    col_sq: Vec<f64>,
-    alpha: Vec<f64>,
-    res: Vec<f64>,
-    fscale: f64,
-    sweeps_done: usize,
-    converged: bool,
-}
-
-impl LassoCdSession {
-    /// Builds a session over `g` and `f`, optionally warm-started from
-    /// a dense coefficient vector of length `M`; the residual gathers
-    /// only the warm start's support columns.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadConfig`] for a negative or non-finite penalty or
-    /// a non-finite response; [`CoreError::ShapeMismatch`] for a
-    /// misshapen warm start or response.
-    pub fn new<S: AtomSource + ?Sized>(
-        cfg: LassoCdConfig,
-        g: &S,
-        f: &[f64],
-        warm: Option<&[f64]>,
-    ) -> Result<Self> {
-        if cfg.penalty < 0.0 || !cfg.penalty.is_finite() {
-            return Err(CoreError::BadConfig("penalty must be >= 0".into()));
-        }
-        let (k, m) = (g.num_rows(), g.num_atoms());
-        if let Some(w) = warm {
-            if w.len() != m {
-                return Err(CoreError::ShapeMismatch {
-                    expected: format!("warm start of length {m}"),
-                    found: format!("length {}", w.len()),
-                });
-            }
-        }
-        check_response(g, f)?;
-        let alpha = warm.map(|w| w.to_vec()).unwrap_or_else(|| vec![0.0; m]);
-        let col_sq = g.column_sq_norms();
-        let mut res = f.to_vec();
-        let mut col = vec![0.0; k];
-        for (j, &aj) in alpha.iter().enumerate() {
-            if tol::exactly_zero(aj) {
-                continue;
-            }
-            g.column_into(j, &mut col);
-            axpy(-aj, &col, &mut res);
-        }
-        Ok(LassoCdSession {
-            cfg,
-            m,
-            k,
-            col_sq,
-            alpha,
-            res,
-            fscale: norm2(f).max(tol::NORM_FLOOR),
-            sweeps_done: 0,
-            converged: false,
-        })
-    }
-
-    /// `true` once a sweep has met the convergence criterion.
-    pub fn is_converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Full coordinate sweeps performed so far.
-    pub fn sweeps_done(&self) -> usize {
-        self.sweeps_done
-    }
-
-    /// Performs one full coordinate sweep.
-    ///
-    /// # Errors
-    ///
-    /// None currently; the `Result` reserves the right to surface
-    /// kernel failures.
-    pub fn step<S: AtomSource + ?Sized>(&mut self, g: &S, _f: &[f64]) -> Result<StepOutcome> {
-        if self.converged {
-            return Ok(StepOutcome::Finished);
-        }
-        let mut max_delta = 0.0f64;
-        let mut max_alpha = 0.0f64;
-        let mut col = vec![0.0; self.k];
-        for j in 0..self.m {
-            if self.col_sq[j] <= tol::NORM_FLOOR {
-                continue;
-            }
-            g.column_into(j, &mut col);
-            // Partial residual correlation: ρ = G_jᵀ(r + G_j α_j).
-            let rho = dot(&col, &self.res) + self.col_sq[j] * self.alpha[j];
-            let new = soft_threshold(rho, self.cfg.penalty) / self.col_sq[j];
-            let delta = new - self.alpha[j];
-            if !tol::exactly_zero(delta) {
-                axpy(-delta, &col, &mut self.res);
-                self.alpha[j] = new;
-            }
-            max_delta = max_delta.max(delta.abs());
-            max_alpha = max_alpha.max(new.abs());
-        }
-        self.sweeps_done += 1;
-        if max_delta <= self.cfg.tol * max_alpha.max(self.fscale * tol::DEFAULT_ABS_TOL) {
-            self.converged = true;
-            return Ok(StepOutcome::Finished);
-        }
-        Ok(StepOutcome::Advanced)
-    }
-
-    /// Sweeps until convergence or the configured sweep cap.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Numerical`] if the cap is exhausted first.
-    pub fn run<S: AtomSource + ?Sized>(&mut self, g: &S, f: &[f64]) -> Result<()> {
-        while self.sweeps_done < self.cfg.max_sweeps {
-            if self.step(g, f)? == StepOutcome::Finished {
-                return Ok(());
-            }
-        }
-        Err(CoreError::Numerical(format!(
-            "coordinate descent did not converge in {} sweeps",
-            self.cfg.max_sweeps
-        )))
-    }
-
-    /// The current iterate as a sparse model (exact zeros dropped).
-    pub fn model(&self) -> SparseModel {
-        SparseModel::new(
-            self.m,
-            self.alpha
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| !tol::exactly_zero(a))
-                .map(|(j, &a)| (j, a))
-                .collect(),
-        )
     }
 }
 
@@ -899,72 +703,6 @@ mod tests {
             OmpSession::new(OmpConfig::new(3), &g, &bad),
             Err(CoreError::BadConfig(_))
         ));
-        assert!(matches!(
-            LassoCdSession::new(LassoCdConfig::new(0.1), &g, &bad, None),
-            Err(CoreError::BadConfig(_))
-        ));
-        assert!(matches!(
-            LassoCdSession::new(LassoCdConfig::new(0.1), &g, &f, Some(&[0.0; 3])),
-            Err(CoreError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn omp_snapshot_refresh_matches_prefix_refits() {
-        let (g, f) = sparse_problem(48, 24, 19);
-        let mut s = OmpSession::new(OmpConfig::new(4), &g, &f).unwrap();
-        s.run(&g, &f).unwrap();
-        s.deselect(&f, 1).unwrap();
-        let path = s.path().unwrap();
-        assert_eq!(path.len(), s.selected().len());
-        // Each refreshed snapshot must equal an LS fit of its prefix
-        // support.
-        for (p, (_, model)) in path.iter().enumerate() {
-            let support = &s.selected()[..=p];
-            let mut qr = GrowingQr::new(48);
-            let mut col = vec![0.0; 48];
-            for &j in support {
-                g.column_into(j, &mut col);
-                qr.push_column(&col).unwrap();
-            }
-            let coef = qr.solve_least_squares(&f).unwrap();
-            for (&j, &c) in support.iter().zip(&coef) {
-                let got = model.coefficient(j).unwrap();
-                assert!((got - c).abs() < 1e-9, "atom {j}: {got} vs {c}");
-            }
-            let rn = norm2(&qr.residual(&f).unwrap());
-            assert!((path.residual_norms()[p] - rn).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn omp_deselect_removes_atom_and_allows_reselection() {
-        let (g, f) = sparse_problem(40, 20, 23);
-        let mut s = OmpSession::new(OmpConfig::new(4), &g, &f).unwrap();
-        s.run(&g, &f).unwrap();
-        let selected = s.selected().to_vec();
-        assert!(selected.len() >= 3);
-        let victim = selected[1];
-        s.deselect(&f, 1).unwrap();
-        assert!(!s.selected().contains(&victim));
-        assert_eq!(s.path().unwrap().len(), selected.len() - 1);
-        // The dropped atom is informative again: continuing selection
-        // brings it (or a substitute) back and restores the fit.
-        s.run(&g, &f).unwrap();
-        let path = s.into_path().unwrap();
-        let rn = *path.residual_norms().last().unwrap();
-        assert!(rn <= 0.2 * norm2(&f), "residual {rn} after re-selection");
-        let pred = path.final_model().predict_matrix(&g);
-        let err: Vec<f64> = pred.iter().zip(&f).map(|(a, b)| a - b).collect();
-        assert!(norm2(&err) / norm2(&f) < 0.2);
-    }
-
-    #[test]
-    fn omp_deselect_out_of_range_rejected() {
-        let (g, f) = sparse_problem(30, 20, 29);
-        let mut s = OmpSession::new(OmpConfig::new(2), &g, &f).unwrap();
-        s.run(&g, &f).unwrap();
-        assert!(s.deselect(&f, 99).is_err());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The paper targets up to `M ≈ 10⁶` model coefficients. A
 //! materialized design matrix at `K = 10³`, `M = 10⁶` is 8 GB — beyond
-//! sensible memory — so every solver in this crate (OMP, STAR, LAR,
-//! lasso-CD, LS, and the [`crate::select`] cross-validation driver)
-//! is written against [`AtomSource`] instead of a concrete
+//! sensible memory — so every solver in this crate (OMP, STAR, LAR, LS,
+//! and the [`crate::select`] cross-validation driver) is written
+//! against [`AtomSource`] instead of a concrete
 //! [`rsm_linalg::Matrix`]. The dense matrix is just one implementation;
 //! [`DictionarySource`] is the streaming one, evaluating a Hermite
 //! dictionary on the fly with `O(K + M)` scratch instead of `O(K·M)`
@@ -19,8 +19,8 @@
 //! - [`AtomSource::columns_into`] — batched gather of an active set;
 //! - [`AtomSource::row_into`] — one design-matrix row, for prediction
 //!   and cross-validation scoring;
-//! - [`AtomSource::column_sq_norms`] — per-atom squared norms (LAR and
-//!   lasso-CD normalization);
+//! - [`AtomSource::column_sq_norms`] — per-atom squared norms (the
+//!   normalization of LAR and of normalized OMP);
 //! - [`AtomSource::gram_active`] — the active-set Gram matrix
 //!   `G_Aᵀ·G_A`.
 //!
@@ -29,16 +29,12 @@
 //! provided sources override them with faster, allocation-free or
 //! parallel versions.
 //!
-//! Adapters compose sources without materializing anything:
-//! [`CachedSource`] memoizes evaluated column blocks (LAR re-reads its
-//! active set every step), and [`RowSubsetSource`] presents a row
-//! slice of another source (cross-validation folds).
+//! The adapter [`RowSubsetSource`] presents a row slice of another
+//! source (cross-validation folds) without materializing anything.
 
 use rsm_basis::{Accumulation, Dictionary};
 use rsm_linalg::vec_ops::dot;
 use rsm_linalg::Matrix;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Minimum `K·M` work (rows × atoms) before the streaming correlation
 /// goes parallel. Like the `rsm-linalg` kernels, the gate depends only
@@ -50,14 +46,8 @@ const PAR_MIN_WORK: usize = 32_768;
 /// sweeps (`correlate`, `column_sq_norms`) the chunks fix each entry's
 /// floating-point summation order — per-chunk partials folded in
 /// ascending order — while the parallel split runs over
-/// [`ATOM_TILE`]s; `column_block_into` evaluates the chunks in
-/// parallel. Constant, so neither depends on the thread count.
-///
-/// Note: this constant chunks the **row** axis; [`CachedSource`]
-/// blocks the **column** axis (see [`CachedSource::DEFAULT_BLOCK`]).
-/// The grids are orthogonal, so caching never changes which row
-/// chunks an evaluation uses — DESIGN.md § AtomSource layering spells
-/// out the interaction.
+/// [`ATOM_TILE`]s. Constant, so the result does not depend on the
+/// thread count.
 const PAR_ROW_CHUNKS: usize = 16;
 
 /// Atom-tile width of the parallel sweeps: 16 Ki doubles (128 KB), so
@@ -146,9 +136,7 @@ pub trait AtomSource {
 
     /// Materializes the contiguous column block
     /// `[col_start, col_start + out.cols())` into `out`
-    /// (`num_rows() × B`). [`CachedSource`] fills its cache through
-    /// this, so sources can provide a batched evaluation (the
-    /// dictionary source parallelizes over row chunks).
+    /// (`num_rows() × B`), one column at a time.
     ///
     /// # Panics
     ///
@@ -195,8 +183,7 @@ pub trait AtomSource {
     }
 }
 
-/// References delegate to the underlying source (so adapters like
-/// [`CachedSource`] can either own or borrow their inner source).
+/// References delegate to the underlying source.
 impl<S: AtomSource + ?Sized> AtomSource for &S {
     fn num_rows(&self) -> usize {
         (**self).num_rows()
@@ -396,165 +383,6 @@ impl AtomSource for DictionarySource<'_> {
 
     fn column_sq_norms(&self) -> Vec<f64> {
         self.sweep(Accumulation::Squares)
-    }
-
-    fn column_block_into(&self, col_start: usize, out: &mut Matrix) {
-        let k_rows = self.samples.rows();
-        let b = out.cols();
-        assert_eq!(out.rows(), k_rows, "column_block_into: wrong row count");
-        assert!(
-            col_start + b <= self.dict.len(),
-            "column_block_into: block out of range"
-        );
-        if self.parallel_rows() && b > 1 {
-            // Evaluate disjoint row chunks in parallel. Every entry is
-            // an independent `eval_term`, so the result is identical to
-            // the serial fill at any thread count.
-            let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let parts: Vec<Matrix> = rsm_runtime::par_map_indexed(k_rows.div_ceil(chunk), |ci| {
-                let lo = ci * chunk;
-                Matrix::from_fn(chunk.min(k_rows - lo), b, |r, c| {
-                    self.dict.eval_term(col_start + c, self.samples.row(lo + r))
-                })
-            });
-            let mut r0 = 0usize;
-            for blk in parts {
-                for r in 0..blk.rows() {
-                    out.row_mut(r0 + r).copy_from_slice(blk.row(r));
-                }
-                r0 += blk.rows();
-            }
-            return;
-        }
-        self.dict.eval_column_block(self.samples, col_start, out);
-    }
-}
-
-/// A memoizing adapter: evaluates (and caches) columns of the inner
-/// source in fixed-size blocks, so solvers that repeatedly touch an
-/// active set — LAR re-reads its active columns on every drop/rebuild,
-/// lasso-CD sweeps all coordinates every pass — don't re-evaluate
-/// Hermite terms.
-///
-/// Determinism: blocks are keyed by `j / block`, a grid that depends
-/// only on the block size and the atom count — never on access order,
-/// thread count, or which column triggered the fill. A block's content
-/// is produced by [`AtomSource::column_block_into`] on the inner
-/// source (which for [`DictionarySource`] is the thread-count-
-/// invariant parallel evaluation), so a cached column is bit-identical
-/// to an uncached one.
-///
-/// Memory: at most `ceil(M / block)` blocks of `K × block` doubles —
-/// callers control the footprint by wrapping only when column reuse is
-/// expected, and by choosing a block size. `correlate` streams through
-/// the inner source and is deliberately *not* cached (one pass per
-/// solver step over all `M` atoms would defeat the point of a bounded
-/// cache).
-#[derive(Debug)]
-pub struct CachedSource<S> {
-    inner: S,
-    block: usize,
-    cache: Mutex<BTreeMap<usize, Arc<Matrix>>>,
-}
-
-impl<S: AtomSource> CachedSource<S> {
-    /// Default column-block width. Sixteen columns per block amortizes
-    /// the fill overhead while keeping a single block (`K × 16`
-    /// doubles) small; it is independent of the internal
-    /// `PAR_ROW_CHUNKS` grid, which chunks the *row* axis of each
-    /// block fill.
-    pub const DEFAULT_BLOCK: usize = 16;
-
-    /// Wraps `inner` with the default block width.
-    pub fn new(inner: S) -> Self {
-        Self::with_block(inner, Self::DEFAULT_BLOCK)
-    }
-
-    /// Wraps `inner` caching `block` columns per cache entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0`.
-    pub fn with_block(inner: S, block: usize) -> Self {
-        assert!(block > 0, "CachedSource block width must be positive");
-        CachedSource {
-            inner,
-            block,
-            cache: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Number of column blocks currently cached (each one inner
-    /// evaluation of up to `block` columns).
-    pub fn cached_blocks(&self) -> usize {
-        self.lock_cache().len()
-    }
-
-    /// The inner source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, BTreeMap<usize, Arc<Matrix>>> {
-        match self.cache.lock() {
-            Ok(g) => g,
-            // A poisoned lock only means another thread panicked while
-            // filling; the map itself is still a valid cache.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Fetches (filling on miss) the block containing column `j`;
-    /// returns the block and the column's offset inside it.
-    fn block_for(&self, j: usize) -> (Arc<Matrix>, usize) {
-        let b = j / self.block;
-        let lo = b * self.block;
-        let width = self.block.min(self.inner.num_atoms() - lo);
-        let mut cache = self.lock_cache();
-        let blk = cache
-            .entry(b)
-            .or_insert_with(|| {
-                let mut m = Matrix::zeros(self.inner.num_rows(), width);
-                self.inner.column_block_into(lo, &mut m);
-                Arc::new(m)
-            })
-            .clone();
-        (blk, j - lo)
-    }
-}
-
-impl<S: AtomSource> AtomSource for CachedSource<S> {
-    fn num_rows(&self) -> usize {
-        self.inner.num_rows()
-    }
-
-    fn num_atoms(&self) -> usize {
-        self.inner.num_atoms()
-    }
-
-    fn correlate(&self, res: &[f64]) -> Vec<f64> {
-        self.inner.correlate(res)
-    }
-
-    fn column_into(&self, j: usize, out: &mut [f64]) {
-        assert!(j < self.num_atoms(), "column_into: atom out of range");
-        assert_eq!(out.len(), self.num_rows(), "column_into: wrong output size");
-        let (blk, c) = self.block_for(j);
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = blk[(r, c)];
-        }
-    }
-
-    fn row_into(&self, k: usize, out: &mut [f64]) {
-        self.inner.row_into(k, out);
-    }
-
-    fn column_sq_norms(&self) -> Vec<f64> {
-        self.inner.column_sq_norms()
-    }
-
-    fn column_block_into(&self, col_start: usize, out: &mut Matrix) {
-        self.inner.column_block_into(col_start, out);
     }
 }
 
@@ -776,28 +604,6 @@ mod tests {
                 assert!((gram[(a, b)] - gram[(b, a)]).abs() < 1e-15);
             }
         }
-    }
-
-    #[test]
-    fn cached_source_returns_identical_columns_and_caches_blocks() {
-        let (dict, samples) = setup();
-        let src = DictionarySource::new(&dict, &samples);
-        let cached = CachedSource::with_block(&src, 4);
-        assert_eq!(cached.cached_blocks(), 0);
-        let mut a = vec![0.0; 15];
-        let mut b = vec![0.0; 15];
-        for j in [0usize, 1, 5, 6, 7, 1, 0] {
-            cached.column_into(j, &mut a);
-            src.column_into(j, &mut b);
-            assert_eq!(a, b, "cached column {j} differs");
-        }
-        // Columns 0,1 share block 0 (atoms 0–3); 5,6,7 share block 1.
-        assert_eq!(cached.cached_blocks(), 2);
-        // correlate streams through the inner source unchanged.
-        let res: Vec<f64> = (0..15).map(|i| (i as f64 * 0.17).cos()).collect();
-        assert_eq!(cached.correlate(&res), src.correlate(&res));
-        assert_eq!(cached.num_rows(), src.num_rows());
-        assert_eq!(cached.num_atoms(), src.num_atoms());
     }
 
     #[test]

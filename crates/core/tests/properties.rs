@@ -186,65 +186,6 @@ proptest! {
     }
 
     #[test]
-    fn lasso_cd_dense_and_source_fits_agree(seed in 0u64..1_000_000) {
-        use rsm_basis::{Dictionary, DictionaryKind};
-        use rsm_core::lasso_cd::{penalty_max, LassoCdConfig};
-        use rsm_core::source::DictionarySource;
-        let mut rng = NormalSampler::seed_from_u64(seed);
-        let dict = Dictionary::new(8, DictionaryKind::Quadratic);
-        let samples = Matrix::from_fn(40, 8, |_, _| rng.sample());
-        let g = dict.design_matrix(&samples);
-        let f: Vec<f64> = (0..40)
-            .map(|r| {
-                2.0 * dict.eval_term(1, samples.row(r))
-                    - 1.0 * dict.eval_term(20, samples.row(r))
-                    + 0.02 * rng.sample()
-            })
-            .collect();
-        let src = DictionarySource::new(&dict, &samples);
-        let penalty = 0.1 * penalty_max(&g, &f).unwrap();
-        let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
-        prop_assert_eq!(dense.support(), implicit.support());
-        for &(j, c) in dense.coefficients() {
-            let cb = implicit.coefficient(j).unwrap();
-            prop_assert!(
-                rsm_linalg::tol::approx_eq(c, cb, 1e-8, 1e-11),
-                "coefficient {}: {} vs {}", j, c, cb
-            );
-        }
-    }
-
-    #[test]
-    fn cached_source_is_transparent_to_lar(seed in 0u64..1_000_000) {
-        // Memoization must be invisible: bit-identical coefficients.
-        use rsm_basis::{Dictionary, DictionaryKind};
-        use rsm_core::source::{CachedSource, DictionarySource};
-        let mut rng = NormalSampler::seed_from_u64(seed);
-        let dict = Dictionary::new(9, DictionaryKind::Quadratic);
-        let samples = Matrix::from_fn(45, 9, |_, _| rng.sample());
-        let f: Vec<f64> = (0..45)
-            .map(|r| {
-                1.2 * dict.eval_term(4, samples.row(r)) + 0.05 * rng.sample()
-            })
-            .collect();
-        let src = DictionarySource::new(&dict, &samples);
-        let cached = CachedSource::new(&src);
-        let plain = LarConfig::new(5).fit(&src, &f).unwrap();
-        let memo = LarConfig::new(5).fit(&cached, &f).unwrap();
-        prop_assert_eq!(plain.len(), memo.len());
-        for lambda in 1..=plain.len() {
-            let ma = plain.model_at(lambda);
-            let mb = memo.model_at(lambda);
-            prop_assert_eq!(ma.support(), mb.support());
-            for (&(ja, ca), &(jb, cb)) in ma.coefficients().iter().zip(mb.coefficients()) {
-                prop_assert_eq!(ja, jb);
-                prop_assert_eq!(ca.to_bits(), cb.to_bits(), "cache changed a bit");
-            }
-        }
-    }
-
-    #[test]
     fn all_methods_agree_on_orthogonal_dictionary(scale in 0.5f64..4.0) {
         // With orthogonal columns every method recovers the same model.
         let k = 12;

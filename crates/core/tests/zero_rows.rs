@@ -6,10 +6,9 @@
 //! Nothing panics.
 
 use rsm_core::lar::LarConfig;
-use rsm_core::lasso_cd::LassoCdConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::select::CvConfig;
-use rsm_core::session::{LarSession, LassoCdSession, OmpSession, StepOutcome};
+use rsm_core::session::{LarSession, OmpSession, StepOutcome};
 use rsm_core::{solver, CoreError, Method, ModelOrder, SparsePath};
 use rsm_linalg::Matrix;
 
@@ -52,18 +51,6 @@ fn zero_row_omp_session_is_finished_when_built() {
         assert!(s.selected().is_empty());
         assert_zero_path(&s.into_path().unwrap());
     }
-}
-
-#[test]
-fn zero_row_lasso_cd_session_converges_to_the_zero_model() {
-    let g = no_rows();
-    let mut s = LassoCdSession::new(LassoCdConfig::new(0.1), &g, &[], None).unwrap();
-    assert_eq!(s.step(&g, &[]).unwrap(), StepOutcome::Finished);
-    assert!(s.is_converged());
-    assert_eq!(s.sweeps_done(), 1);
-    assert_eq!(s.model().num_nonzeros(), 0);
-    s.run(&g, &[]).unwrap();
-    assert_eq!(s.sweeps_done(), 1);
 }
 
 #[test]

@@ -312,77 +312,6 @@ impl IncrementalQr {
         Ok(())
     }
 
-    /// Removes the most recently appended column (used by the lasso
-    /// variant of LARS when a coefficient crosses zero).
-    ///
-    /// Returns `true` if a column was removed.
-    pub fn pop_column(&mut self) -> bool {
-        let had = self.q_cols.pop().is_some();
-        self.r_cols.pop();
-        had
-    }
-
-    /// Removes the column at position `pos` by Givens rotations, in
-    /// `O((m + p)·(p − pos))` — no refactorization of the surviving
-    /// columns.
-    ///
-    /// Deleting column `pos` of `R` leaves it upper Hessenberg: each
-    /// surviving column `j ≥ pos` has one entry below its new diagonal.
-    /// A rotation of *row* pair `(j, j+1)` zeroes that entry; applying
-    /// the transposed rotation to columns `j, j+1` of `Q` keeps
-    /// `Q·R` equal to the shrunk matrix and `Q` orthonormal. The last
-    /// row of `R` ends exactly zero, so the final `Q` column is dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `pos >= ncols()`; the
-    /// factorization is unchanged in that case.
-    pub fn remove_column(&mut self, pos: usize) -> Result<()> {
-        let p = self.q_cols.len();
-        if pos >= p {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("column index < {p}"),
-                found: format!("index {pos}"),
-            });
-        }
-        self.r_cols.remove(pos);
-        for j in pos..(p - 1) {
-            // `a` sits on the new diagonal, `b` just below it; `b` is
-            // the old diagonal `R[j+1, j+1] > 0`, so `r > 0`.
-            let a = self.r_cols[j][j];
-            let b = self.r_cols[j][j + 1];
-            let r = a.hypot(b);
-            let (c, s) = (a / r, b / r);
-            self.r_cols[j][j] = r;
-            self.r_cols[j].truncate(j + 1);
-            for col in self.r_cols.iter_mut().skip(j + 1) {
-                // One range check per column; the rotated pair is then
-                // addressed at constant offsets.
-                let pair = &mut col[j..j + 2];
-                let (x, y) = (pair[0], pair[1]);
-                pair[0] = c * x + s * y;
-                pair[1] = c * y - s * x;
-            }
-            // Q ← Q·Gᵀ so the product Q·R is preserved. The split is
-            // never empty on either side (`j + 1 ≤ p − 1 < p`), so the
-            // slice patterns always match.
-            if let ([.., qj], [qj1, ..]) = self.q_cols.split_at_mut(j + 1) {
-                // Adjacent Q columns always hold the same number of
-                // sample rows.
-                debug_assert_eq!(qj.len(), qj1.len());
-                for (x, y) in qj.iter_mut().zip(qj1.iter_mut()) {
-                    let (a, b) = (*x, *y);
-                    *x = c * a + s * b;
-                    *y = c * b - s * a;
-                }
-            }
-        }
-        // Row p-1 of R is now identically zero: its Q column no longer
-        // contributes to the product.
-        self.q_cols.pop();
-        Ok(())
-    }
-
     /// `Qᵀ·b` for the current basis.
     ///
     /// # Errors
@@ -428,34 +357,10 @@ impl IncrementalQr {
         Ok(r)
     }
 
-    /// Least-squares solution restricted to the first `p = y.len()`
-    /// columns, given `y = (Qᵀb)[..p]` from [`Self::qt_apply`].
-    ///
-    /// Column `j` of `R` only references rows `0..=j`, so the leading
-    /// `p × p` block is self-contained: this is exactly the coefficient
-    /// vector the factorization had when only `p` columns were pushed.
-    /// Streaming OMP uses it to refresh every path snapshot after a
-    /// sample-extension rebuild without re-running per-prefix solves
-    /// from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `y.len() > ncols()`.
-    pub fn solve_r_prefix(&self, y: &[f64]) -> Result<Vec<f64>> {
-        if y.len() > self.r_cols.len() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("prefix of length <= {}", self.r_cols.len()),
-                found: format!("length {}", y.len()),
-            });
-        }
-        Ok(self.solve_r(y))
-    }
-
-    /// Solves `R·x = y` by back substitution (R stored column-wise);
-    /// `y` may be a prefix of `Qᵀb`, solving the leading block.
+    /// Solves `R·x = y` by back substitution (R stored column-wise).
     fn solve_r(&self, y: &[f64]) -> Vec<f64> {
         let p = y.len();
-        debug_assert!(p <= self.r_cols.len());
+        debug_assert_eq!(p, self.r_cols.len());
         let mut x = y.to_vec();
         for j in (0..p).rev() {
             let rj = &self.r_cols[j];
@@ -621,125 +526,6 @@ mod tests {
         // Factorization still usable after the rejection.
         inc.push_column(&[0.0, 0.0, 0.0, 1.0]).unwrap();
         assert_eq!(inc.ncols(), 3);
-    }
-
-    #[test]
-    fn pop_column_restores_previous_fit() {
-        let a = rand_matrix(8, 3, 13);
-        let b: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let mut inc = IncrementalQr::new(8);
-        inc.push_column(&a.col(0)).unwrap();
-        let x1 = inc.solve_least_squares(&b).unwrap();
-        inc.push_column(&a.col(1)).unwrap();
-        assert!(inc.pop_column());
-        let x1b = inc.solve_least_squares(&b).unwrap();
-        assert_eq!(x1.len(), x1b.len());
-        assert!((x1[0] - x1b[0]).abs() < 1e-12);
-    }
-
-    fn incremental_from(a: &Matrix) -> IncrementalQr {
-        let mut inc = IncrementalQr::new(a.rows());
-        for j in 0..a.cols() {
-            inc.push_column(&a.col(j)).unwrap();
-        }
-        inc
-    }
-
-    #[test]
-    fn remove_column_matches_refactorization() {
-        let a = rand_matrix(14, 6, 31);
-        let b: Vec<f64> = (0..14).map(|i| (i as f64 * 0.4).cos()).collect();
-        for pos in 0..6 {
-            let mut inc = incremental_from(&a);
-            inc.remove_column(pos).unwrap();
-            assert_eq!(inc.ncols(), 5);
-            let mut fresh = IncrementalQr::new(14);
-            for j in (0..6).filter(|&j| j != pos) {
-                fresh.push_column(&a.col(j)).unwrap();
-            }
-            let x_down = inc.solve_least_squares(&b).unwrap();
-            let x_full = fresh.solve_least_squares(&b).unwrap();
-            for (xd, xf) in x_down.iter().zip(&x_full) {
-                assert!((xd - xf).abs() < 1e-9, "pos {pos}: {xd} vs {xf}");
-            }
-        }
-    }
-
-    #[test]
-    fn remove_column_keeps_q_orthonormal() {
-        let a = rand_matrix(10, 5, 19);
-        let mut inc = incremental_from(&a);
-        inc.remove_column(1).unwrap();
-        for i in 0..inc.ncols() {
-            for j in 0..inc.ncols() {
-                let d = dot(&inc.q_cols[i], &inc.q_cols[j]);
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((d - expect).abs() < 1e-11, "Q[{i}]·Q[{j}] = {d}");
-            }
-        }
-        // Residual of a surviving column must be (numerically) zero.
-        let r = inc.residual(&a.col(3)).unwrap();
-        assert!(norm2(&r) < 1e-10);
-    }
-
-    #[test]
-    fn remove_last_column_matches_pop() {
-        let a = rand_matrix(8, 4, 23);
-        let b: Vec<f64> = (0..8).map(|i| i as f64 - 3.0).collect();
-        let mut removed = incremental_from(&a);
-        let mut popped = incremental_from(&a);
-        removed.remove_column(3).unwrap();
-        assert!(popped.pop_column());
-        let xr = removed.solve_least_squares(&b).unwrap();
-        let xp = popped.solve_least_squares(&b).unwrap();
-        for (r, p) in xr.iter().zip(&xp) {
-            assert_eq!(r.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn remove_then_push_keeps_growing() {
-        let a = rand_matrix(9, 4, 37);
-        let mut inc = incremental_from(&a);
-        inc.remove_column(0).unwrap();
-        inc.push_column(&a.col(0)).unwrap();
-        assert_eq!(inc.ncols(), 4);
-        let b: Vec<f64> = (0..9).map(|i| (i as f64).sin()).collect();
-        // Same span, so the fitted values must agree with the original
-        // column order.
-        let res_perm = inc.residual(&b).unwrap();
-        let res_orig = incremental_from(&a).residual(&b).unwrap();
-        for (x, y) in res_perm.iter().zip(&res_orig) {
-            assert!((x - y).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn remove_column_out_of_range_is_error() {
-        let a = rand_matrix(6, 3, 41);
-        let mut inc = incremental_from(&a);
-        assert!(inc.remove_column(3).is_err());
-        assert_eq!(inc.ncols(), 3);
-    }
-
-    #[test]
-    fn solve_r_prefix_matches_shorter_factorization() {
-        let a = rand_matrix(12, 5, 53);
-        let b: Vec<f64> = (0..12).map(|i| 1.0 / (2.0 + i as f64)).collect();
-        let full = incremental_from(&a);
-        let y = full.qt_apply(&b).unwrap();
-        for p in 1..=5 {
-            let mut short = IncrementalQr::new(12);
-            for j in 0..p {
-                short.push_column(&a.col(j)).unwrap();
-            }
-            let x_prefix = full.solve_r_prefix(&y[..p]).unwrap();
-            let x_short = short.solve_least_squares(&b).unwrap();
-            for (xp, xs) in x_prefix.iter().zip(&x_short) {
-                assert_eq!(xp.to_bits(), xs.to_bits(), "prefix {p}");
-            }
-        }
-        assert!(full.solve_r_prefix(&[0.0; 6]).is_err());
     }
 
     #[test]

@@ -1,29 +1,36 @@
-//! Directed coverage of the lasso drop path and its Cholesky downdate.
+//! Directed coverage of the lasso drop path and its Cholesky downdate,
+//! and the path certificates that check LAR, LAR(lasso) and OMP from
+//! the mathematics rather than against stored bits.
 //!
-//! PR 8 replaced the drop-path refactorization (rebuild the active-set
-//! Cholesky from scratch after removing a column — `O(p³)`) with a
-//! Givens rank-1 downdate (`GrowingCholesky::drop_column`, `O(p²)`).
-//! This is the one sanctioned numeric change of the session refactor,
-//! so it gets its own pins:
+//! A lasso drop downdates the active-set Cholesky factor with Givens
+//! rotations (`GrowingCholesky::drop_column`, `O(p²)`) instead of
+//! refactorizing it, and the step after a drop moves along the reduced
+//! active set without activating an atom (Efron et al. 2004, §3.1).
+//! This file pins that path:
 //!
 //! - a fixture that **provably** takes the drop branch (atoms leave the
 //!   support between consecutive snapshots — impossible without the
 //!   lasso drop);
 //! - golden bit patterns for the whole path, captured at one worker
-//!   thread on the downdate implementation;
-//! - agreement with coordinate descent at a matched post-drop penalty,
-//!   showing the downdated factor still solves the right equations;
-//! - `excluded` bookkeeping surviving drops: every dropped atom stays
+//!   thread;
+//! - the lasso KKT certificate at every snapshot, showing the
+//!   downdated factor still solves the right equations;
+//! - `excluded` bookkeeping surviving drops: a dropped atom stays
 //!   eligible and is in fact re-selected later on this fixture.
+//!
+//! The certificates also run on a Gaussian design and on a streamed
+//! quadratic dictionary.
 //!
 //! The fixture is a masked-predictor construction: column 2 is (almost)
 //! a scaled sum of columns 0 and 1, and the response is their sum — so
 //! the composite atom enters the path first, then its coefficient
 //! crosses zero once the true atoms take over.
 
+use sparse_rsm::basis::{Dictionary, DictionaryKind};
 use sparse_rsm::core::lar::LarConfig;
-use sparse_rsm::core::lasso_cd::LassoCdConfig;
-use sparse_rsm::core::SparsePath;
+use sparse_rsm::core::omp::OmpConfig;
+use sparse_rsm::core::source::{AtomSource, DictionarySource};
+use sparse_rsm::core::{SparseModel, SparsePath};
 use sparse_rsm::linalg::{vec_ops::norm2, Matrix};
 use sparse_rsm::runtime;
 use sparse_rsm::stats::NormalSampler;
@@ -88,26 +95,25 @@ fn lasso_path_provably_takes_the_drop_branch() {
 fn dropped_atoms_stay_eligible_and_are_reselected() {
     // `excluded` must survive the drop untouched: a dropped atom is
     // *inactive*, not *excluded*, so later steps can re-activate it.
+    // On this fixture atom 8 leaves the support and comes back within
+    // the 25 steps.
     let (g, f) = drop_fixture();
     let path = LarConfig::new(25).with_lasso().fit(&g, &f).unwrap();
     let events = drop_events(&path);
-    assert!(!events.is_empty());
-    for &(step, atom) in &events {
-        let reselected =
-            (step + 2..=path.len()).any(|l| path.model_at(l).coefficient(atom).is_some());
-        assert!(
-            reselected,
-            "atom {atom} dropped at step {step} was never re-selected \
-             (drop path may be poisoning the excluded set)"
-        );
-    }
-    // Atom 8 is dropped twice on this fixture — the downdate must
-    // survive repeated drop/re-activate cycles of the same column.
-    assert!(events.iter().filter(|&&(_, j)| j == 8).count() >= 2);
+    let &(step, _) = events
+        .iter()
+        .find(|&&(_, j)| j == 8)
+        .unwrap_or_else(|| panic!("atom 8 is no longer dropped: {events:?}"));
+    let reselected = (step + 2..=path.len()).any(|l| path.model_at(l).coefficient(8).is_some());
+    assert!(
+        reselected,
+        "atom 8 dropped at step {step} was never re-selected \
+         (drop path may be poisoning the excluded set)"
+    );
 }
 
 /// Residual ℓ₂ norms of the 25-step lasso path, captured at one worker
-/// thread on the downdate (`drop_column`) implementation.
+/// thread. The certificate below checks the snapshots they pin.
 const GOLDEN_RESIDUAL_BITS: [u64; 25] = [
     0x3ff14b44e2c37c06,
     0x3feff01e6a7a74b3,
@@ -124,41 +130,39 @@ const GOLDEN_RESIDUAL_BITS: [u64; 25] = [
     0x3fe6108a74efb598,
     0x3fe5c816c2ba7759,
     0x3fe5ac36ad65a1d6,
-    0x3fe4333fc883a97c,
-    0x3fe3afbcd5d474c6,
-    0x3fe34460c704db7c,
-    0x3fe2b345f4d3f5b3,
-    0x3fe2b2c8f334562a,
-    0x3fe27c0d8395f3c2,
-    0x3fe21dd02f7beb2a,
-    0x3fe0423ac3dde590,
-    0x3fdfcbddb9ab461b,
-    0x3fdf887984342e9d,
+    0x3fe469acc548a9ac,
+    0x3fe3b95eeb5b3938,
+    0x3fe344f2fed05bf0,
+    0x3fe2addeca17cd0e,
+    0x3fe2992de18c17af,
+    0x3fe2889effed8d91,
+    0x3fe229bf717322d9,
+    0x3fdff2b4b2da72f6,
+    0x3fdf881df7be452f,
+    0x3fded51f9fe683b2,
 ];
 
 /// Final model (atom index, coefficient bits), same capture.
-const GOLDEN_FINAL_COEFFS: [(usize, u64); 21] = [
-    (0, 0x3fecbe520c132a3a),
-    (1, 0x3fee6a837f220592),
-    (2, 0x3fbdfbb39db97483),
-    (5, 0x3f7054e6b25156b6),
-    (6, 0x3fa1b31318231198),
-    (7, 0x3f8852cebaa34c29),
-    (8, 0xbf63a84f277e1287),
-    (9, 0x3f91630ae7a12b75),
-    (10, 0xbfa33e7a50061fd2),
-    (11, 0xbf9c11c53d77c73e),
-    (12, 0x3fa3ba533390e9d0),
-    (13, 0x3f7ccf29ecc587a1),
-    (14, 0xbf9aff735488051b),
-    (15, 0x3fa247df7592ffea),
-    (16, 0x3f9fc2c072eb2dcc),
-    (17, 0x3f465372f6abe4e6),
-    (18, 0xbf860edc9ac86d5d),
-    (20, 0x3f719e7b8e04820b),
-    (22, 0x3f748b3de150db8c),
-    (23, 0x3f887f711d144a9f),
-    (24, 0xbf594d7de23f33e4),
+const GOLDEN_FINAL_COEFFS: [(usize, u64); 19] = [
+    (0, 0x3fed9a4fbd470824),
+    (1, 0x3fef5bc3ea47b103),
+    (2, 0x3fb40b4349b31b12),
+    (5, 0x3f771a7ab0932563),
+    (6, 0x3fa2f6aacedb17a1),
+    (7, 0x3f8abf97241cc51a),
+    (8, 0xbf6987e9e955d9e4),
+    (9, 0x3f93171db1d3a8c2),
+    (10, 0xbfa3b10a1d1790a8),
+    (11, 0xbf9ed5caf9a7492f),
+    (12, 0x3fa4d46970324a44),
+    (13, 0x3f7db20477a253b5),
+    (14, 0xbf9b344137d4fabe),
+    (15, 0x3fa416573716d4ca),
+    (16, 0x3fa1e73c3f2cbe09),
+    (17, 0x3f60d40040be07ba),
+    (18, 0xbf88afa2e0fe21fd),
+    (22, 0x3f7715656378cd7d),
+    (23, 0x3f9026bba882e3ae),
 ];
 
 #[test]
@@ -194,46 +198,144 @@ fn post_drop_path_matches_golden_bits() {
     }
 }
 
-#[test]
-fn post_drop_model_agrees_with_coordinate_descent() {
-    // Independent cross-check that the downdated factor solves the
-    // right equations: at a matched penalty, a post-drop lasso-LARS
-    // snapshot and coordinate descent must coincide. LARS normalizes
-    // predictors internally, so normalize G first (as in the lasso_cd
-    // unit tests) so a single penalty matches both solvers.
-    let (mut g, f) = drop_fixture();
-    for j in 0..g.cols() {
-        let n = norm2(&g.col(j));
-        for r in 0..g.rows() {
-            g[(r, j)] /= n;
+/// Tolerance of the path certificates, relative to `‖F‖₂`. The worst
+/// deviation measured on these inputs is below 1e-15.
+const CERT_TOL: f64 = 1e-9;
+
+/// `F − G·α` for one snapshot.
+fn residual(g: &Matrix, f: &[f64], model: &SparseModel) -> Vec<f64> {
+    let pred = model.predict_matrix(g);
+    f.iter().zip(&pred).map(|(a, b)| a - b).collect()
+}
+
+/// What [`lar_certificate`] found over a whole path.
+#[derive(Debug)]
+struct LarCertificate {
+    /// Worst deviation from the equiangular conditions, relative to
+    /// `‖F‖₂`.
+    worst: f64,
+    /// `(snapshot, atom)` pairs on the support where `c_j` and `α_j`
+    /// have opposite signs.
+    sign_violations: Vec<(usize, usize)>,
+}
+
+/// Checks the LARS conditions of Efron et al. (2004) at every snapshot
+/// of `path`. With `r` the snapshot's residual, `c_j = G_jᵀr / ‖G_j‖₂`
+/// and `C = max |c_j|` over the support: every active `|c_j|` equals
+/// `C`, and every inactive `|c_j|` is at most `C`. Under the lasso,
+/// `c_j` and `α_j` also have the same sign on the support. Together
+/// these are the lasso KKT conditions at penalty `C` for the
+/// column-normalized design. A sign is only read where `|c_j|` exceeds
+/// the tolerance: a path that runs to `min(K, M)` atoms ends at the
+/// least-squares fit, where `C = 0` and every `c_j` is rounding noise.
+fn lar_certificate(g: &Matrix, f: &[f64], path: &SparsePath) -> LarCertificate {
+    let norms: Vec<f64> = (0..g.cols()).map(|j| norm2(&g.col(j))).collect();
+    let f_norm = norm2(f);
+    let mut worst = 0.0f64;
+    let mut sign_violations = Vec::new();
+    for (l, model) in path.iter() {
+        let xi = g.matvec_t(&residual(g, f, model)).unwrap();
+        let c: Vec<f64> = xi.iter().zip(&norms).map(|(x, n)| x / n).collect();
+        let level = model
+            .coefficients()
+            .iter()
+            .map(|&(j, _)| c[j].abs())
+            .fold(0.0, f64::max);
+        for (j, &cj) in c.iter().enumerate() {
+            let deviation = match model.coefficient(j) {
+                Some(a) => {
+                    if a * cj < 0.0 && cj.abs() > CERT_TOL * f_norm {
+                        sign_violations.push((l, j));
+                    }
+                    (cj.abs() - level).abs()
+                }
+                None => cj.abs() - level,
+            };
+            worst = worst.max(deviation / f_norm);
         }
     }
-    let path = LarConfig::new(25).with_lasso().fit(&g, &f).unwrap();
-    let events = drop_events(&path);
-    assert!(!events.is_empty(), "normalized fixture lost its drop");
-    // A snapshot strictly after the first drop: its active set was
-    // produced by at least one downdate.
-    let lambda = events[0].0 + 1;
-    let model_lars = path.model_at(lambda);
-    let pred = model_lars.predict_matrix(&g);
-    let res: Vec<f64> = f.iter().zip(&pred).map(|(a, b)| a - b).collect();
-    let grad = g.matvec_t(&res).unwrap();
-    let &(j0, _) = model_lars.coefficients().first().expect("nonempty model");
-    let pen = grad[j0].abs();
-    let model_cd = LassoCdConfig::new(pen).fit(&g, &f).unwrap();
-    let scale = model_lars.l2_norm();
-    let cd_support: Vec<usize> = model_cd
-        .coefficients()
-        .iter()
-        .filter(|&&(_, c)| c.abs() > 1e-6 * scale)
-        .map(|&(j, _)| j)
+    LarCertificate {
+        worst,
+        sign_violations,
+    }
+}
+
+/// Worst `|G_jᵀr| / (‖G_j‖₂·‖F‖₂)` over the support of every snapshot:
+/// the OMP residual is orthogonal to the selected atoms. It is scaled
+/// by `‖F‖₂`, not `‖r‖₂`, which is tiny once the support nears `K`.
+fn omp_orthogonality(g: &Matrix, f: &[f64], path: &SparsePath) -> f64 {
+    let f_norm = norm2(f);
+    let mut worst = 0.0f64;
+    for (_, model) in path.iter() {
+        let xi = g.matvec_t(&residual(g, f, model)).unwrap();
+        for j in model.support() {
+            worst = worst.max(xi[j].abs() / (norm2(&g.col(j)) * f_norm));
+        }
+    }
+    worst
+}
+
+/// Fits LAR, LAR(lasso) and OMP to `lambda` steps on `src` and checks
+/// every snapshot of each path against the dense design `g`.
+fn assert_certificates<S: AtomSource + ?Sized>(
+    src: &S,
+    g: &Matrix,
+    f: &[f64],
+    lambda: usize,
+    what: &str,
+) {
+    let lar = LarConfig::new(lambda).fit(src, f).unwrap();
+    let cert = lar_certificate(g, f, &lar);
+    assert!(cert.worst <= CERT_TOL, "{what}: LAR λ = {lambda}: {cert:?}");
+    let lasso = LarConfig::new(lambda).with_lasso().fit(src, f).unwrap();
+    let cert = lar_certificate(g, f, &lasso);
+    assert!(
+        cert.worst <= CERT_TOL && cert.sign_violations.is_empty(),
+        "{what}: LAR(lasso) λ = {lambda}: {cert:?}"
+    );
+    let omp = OmpConfig::new(lambda).fit(src, f).unwrap();
+    let worst = omp_orthogonality(g, f, &omp);
+    assert!(worst <= CERT_TOL, "{what}: OMP λ = {lambda}: {worst:e}");
+}
+
+#[test]
+fn post_drop_path_satisfies_the_lasso_certificate() {
+    // This path drops (`lasso_path_provably_takes_the_drop_branch`), so
+    // every later snapshot rests on a downdated factor: the certificate
+    // checks that it still solves the right equations.
+    let (g, f) = drop_fixture();
+    assert_certificates(&g, &g, &f, 25, "drop fixture");
+}
+
+#[test]
+fn certificates_hold_beyond_the_drop_fixture() {
+    // A 50×10 Gaussian design with response 3·G₂ − 2·G₇ plus noise,
+    // run to the least-squares fit.
+    let mut s = NormalSampler::seed_from_u64(3);
+    let g = Matrix::from_fn(50, 10, |_, _| s.sample());
+    let f: Vec<f64> = (0..50)
+        .map(|r| 3.0 * g[(r, 2)] - 2.0 * g[(r, 7)] + 0.1 * s.sample())
         .collect();
-    assert_eq!(cd_support, model_lars.support());
-    for &(j, a) in model_lars.coefficients() {
-        let b = model_cd.coefficient(j).unwrap();
-        assert!(
-            (a - b).abs() < 1e-5 * (1.0 + a.abs()),
-            "atom {j}: LARS {a} vs CD {b}"
-        );
+    assert_certificates(&g, &g, &f, 10, "50×10 Gaussian");
+
+    // A quadratic Hermite dictionary over 30 variables (M = 496) at 80
+    // points, fitted through the streaming source up to K − 1 steps
+    // and checked against the materialized design matrix.
+    let dict = Dictionary::new(30, DictionaryKind::Quadratic);
+    let mut s = NormalSampler::seed_from_u64(7);
+    let samples = Matrix::from_fn(80, 30, |_, _| s.sample());
+    let g = dict.design_matrix(&samples);
+    let mut f = vec![0.0; 80];
+    for &(j, v) in &[(5usize, 1.5), (70, -0.8), (200, 0.4)] {
+        for r in 0..80 {
+            f[r] += v * g[(r, j)];
+        }
+    }
+    for fr in &mut f {
+        *fr += 0.02 * s.sample();
+    }
+    let src = DictionarySource::new(&dict, &samples);
+    for lambda in [10, 40, 79] {
+        assert_certificates(&src, &g, &f, lambda, "quadratic dictionary");
     }
 }

@@ -20,10 +20,9 @@
 
 use sparse_rsm::basis::{Dictionary, DictionaryKind};
 use sparse_rsm::core::lar::LarConfig;
-use sparse_rsm::core::lasso_cd::{penalty_max, LassoCdConfig};
 use sparse_rsm::core::select::{cross_validate, CvConfig};
 use sparse_rsm::core::solver::fit_path;
-use sparse_rsm::core::source::{AtomSource, CachedSource, DictionarySource, RowSubsetSource};
+use sparse_rsm::core::source::{AtomSource, DictionarySource, RowSubsetSource};
 use sparse_rsm::core::{Method, SparsePath};
 use sparse_rsm::linalg::{tol, Matrix};
 use sparse_rsm::runtime;
@@ -258,33 +257,6 @@ fn lar_dense_and_source_backends_agree_per_thread_count() {
 }
 
 #[test]
-fn lasso_cd_dense_and_source_backends_agree_per_thread_count() {
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let (dict, samples, f) = dictionary_problem();
-    let g = dict.design_matrix(&samples);
-    let src = DictionarySource::new(&dict, &samples);
-    let penalty = 0.1 * penalty_max(&g, &f).unwrap();
-    for &n in &[1usize, 4] {
-        runtime::set_threads(n);
-        let dense = LassoCdConfig::new(penalty).fit(&g, &f).unwrap();
-        let implicit = LassoCdConfig::new(penalty).fit(&src, &f).unwrap();
-        assert_eq!(
-            dense.support(),
-            implicit.support(),
-            "lasso-CD backends disagree on the support at {n} threads"
-        );
-        for ((ia, ca), (ib, cb)) in dense.coefficients().iter().zip(implicit.coefficients()) {
-            assert_eq!(ia, ib, "lasso-CD atom order differs at {n} threads");
-            assert!(
-                tol::approx_eq(*ca, *cb, 1e-9, 1e-12),
-                "lasso-CD coefficient {ia} differs at {n} threads ({ca} vs {cb})"
-            );
-        }
-    }
-    runtime::set_threads(0);
-}
-
-#[test]
 fn cv_dense_and_source_backends_pick_the_same_model() {
     let _guard = THREADS_LOCK.lock().unwrap();
     let (dict, samples, f) = dictionary_problem();
@@ -309,23 +281,6 @@ fn cv_dense_and_source_backends_pick_the_same_model() {
                 "CV error curves diverge at {n} threads ({a} vs {b})"
             );
         }
-    }
-    runtime::set_threads(0);
-}
-
-#[test]
-fn cached_source_is_bit_transparent() {
-    // Memoizing columns must not change a single bit of any result:
-    // the cache stores exactly the floats the inner source produces.
-    let _guard = THREADS_LOCK.lock().unwrap();
-    let (dict, samples, f) = dictionary_problem();
-    let src = DictionarySource::new(&dict, &samples);
-    let cached = CachedSource::new(&src);
-    for &n in &[1usize, 4] {
-        runtime::set_threads(n);
-        let plain = LarConfig::new(10).fit(&src, &f).unwrap();
-        let memo = LarConfig::new(10).fit(&cached, &f).unwrap();
-        assert_paths_bit_identical(&plain, &memo, &format!("CachedSource LAR @ {n} threads"));
     }
     runtime::set_threads(0);
 }
