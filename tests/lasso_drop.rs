@@ -12,7 +12,7 @@
 //!   support between consecutive snapshots — impossible without the
 //!   lasso drop);
 //! - golden bit patterns for the whole path, captured at one worker
-//!   thread;
+//!   thread, and the same for OMP on the same fixture;
 //! - the lasso KKT certificate at every snapshot, showing the
 //!   downdated factor still solves the right equations;
 //! - `excluded` bookkeeping surviving drops: a dropped atom stays
@@ -196,6 +196,85 @@ fn post_drop_path_matches_golden_bits() {
             f64::from_bits(gc)
         );
     }
+}
+
+/// Residual ℓ₂ norms of the 25-step OMP path on the same fixture,
+/// captured at one worker thread. OMP selects every atom (`K ≥ M`), so
+/// its final model is the least-squares fit.
+const OMP_GOLDEN_RESIDUAL_BITS: [u64; 25] = [
+    0x3feff3e5ccf7dbd9,
+    0x3fee3bb8de041b69,
+    0x3fed93f205bb8f5a,
+    0x3fecfe47d50ff239,
+    0x3fec13e466fb296b,
+    0x3feb98b06c58bc8e,
+    0x3feaacda0d6cbb53,
+    0x3fea01e2bebe9a3f,
+    0x3fe98d72985ecef1,
+    0x3fe8e126e1af4ffc,
+    0x3fe841f53100c738,
+    0x3fe7df907179c032,
+    0x3fe78171e900f118,
+    0x3fe757d497a36f8e,
+    0x3fe69f0f4fe3ce61,
+    0x3fe60a7002334ed0,
+    0x3fe5f1a10956e0a6,
+    0x3fe5ca2c418f5424,
+    0x3fe5ad68dd50cc32,
+    0x3fdf55bbdb08df51,
+    0x3fdd0eb11ad0ebb8,
+    0x3fdce736dab5cad1,
+    0x3fdcafdbc37b34c5,
+    0x3fdc8d26743744ad,
+    0x3fdc8b167ded7d02,
+];
+
+/// Final OMP coefficient bits, atom `j` at index `j`, same capture.
+const OMP_GOLDEN_FINAL_BITS: [u64; 25] = [
+    0x3ff0de8cd270adf9,
+    0x3ff2728f81bd330c,
+    0xbfbae11a780a3aab,
+    0xbf8881221d3d6bd0,
+    0x3f9a276b83ab9bfa,
+    0x3f91a885ec660784,
+    0x3fb153eea159b039,
+    0x3fa5d947406bc2be,
+    0xbf3a7efd4a8428c6,
+    0x3f9c24f2f65a3603,
+    0xbfa015acdfd387ac,
+    0xbfb0bd7d12770613,
+    0x3fb3f0987e785d5f,
+    0xbf6a216c6a05e753,
+    0xbfa296fbaff1d710,
+    0x3fb0a8d51bf226d1,
+    0x3fac8965a578389e,
+    0x3f9ce78aa5e6f246,
+    0xbf8410406d4d1cfe,
+    0xbf9472be0ff7f696,
+    0x3fa21ec4dc432244,
+    0x3fa4628a325c77d2,
+    0x3f9ad927b2f2c445,
+    0x3f8e6bba0e5a5e03,
+    0xbfa1e40a370dbaa5,
+];
+
+#[test]
+fn omp_path_matches_golden_bits() {
+    runtime::set_threads(1);
+    let (g, f) = drop_fixture();
+    let path = OmpConfig::new(25).fit(&g, &f).unwrap();
+    runtime::set_threads(0);
+    let residual_bits: Vec<u64> = path.residual_norms().iter().map(|r| r.to_bits()).collect();
+    assert_eq!(residual_bits, OMP_GOLDEN_RESIDUAL_BITS);
+    let fm = path.final_model();
+    let support: Vec<usize> = (0..25).collect();
+    assert_eq!(fm.support(), support);
+    let coeff_bits: Vec<u64> = fm
+        .coefficients()
+        .iter()
+        .map(|&(_, c)| c.to_bits())
+        .collect();
+    assert_eq!(coeff_bits, OMP_GOLDEN_FINAL_BITS);
 }
 
 /// Tolerance of the path certificates, relative to `‖F‖₂`. The worst
