@@ -31,11 +31,10 @@
 use rsm_basis::{Dictionary, DictionaryKind};
 use rsm_bench::{peak_rss_mb, save_json, timed, RunOptions};
 use rsm_core::lar::LarConfig;
-use rsm_core::ls::LsConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::select::{cross_validate, CvConfig};
 use rsm_core::source::{AtomSource, DictionarySource};
-use rsm_core::{solver, Method, SparseModel};
+use rsm_core::{ls, solver, Method, SparseModel};
 use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
 use rsm_stats::NormalSampler;
@@ -48,7 +47,7 @@ use serde::Serialize;
 fn debias<S: AtomSource + ?Sized>(g: &S, f: &[f64], support: &[usize]) -> SparseModel {
     let mut cols = Matrix::zeros(g.num_rows(), support.len());
     g.columns_into(support, &mut cols);
-    let local = LsConfig.fit(&cols, f).expect("debias LS is overdetermined");
+    let local = ls::fit(&cols, f).expect("debias LS is overdetermined");
     let coeffs: Vec<(usize, f64)> = local
         .coefficients()
         .iter()

@@ -18,14 +18,19 @@
 //! algorithm's equal-angle geometry assumes it); reported coefficients
 //! are rescaled back to the caller's dictionary.
 //!
-//! The path loop itself lives in [`crate::session::LarSession`]; the
-//! entry points here are thin wrappers over it.
+//! [`LarConfig::fit`] is the whole algorithm: one loop, one step per
+//! breakpoint, with the path state as locals. The active-set Gram
+//! factor is a [`GrowingCholesky`] that grows by one row per activation
+//! and is downdated by Givens rotations on a lasso drop, so each step's
+//! re-solve costs `O(p²)`.
 
 use crate::model::SparseModel;
-use crate::path::SparsePath;
-use crate::session::LarSession;
+use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::Result;
+use crate::{check_response, CoreError, Result};
+use rsm_linalg::cholesky::GrowingCholesky;
+use rsm_linalg::tol;
+use rsm_linalg::vec_ops::{axpy, dot, norm2};
 
 /// LARS configuration.
 #[derive(Debug, Clone)]
@@ -64,29 +69,221 @@ impl LarConfig {
     /// streaming [`crate::source::DictionarySource`], or an adapter
     /// stack. Per-step cost is one [`AtomSource::correlate`] stream plus
     /// `O(K)` work per active column; scratch is `O(K·|A| + M)`, never
-    /// `O(K·M)`. This is a wrapper over [`LarSession`] that runs the
-    /// path to completion.
+    /// `O(K·M)`. A zero response is fitted exactly by the zero model, a
+    /// one-step path.
     ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.num_rows()`;
-    /// - [`CoreError::BadConfig`](crate::CoreError::BadConfig) if `max_steps == 0`;
-    /// - [`CoreError::Numerical`](crate::CoreError::Numerical) if the active-set Gram factorization
+    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+    /// - [`CoreError::BadConfig`] if `max_steps == 0` or `f` is
+    ///   non-finite;
+    /// - [`CoreError::Unsolvable`] if no atom can be activated at the
+    ///   first step;
+    /// - [`CoreError::Numerical`] if the active-set Gram factorization
     ///   breaks down irrecoverably.
     pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
-        let mut session = LarSession::new(self.clone(), g, f)?;
-        session.run(g, f)?;
-        session.into_path()
-    }
-}
+        if self.max_steps == 0 {
+            return Err(CoreError::BadConfig("max_steps must be at least 1".into()));
+        }
+        check_response(g, f)?;
+        let (k, m) = (g.num_rows(), g.num_atoms());
+        let f_norm = norm2(f);
+        if tol::exactly_zero(f_norm) {
+            return Ok(SparsePath::new(m, vec![SparseModel::zero(m)], vec![0.0]));
+        }
+        // `‖G_j‖₂`; atoms of zero norm are excluded from the start, and
+        // numerically dependent ones when they fail to activate.
+        let mut col_norms = g.column_sq_norms();
+        let mut excluded = vec![false; m];
+        for (j, n) in col_norms.iter_mut().enumerate() {
+            *n = n.sqrt();
+            if *n <= tol::NORM_FLOOR {
+                excluded[j] = true;
+            }
+        }
+        // Normalized correlations `Xᵀ(f − μ)` (X = column-normalized G).
+        let mut c = g.correlate(f);
+        for (j, v) in c.iter_mut().enumerate() {
+            *v /= col_norms[j].max(tol::NORM_FLOOR);
+        }
+        // Absolute correlation floor.
+        let c_floor = self.rel_tol * f_norm;
+        let max_active = self.max_steps.min(k).min(m);
+        // Current fit `X·β` in sample space.
+        let mut mu = vec![0.0; k];
+        let mut active: Vec<usize> = Vec::new();
+        let mut in_active = vec![false; m];
+        // Coefficients in normalized coordinates.
+        let mut beta = vec![0.0; m];
+        let mut chol = GrowingCholesky::new();
+        // Normalized active columns, in activation order.
+        let mut active_cols: Vec<Vec<f64>> = Vec::new();
+        let mut snapshots = Vec::new();
+        let mut residual_norms = Vec::new();
+        // Set by a lasso drop: the next step moves along the reduced
+        // active set without activating an atom.
+        let mut dropped = false;
 
-/// Convenience: plain LARS returning the model after `lambda` steps.
-///
-/// # Errors
-///
-/// As [`LarConfig::fit`].
-pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
-    Ok(LarConfig::new(lambda).fit(g, f)?.final_model().clone())
+        'path: for _ in 0..self.max_steps {
+            // Activation: scan for the maximal absolute correlation
+            // among non-active columns, retrying past numerically
+            // dependent atoms (each retry re-scans the unchanged
+            // correlation vector). Right after a lasso drop the dropped
+            // atom still sits at the correlation level, so the scan
+            // would pick it straight back; instead the step moves along
+            // the reduced active set (Efron et al. 2004, §3.1), unless
+            // the drop emptied it.
+            let after_drop = std::mem::take(&mut dropped) && !active.is_empty();
+            loop {
+                let mut cmax = 0.0f64;
+                let mut jbest: Option<usize> = None;
+                for j in 0..m {
+                    if in_active[j] || excluded[j] {
+                        continue;
+                    }
+                    let a = c[j].abs();
+                    if a > cmax {
+                        cmax = a;
+                        jbest = Some(j);
+                    }
+                }
+                if !after_drop && active.len() < max_active {
+                    match jbest {
+                        Some(j) if cmax > c_floor => {
+                            let mut col = vec![0.0; k];
+                            g.column_into(j, &mut col);
+                            let inv = 1.0 / col_norms[j];
+                            for v in &mut col {
+                                *v *= inv;
+                            }
+                            let cross: Vec<f64> =
+                                active_cols.iter().map(|ac| dot(ac, &col)).collect();
+                            match chol.push(&cross, 1.0) {
+                                Ok(()) => {
+                                    active.push(j);
+                                    in_active[j] = true;
+                                    active_cols.push(col);
+                                    break;
+                                }
+                                // Try the next-best column.
+                                Err(_) => excluded[j] = true,
+                            }
+                        }
+                        // Nothing informative left.
+                        _ => break 'path,
+                    }
+                } else if active.is_empty() {
+                    break 'path;
+                } else {
+                    // Saturated, or right after a drop: keep advancing
+                    // along the current set.
+                    break;
+                }
+            }
+
+            // Equiangular direction.
+            let signs: Vec<f64> = active.iter().map(|&j| c[j].signum()).collect();
+            let w_raw = chol.solve(&signs)?;
+            let s_dot_w = dot(&signs, &w_raw);
+            if s_dot_w <= 0.0 {
+                return Err(CoreError::Numerical(
+                    "LARS equiangular normalization failed (Gram not PD)".into(),
+                ));
+            }
+            let a_a = 1.0 / s_dot_w.sqrt();
+            let w: Vec<f64> = w_raw.iter().map(|v| v * a_a).collect();
+            // u = X_A·w ; a = Xᵀ·u.
+            let mut u = vec![0.0; k];
+            for (ac, &wj) in active_cols.iter().zip(&w) {
+                axpy(wj, ac, &mut u);
+            }
+            let mut a_vec = g.correlate(&u);
+            for (j, v) in a_vec.iter_mut().enumerate() {
+                *v /= col_norms[j].max(tol::NORM_FLOOR);
+            }
+            // Correlation level inside the active set.
+            let c_level = active.iter().map(|&j| c[j].abs()).fold(0.0f64, f64::max);
+
+            // Step length to the next activation event.
+            let mut gamma = c_level / a_a; // full step (last-variable case)
+            for j in 0..m {
+                if in_active[j] || excluded[j] {
+                    continue;
+                }
+                for cand in [
+                    (c_level - c[j]) / (a_a - a_vec[j]),
+                    (c_level + c[j]) / (a_a + a_vec[j]),
+                ] {
+                    if cand > tol::STEP_REL_TOL && cand < gamma {
+                        gamma = cand;
+                    }
+                }
+            }
+            // Lasso: step length to the first zero crossing.
+            let mut drop_idx: Option<usize> = None;
+            if self.lasso {
+                for (pos, (&j, &wj)) in active.iter().zip(&w).enumerate() {
+                    if !tol::exactly_zero(wj) {
+                        let gd = -beta[j] / wj;
+                        if gd > tol::STEP_REL_TOL && gd < gamma {
+                            gamma = gd;
+                            drop_idx = Some(pos);
+                        }
+                    }
+                }
+            }
+
+            // Advance.
+            for (&j, &wj) in active.iter().zip(&w) {
+                beta[j] += gamma * wj;
+            }
+            axpy(gamma, &u, &mut mu);
+            for (cj, aj) in c.iter_mut().zip(&a_vec) {
+                *cj -= gamma * aj;
+            }
+
+            // Handle a lasso drop: a Givens downdate of the Cholesky
+            // factor in O(p²) — no refactorization of the surviving
+            // active set.
+            if let Some(pos) = drop_idx {
+                let j = active.remove(pos);
+                in_active[j] = false;
+                beta[j] = 0.0;
+                active_cols.remove(pos);
+                if chol.drop_column(pos).is_err() {
+                    return Err(CoreError::Numerical(
+                        "LARS active-set downdate failed after drop".into(),
+                    ));
+                }
+                dropped = true;
+            }
+
+            // Record a snapshot in the caller's (unnormalized) scale.
+            let coeffs: Vec<(usize, f64)> = active
+                .iter()
+                .map(|&j| (j, beta[j] / col_norms[j]))
+                .collect();
+            snapshots.push(SparseModel::new(m, coeffs));
+            let res: Vec<f64> = f.iter().zip(&mu).map(|(a, b)| a - b).collect();
+            residual_norms.push(norm2(&res));
+
+            // Converged: correlations exhausted.
+            let remaining = c
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| !excluded[j])
+                .map(|(_, v)| v.abs())
+                .fold(0.0f64, f64::max);
+            if remaining <= c_floor {
+                break;
+            }
+            if active.len() >= max_active && !self.lasso {
+                // One final full-length step was just taken.
+                break;
+            }
+        }
+        traced_path(m, snapshots, residual_norms)
+    }
 }
 
 #[cfg(test)]
@@ -142,10 +339,7 @@ mod tests {
         let (g, f) = sparse_problem(100, 60, &truth, 0.05, 22);
         let path = LarConfig::new(6).fit(&g, &f).unwrap();
         // Normalized columns.
-        let mut norms = vec![0.0; 60];
-        for j in 0..60 {
-            norms[j] = norm2(&g.col(j));
-        }
+        let norms: Vec<f64> = (0..60).map(|j| norm2(&g.col(j))).collect();
         for (lambda, model) in path.iter() {
             let pred = model.predict_matrix(&g);
             let res: Vec<f64> = f.iter().zip(&pred).map(|(a, b)| a - b).collect();

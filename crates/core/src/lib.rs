@@ -22,8 +22,6 @@
 //! - [`codegen`] — export fitted models as C or Verilog-A source;
 //! - [`select`] — Q-fold cross-validated choice of the model order `λ`
 //!   (Section IV-C, Fig. 2);
-//! - [`session`] — step-by-step solver sessions built from one sample
-//!   set: the `fit` entry points are thin wrappers over these;
 //! - [`model`] — the sparse model type shared by all solvers;
 //! - [`bundle`] — the persisted model bundle (`rsm fit` output) the
 //!   offline and serving prediction paths both load;
@@ -49,10 +47,6 @@
 //! assert!((model.coefficient(2).unwrap() - 3.0).abs() < 1e-10);
 //! ```
 
-#![expect(
-    clippy::needless_range_loop,
-    reason = "numerical kernels index several parallel arrays inside one loop; iterator-zip rewrites obscure the math"
-)]
 // Library code reports failures as structured errors, compares floats
 // exactly only through `rsm_linalg::tol`, and never drops a `Result`
 // silently: each exception is a reasoned `#[expect]`. Tests may panic
@@ -76,7 +70,6 @@ pub mod model;
 pub mod omp;
 pub mod path;
 pub mod select;
-pub mod session;
 pub mod solver;
 pub mod source;
 pub mod star;
@@ -84,7 +77,6 @@ pub mod star;
 pub use bundle::ModelBundle;
 pub use model::SparseModel;
 pub use path::SparsePath;
-pub use session::{LarSession, OmpSession, StepOutcome};
 pub use solver::{FitReport, Method, ModelOrder};
 
 use std::fmt;

@@ -11,60 +11,44 @@ use crate::{check_response, CoreError, Result};
 use rsm_linalg::qr::QrDecomposition;
 use rsm_linalg::Matrix;
 
-/// Least-squares configuration (present for symmetry with the other
-/// solvers; LS has no tunables).
-#[derive(Debug, Clone, Default)]
-pub struct LsConfig;
-
-impl LsConfig {
-    /// Fits all `M` coefficients by least squares.
-    ///
-    /// The result is returned as a [`SparseModel`] for interface
-    /// uniformity; it is in general dense (`‖α‖₀ ≈ M`).
-    ///
-    /// LS genuinely needs the full dense `G` (a QR factorization is
-    /// not a streaming operation), so the preconditions — crucially
-    /// `K ≥ M` — are checked *before* anything is allocated, and only
-    /// then is the `K×M` matrix gathered through
-    /// [`AtomSource::columns_into`]. Because LS is only legal in the
-    /// overdetermined regime, the gather is bounded by `K²` doubles and
-    /// the huge-`M` streaming problem a [`crate::source::DictionarySource`]
-    /// exists for can never reach it.
-    ///
-    /// # Errors
-    ///
-    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-    /// - [`CoreError::Unsolvable`] if `K < M` (the underdetermined case
-    ///   this paper exists to solve — use OMP/LAR/STAR) or if `G` is
-    ///   rank-deficient.
-    pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparseModel> {
-        check_response(g, f)?;
-        let (k, m) = (g.num_rows(), g.num_atoms());
-        if k < m {
-            return Err(CoreError::Unsolvable(format!(
-                "least squares needs K >= M (got K = {k}, M = {m}); \
-                 use OMP/LAR/STAR for underdetermined systems"
-            )));
-        }
-        let js: Vec<usize> = (0..m).collect();
-        let mut dense = Matrix::zeros(k, m);
-        g.columns_into(&js, &mut dense);
-        let qr = QrDecomposition::new(&dense)
-            .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
-        let alpha = qr
-            .solve_least_squares(f)
-            .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
-        Ok(SparseModel::new(m, alpha.into_iter().enumerate().collect()))
-    }
-}
-
-/// Convenience wrapper for [`LsConfig::fit`].
+/// Fits all `M` coefficients of `G·α = F` by least squares.
+///
+/// The result is returned as a [`SparseModel`] for interface
+/// uniformity; it is in general dense (`‖α‖₀ ≈ M`).
+///
+/// LS genuinely needs the full dense `G` (a QR factorization is not a
+/// streaming operation), so the preconditions — crucially `K ≥ M` — are
+/// checked *before* anything is allocated, and only then is the `K×M`
+/// matrix gathered through [`AtomSource::columns_into`]. Because LS is
+/// only legal in the overdetermined regime, the gather is bounded by
+/// `K²` doubles and the huge-`M` streaming problem a
+/// [`crate::source::DictionarySource`] exists for can never reach it.
 ///
 /// # Errors
 ///
-/// As [`LsConfig::fit`].
+/// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+/// - [`CoreError::BadConfig`] if `f` is non-finite;
+/// - [`CoreError::Unsolvable`] if `K < M` (the underdetermined case
+///   this paper exists to solve — use OMP/LAR/STAR) or if `G` is
+///   rank-deficient.
 pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<SparseModel> {
-    LsConfig.fit(g, f)
+    check_response(g, f)?;
+    let (k, m) = (g.num_rows(), g.num_atoms());
+    if k < m {
+        return Err(CoreError::Unsolvable(format!(
+            "least squares needs K >= M (got K = {k}, M = {m}); \
+             use OMP/LAR/STAR for underdetermined systems"
+        )));
+    }
+    let js: Vec<usize> = (0..m).collect();
+    let mut dense = Matrix::zeros(k, m);
+    g.columns_into(&js, &mut dense);
+    let qr = QrDecomposition::new(&dense)
+        .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
+    let alpha = qr
+        .solve_least_squares(f)
+        .map_err(|e| CoreError::Unsolvable(format!("rank-deficient design matrix: {e}")))?;
+    Ok(SparseModel::new(m, alpha.into_iter().enumerate().collect()))
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 //! costs `O(K·M)` for the correlations plus `O(K·p)` for the update —
 //! not the `O(K·p²)` of re-factoring from scratch.
 //!
-//! The selection loop itself lives in [`crate::session::OmpSession`];
-//! the entry points here are thin wrappers over it.
+//! [`OmpConfig::fit`] is the whole algorithm: one loop, one selection
+//! per iteration, with the selection state as locals.
 
 use crate::model::SparseModel;
-use crate::path::SparsePath;
-use crate::session::OmpSession;
+use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::Result;
+use crate::{check_response, CoreError, Result};
+use rsm_linalg::qr::IncrementalQr;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{dot, norm2};
 use rsm_linalg::Matrix;
@@ -64,30 +64,97 @@ impl OmpConfig {
     /// matrix is too large to materialize (`M ~ 10⁶`, the upper end of
     /// the paper's target range). Returns the full selection path
     /// (model snapshots after each step), which cross-validation
-    /// consumes. This is a wrapper over [`OmpSession`] that runs
-    /// selection to the configured `lambda`.
+    /// consumes. A zero response is fitted exactly by the zero model, a
+    /// one-step path.
     ///
     /// # Errors
     ///
-    /// - [`CoreError::ShapeMismatch`](crate::CoreError::ShapeMismatch) if `f.len() != g.num_rows()`;
-    /// - [`CoreError::BadConfig`](crate::CoreError::BadConfig) if `lambda == 0`;
-    /// - [`CoreError::Unsolvable`](crate::CoreError::Unsolvable) if no informative column exists at
-    ///   the very first step (e.g. `F = 0` handled gracefully — a
-    ///   one-step zero path is returned instead).
+    /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
+    /// - [`CoreError::BadConfig`] if `lambda == 0` or `f` is non-finite;
+    /// - [`CoreError::Unsolvable`] if no informative column exists at
+    ///   the very first step;
+    /// - [`CoreError::Numerical`] if the least-squares re-fit fails.
     pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
-        let mut session = OmpSession::new(self.clone(), g, f)?;
-        session.run(g, f)?;
-        session.into_path()
-    }
-}
+        if self.lambda == 0 {
+            return Err(CoreError::BadConfig("lambda must be at least 1".into()));
+        }
+        check_response(g, f)?;
+        let (k, m) = (g.num_rows(), g.num_atoms());
+        let f_norm = norm2(f);
+        if tol::exactly_zero(f_norm) {
+            return Ok(SparsePath::new(m, vec![SparseModel::zero(m)], vec![0.0]));
+        }
+        // `max(‖G_j‖₂, NORM_FLOOR)` per atom (normalized selection only).
+        let norms: Option<Vec<f64>> = self.normalize_atoms.then(|| {
+            g.column_sq_norms()
+                .iter()
+                .map(|&s| s.sqrt().max(tol::NORM_FLOOR))
+                .collect()
+        });
+        let lambda_max = self.lambda.min(k).min(m);
+        let mut qr = IncrementalQr::new(k);
+        let mut selected: Vec<usize> = Vec::new();
+        // Atoms no longer eligible: selected, or in the span of the
+        // selection (selection would loop on those otherwise).
+        let mut skip = vec![false; m];
+        let mut res = f.to_vec();
+        let mut snapshots = Vec::new();
+        let mut residual_norms = Vec::new();
+        let mut col = vec![0.0; k];
 
-/// Convenience: paper-faithful OMP returning only the final model.
-///
-/// # Errors
-///
-/// As [`OmpConfig::fit`].
-pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
-    Ok(OmpConfig::new(lambda).fit(g, f)?.final_model().clone())
+        'path: while selected.len() < lambda_max {
+            // ξ = Gᵀ·Res (the 1/K factor does not change the argmax).
+            // Under normalized selection the norms are divided into the
+            // buffer once — |ξ_j/n_j| = |ξ_j|/n_j for n_j > 0, so the
+            // selection is identical to scoring each candidate
+            // separately.
+            let mut xi = g.correlate(&res);
+            if let Some(norms) = &norms {
+                for (v, n) in xi.iter_mut().zip(norms) {
+                    *v /= n;
+                }
+            }
+            loop {
+                let mut best: Option<(usize, f64)> = None;
+                for (j, &v) in xi.iter().enumerate() {
+                    if skip[j] {
+                        continue;
+                    }
+                    let score = v.abs();
+                    match best {
+                        Some((_, b)) if score <= b => {}
+                        _ => best = Some((j, score)),
+                    }
+                }
+                let Some((s, score)) = best else {
+                    break 'path;
+                };
+                if score <= f_norm * tol::STEP_REL_TOL {
+                    // Residual orthogonal to every remaining atom.
+                    break 'path;
+                }
+                g.column_into(s, &mut col);
+                skip[s] = true;
+                if qr.push_column(&col).is_ok() {
+                    selected.push(s);
+                    break;
+                }
+            }
+            // Full LS re-fit over the selected set.
+            let coef = qr.solve_least_squares(f)?;
+            res = qr.residual(f)?;
+            let rn = norm2(&res);
+            snapshots.push(SparseModel::new(
+                m,
+                selected.iter().copied().zip(coef.iter().copied()).collect(),
+            ));
+            residual_norms.push(rn);
+            if rn <= self.rel_tol * f_norm {
+                break;
+            }
+        }
+        traced_path(m, snapshots, residual_norms)
+    }
 }
 
 /// Verifies the defining OMP invariant: after each step the residual is

@@ -5,6 +5,7 @@
 //! a single solver run; [`SparsePath`] stores those snapshots.
 
 use crate::model::SparseModel;
+use crate::{CoreError, Result};
 
 /// The sequence of models produced as basis functions are added.
 ///
@@ -86,6 +87,21 @@ impl SparsePath {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &SparseModel)> + '_ {
         self.snapshots.iter().enumerate().map(|(i, m)| (i + 1, m))
     }
+}
+
+/// The path a solver traced, or [`CoreError::Unsolvable`] if it
+/// recorded no snapshot (no informative atom at the first step).
+pub(crate) fn traced_path(
+    m: usize,
+    snapshots: Vec<SparseModel>,
+    residual_norms: Vec<f64>,
+) -> Result<SparsePath> {
+    if snapshots.is_empty() {
+        return Err(CoreError::Unsolvable(
+            "no informative basis vector found".into(),
+        ));
+    }
+    Ok(SparsePath::new(m, snapshots, residual_norms))
 }
 
 #[cfg(test)]

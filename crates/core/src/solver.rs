@@ -7,7 +7,7 @@
 //! the chosen `λ`.
 
 use crate::lar::LarConfig;
-use crate::ls::LsConfig;
+use crate::ls;
 use crate::model::SparseModel;
 use crate::omp::OmpConfig;
 use crate::select::{cross_validate, CvConfig, CvResult};
@@ -89,7 +89,7 @@ pub struct FitReport {
 /// # Errors
 ///
 /// Propagates the underlying solver errors; see [`OmpConfig::fit`],
-/// [`LarConfig::fit`], [`StarConfig::fit`], [`LsConfig::fit`].
+/// [`LarConfig::fit`], [`StarConfig::fit`], [`ls::fit`].
 pub fn fit<S: AtomSource + ?Sized + Sync>(
     g: &S,
     f: &[f64],
@@ -99,7 +99,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
     let t0 = Instant::now();
     let report = match method {
         Method::Ls => {
-            let model = LsConfig.fit(g, f)?;
+            let model = ls::fit(g, f)?;
             FitReport {
                 lambda: model.num_bases(),
                 model,

@@ -13,7 +13,7 @@
 //! higher modeling error.
 
 use crate::model::SparseModel;
-use crate::path::SparsePath;
+use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
 use crate::{check_response, CoreError, Result};
 use rsm_linalg::tol;
@@ -89,22 +89,8 @@ impl StarConfig {
                 break;
             }
         }
-        if snapshots.is_empty() {
-            return Err(CoreError::Unsolvable(
-                "no informative basis vector found".into(),
-            ));
-        }
-        Ok(SparsePath::new(m, snapshots, residual_norms))
+        traced_path(m, snapshots, residual_norms)
     }
-}
-
-/// Convenience: STAR returning only the final model.
-///
-/// # Errors
-///
-/// As [`StarConfig::fit`].
-pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64], lambda: usize) -> Result<SparseModel> {
-    Ok(StarConfig::new(lambda).fit(g, f)?.final_model().clone())
 }
 
 #[cfg(test)]
@@ -131,7 +117,8 @@ mod tests {
     #[test]
     fn selects_true_support_when_well_separated() {
         let (g, f, truth) = sparse_problem(400, 80, 7);
-        let model = fit(&g, &f, 3).unwrap();
+        let path = StarConfig::new(3).fit(&g, &f).unwrap();
+        let model = path.final_model();
         let mut support = model.support();
         support.sort_unstable();
         let mut expected: Vec<usize> = truth.iter().map(|&(j, _)| j).collect();
@@ -154,10 +141,10 @@ mod tests {
         // The paper's central empirical claim (Fig. 4): at matched λ
         // and modest K, OMP's re-fit beats STAR's greedy assignment.
         let (g, f, _) = sparse_problem(60, 300, 8);
-        let star_model = fit(&g, &f, 3).unwrap();
-        let omp_model = crate::omp::fit(&g, &f, 3).unwrap();
-        let star_err = relative_error(&star_model.predict_matrix(&g), &f);
-        let omp_err = relative_error(&omp_model.predict_matrix(&g), &f);
+        let star = StarConfig::new(3).fit(&g, &f).unwrap();
+        let omp = OmpConfig::new(3).fit(&g, &f).unwrap();
+        let star_err = relative_error(&star.final_model().predict_matrix(&g), &f);
+        let omp_err = relative_error(&omp.final_model().predict_matrix(&g), &f);
         assert!(
             omp_err < star_err,
             "OMP {omp_err} should beat STAR {star_err}"

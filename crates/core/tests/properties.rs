@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rsm_core::lar::LarConfig;
 use rsm_core::omp::{residual_orthogonality, OmpConfig};
 use rsm_core::star::StarConfig;
-use rsm_core::{ls, Method};
+use rsm_core::{ls, CoreError, Method, SparsePath};
 use rsm_linalg::vec_ops::{dot, norm2};
 use rsm_linalg::Matrix;
 use rsm_stats::NormalSampler;
@@ -212,23 +212,60 @@ fn method_all_is_stable() {
     assert_eq!(Method::all().len(), 4);
 }
 
+/// The four path solvers through their `fit`, at `lambda` steps.
+fn path_fits(
+    lambda: usize,
+    g: &Matrix,
+    f: &[f64],
+) -> [(&'static str, rsm_core::Result<SparsePath>); 4] {
+    [
+        ("LAR", LarConfig::new(lambda).fit(g, f)),
+        ("LAR(lasso)", LarConfig::new(lambda).with_lasso().fit(g, f)),
+        ("OMP", OmpConfig::new(lambda).fit(g, f)),
+        ("STAR", StarConfig::new(lambda).fit(g, f)),
+    ]
+}
+
 /// Failure injection: non-finite responses are rejected up front by
 /// every solver instead of propagating NaNs into the factorizations.
 #[test]
 fn non_finite_responses_rejected_by_all_solvers() {
-    use rsm_core::{lar::LarConfig, ls, omp::OmpConfig, star::StarConfig};
     let mut rng = NormalSampler::seed_from_u64(5);
     let g = Matrix::from_fn(10, 6, |_, _| rng.sample());
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let mut f = vec![1.0; 10];
         f[4] = bad;
-        assert!(OmpConfig::new(3).fit(&g, &f).is_err(), "OMP accepted {bad}");
+        for (name, fit) in path_fits(3, &g, &f) {
+            assert!(
+                matches!(fit, Err(CoreError::BadConfig(_))),
+                "{name} answered {bad} with {fit:?}"
+            );
+        }
         assert!(
-            StarConfig::new(3).fit(&g, &f).is_err(),
-            "STAR accepted {bad}"
+            matches!(ls::fit(&g, &f), Err(CoreError::BadConfig(_))),
+            "LS accepted {bad}"
         );
-        assert!(LarConfig::new(3).fit(&g, &f).is_err(), "LAR accepted {bad}");
-        assert!(ls::fit(&g, &f).is_err(), "LS accepted {bad}");
+    }
+}
+
+/// A zero step budget and a short response are answered with the
+/// structured error that names them.
+#[test]
+fn bad_operands_rejected_with_structured_errors() {
+    let mut rng = NormalSampler::seed_from_u64(6);
+    let g = Matrix::from_fn(10, 6, |_, _| rng.sample());
+    let f: Vec<f64> = (0..10).map(|_| rng.sample()).collect();
+    for (name, fit) in path_fits(0, &g, &f) {
+        assert!(
+            matches!(fit, Err(CoreError::BadConfig(_))),
+            "{name}: zero steps gave {fit:?}"
+        );
+    }
+    for (name, fit) in path_fits(3, &g, &f[..7]) {
+        assert!(
+            matches!(fit, Err(CoreError::ShapeMismatch { .. })),
+            "{name}: short response gave {fit:?}"
+        );
     }
 }
 

@@ -1,14 +1,12 @@
-//! Sessions and fits over a source with zero sample rows. The empty
-//! response is fitted exactly by the zero model, so a LAR or OMP
-//! session is finished as soon as it is built and every path-producing
-//! fit returns the one-step zero path; cross-validation cannot cut
-//! folds from zero rows and says so with a structured `CoreError`.
-//! Nothing panics.
+//! Fits over a source with zero sample rows. The empty response is
+//! fitted exactly by the zero model, so every path-producing fit
+//! returns the one-step zero path; cross-validation cannot cut folds
+//! from zero rows and says so with a structured `CoreError`. Nothing
+//! panics.
 
 use rsm_core::lar::LarConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::select::CvConfig;
-use rsm_core::session::{LarSession, OmpSession, StepOutcome};
 use rsm_core::{solver, CoreError, Method, ModelOrder, SparsePath};
 use rsm_linalg::Matrix;
 
@@ -27,29 +25,15 @@ fn assert_zero_path(path: &SparsePath) {
 }
 
 #[test]
-fn zero_row_lar_session_is_finished_when_built() {
+fn zero_row_lar_and_omp_fits_give_the_zero_path() {
     let g = no_rows();
-    for cfg in [LarConfig::new(5), LarConfig::new(5).with_lasso()] {
-        let mut s = LarSession::new(cfg, &g, &[]).unwrap();
-        assert!(s.is_finished());
-        assert_zero_path(&s.path().unwrap());
-        assert_eq!(s.step(&g, &[]).unwrap(), StepOutcome::Finished);
-        assert_eq!(s.step(&g, &[]).unwrap(), StepOutcome::Finished);
-        assert_eq!(s.steps_taken(), 0);
-        assert_zero_path(&s.into_path().unwrap());
-    }
-}
-
-#[test]
-fn zero_row_omp_session_is_finished_when_built() {
-    let g = no_rows();
-    for cfg in [OmpConfig::new(5), OmpConfig::new(5).with_normalized_atoms()] {
-        let mut s = OmpSession::new(cfg, &g, &[]).unwrap();
-        assert!(s.is_finished());
-        assert_eq!(s.step(&g, &[]).unwrap(), StepOutcome::Finished);
-        assert_eq!(s.step(&g, &[]).unwrap(), StepOutcome::Finished);
-        assert!(s.selected().is_empty());
-        assert_zero_path(&s.into_path().unwrap());
+    for path in [
+        LarConfig::new(5).fit(&g, &[]),
+        LarConfig::new(5).with_lasso().fit(&g, &[]),
+        OmpConfig::new(5).fit(&g, &[]),
+        OmpConfig::new(5).with_normalized_atoms().fit(&g, &[]),
+    ] {
+        assert_zero_path(&path.unwrap());
     }
 }
 

@@ -374,10 +374,6 @@ impl IncrementalQr {
     }
 }
 
-/// Naming alias used by the incremental-session layer: the growing QR
-/// is the exact counterpart of [`crate::cholesky::GrowingCholesky`].
-pub type GrowingQr = IncrementalQr;
-
 #[cfg(test)]
 mod tests {
     use super::*;
