@@ -28,6 +28,16 @@ pub enum CsvError {
         /// The raw field.
         field: String,
     },
+    /// A field parsed as `NaN` or `±inf`: a sample the solvers and the
+    /// scorer cannot use.
+    NonFinite {
+        /// Offending line.
+        line: usize,
+        /// Column index (0-based).
+        col: usize,
+        /// The raw field.
+        field: String,
+    },
     /// The requested response column does not exist.
     NoSuchColumn(String),
     /// The file has no data rows.
@@ -44,6 +54,9 @@ impl fmt::Display for CsvError {
             } => write!(f, "line {line}: {found} fields, expected {expected}"),
             CsvError::BadNumber { line, col, field } => {
                 write!(f, "line {line}, column {col}: '{field}' is not a number")
+            }
+            CsvError::NonFinite { line, col, field } => {
+                write!(f, "line {line}, column {col}: '{field}' is not finite")
             }
             CsvError::NoSuchColumn(name) => write!(f, "no column named '{name}'"),
             CsvError::Empty => write!(f, "no data rows"),
@@ -102,6 +115,13 @@ impl Table {
                     col,
                     field: f.to_string(),
                 })?;
+                if !v.is_finite() {
+                    return Err(CsvError::NonFinite {
+                        line,
+                        col,
+                        field: f.to_string(),
+                    });
+                }
                 rows.push(v);
             }
             Ok(())
@@ -215,6 +235,34 @@ mod tests {
             } => assert_eq!(field, "x"),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_field_reported_with_line_and_column() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let err = Table::parse(&format!("a,b,y\n1,2,3\n4,{bad},6\n")).unwrap_err();
+            assert_eq!(
+                err,
+                CsvError::NonFinite {
+                    line: 3,
+                    col: 1,
+                    field: bad.to_string()
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("line 3, column 1: '{bad}' is not finite")
+            );
+        }
+        // Headerless files check their first row too.
+        assert!(matches!(
+            Table::parse("inf,2\n3,4\n"),
+            Err(CsvError::NonFinite {
+                line: 1,
+                col: 0,
+                ..
+            })
+        ));
     }
 
     #[test]

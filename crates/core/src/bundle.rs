@@ -43,10 +43,12 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadConfig`] for an unknown basis name or
-    /// when the coefficient vector does not match the dictionary size
-    /// implied by the input columns — either means the bundle was
-    /// corrupted or produced by an incompatible writer.
+    /// Returns [`CoreError::BadConfig`] for an unknown basis name, when
+    /// the coefficient vector does not match the dictionary size implied
+    /// by the input columns, or when the support is not strictly
+    /// increasing indices inside that dictionary — each means the bundle
+    /// was corrupted or produced by an incompatible writer. A bundle
+    /// that passes can be scored and described without panicking.
     pub fn dictionary(&self) -> Result<Dictionary, CoreError> {
         let kind = match self.basis.as_str() {
             "linear" => DictionaryKind::Linear,
@@ -71,6 +73,22 @@ impl ModelBundle {
                 self.input_columns.len(),
                 dict.len()
             )));
+        }
+        // Deserializing skips `SparseModel::new`'s checks; scoring
+        // decodes each support index as a dictionary term, and
+        // `coefficient` binary-searches the support.
+        let terms = self.model.coefficients();
+        if let Some(&(j, _)) = terms.iter().find(|&&(j, _)| j >= dict.len()) {
+            return Err(CoreError::BadConfig(format!(
+                "model term index {j} is out of range for a {} basis of {} terms",
+                self.basis,
+                dict.len()
+            )));
+        }
+        if terms.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(CoreError::BadConfig(
+                "model term indices are not strictly increasing".to_string(),
+            ));
         }
         Ok(dict)
     }
@@ -154,6 +172,37 @@ mod tests {
             ..bundle("linear", 1, 2)
         };
         assert!(b.dictionary().is_err());
+    }
+
+    /// A quadratic bundle over 3 inputs (M = 10) with the given
+    /// `coeffs` JSON, parsed the way `rsm` loads a model file.
+    fn parsed_quadratic(coeffs: &str) -> ModelBundle {
+        let mut b = bundle("quadratic", 3, 10);
+        b.model = SparseModel::zero(10);
+        let text = b
+            .to_json()
+            .unwrap()
+            .replace("\"coeffs\": []", &format!("\"coeffs\": {coeffs}"));
+        ModelBundle::from_json(&text).unwrap()
+    }
+
+    #[test]
+    fn out_of_range_support_is_rejected() {
+        let b = parsed_quadratic("[[99, 1.0]]");
+        let err = b.dictionary().unwrap_err();
+        assert!(matches!(err, CoreError::BadConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("term index 99"), "{err}");
+    }
+
+    #[test]
+    fn unsorted_or_repeated_support_is_rejected() {
+        for coeffs in ["[[5, 1.0], [2, -0.5]]", "[[2, 1.0], [2, -0.5]]"] {
+            let err = parsed_quadratic(coeffs).dictionary().unwrap_err();
+            assert!(err.to_string().contains("strictly increasing"), "{err}");
+        }
+        assert!(parsed_quadratic("[[2, 1.0], [5, -0.5]]")
+            .dictionary()
+            .is_ok());
     }
 
     #[test]
