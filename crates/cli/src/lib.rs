@@ -788,6 +788,28 @@ mod tests {
     }
 
     #[test]
+    fn lambda_past_every_path_is_capped_at_the_path() {
+        // M = 6 linear bases, so no path has more than 6 steps. A λ
+        // range of 10¹² costs only what the fold paths reach and writes
+        // the model of `--lambda-max 6`; a fixed λ = 1000 reports the λ
+        // it used.
+        let (dir, csv_path) = sample_csv(40, 13);
+        let model = |tag: &str| dir.join(tag).to_string_lossy().into_owned();
+        let base = &["fit", "--input", &csv_path, "--response", "delay"];
+        let fit =
+            |extra: &[&str]| run(&s(&[&base[..], &["--method", "lar"], extra].concat())).unwrap();
+        let (wide, cut, fixed) = (model("wide.json"), model("cut.json"), model("fixed.json"));
+        fit(&["--lambda-max", "1000000000000", "--model", &wide]);
+        fit(&["--lambda-max", "6", "--model", &cut]);
+        assert_eq!(std::fs::read(&wide).unwrap(), std::fs::read(&cut).unwrap());
+        let out = fit(&["--lambda", "1000", "--model", &fixed]);
+        assert!(out.contains("λ = 6, 6 non-zeros"), "{out}");
+        let info = run(&s(&["info", "--model", &fixed])).unwrap();
+        assert!(info.contains("method LAR, λ = 6,"), "{info}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn unknown_options_are_rejected_per_subcommand() {
         let (dir, csv_path) = sample_csv(30, 10);
         let base = &["fit", "--input", &csv_path, "--response", "delay"];

@@ -13,7 +13,6 @@ use crate::{CoreError, Result};
 use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
 use rsm_stats::{EarlyStopMonitor, EarlyStopRule, NormalSampler, QFold};
-use std::collections::BTreeMap;
 
 /// Cross-validation configuration.
 #[derive(Debug, Clone)]
@@ -66,8 +65,10 @@ impl CvConfig {
 /// Outcome of a cross-validation run.
 #[derive(Debug, Clone)]
 pub struct CvResult {
-    /// `ε(λ)` for `λ = 1..=lambda_explored` (index 0 ↦ λ = 1): the
-    /// whole `lambda_max` range, or the prefix kept by
+    /// `ε(λ)` for `λ = 1..=lambda_explored` (index 0 ↦ λ = 1): up to
+    /// `lambda_max` or the longest fold path, whichever is shorter
+    /// (past it every fold is clamped to its final model, so `ε(λ)`
+    /// would only repeat), or the prefix of that kept by
     /// [`CvConfig::early_stop`].
     pub errors: Vec<f64>,
     /// Standard error of `ε(λ)` across folds (same indexing).
@@ -87,7 +88,9 @@ pub struct CvResult {
 /// is object-safe) and the training response, and must return the
 /// solver's path; the same closure is used for every fold, so its
 /// configuration should allow at least `cfg.lambda_max` steps. Scoring
-/// gathers only the path's support columns on the test view.
+/// gathers only the path's support columns on the test view, and each
+/// fold scores only the `λ` its path reaches, so the cost follows the
+/// paths, not `cfg.lambda_max`.
 ///
 /// The folds are fit in parallel (`Fn + Sync`, one task per fold via
 /// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
@@ -130,10 +133,10 @@ where
         CoreError::BadConfig(format!("cannot split {k} samples into {} folds", cfg.folds))
     })?;
 
-    // Accumulate ε_q(λ) across folds; a path may stop early, in which
-    // case its final model is reused for larger λ (clamped by
-    // `model_at`), matching how a practitioner would treat a converged
-    // path.
+    // Each fold scores λ = 1..=min(lambda_max, path length). A path
+    // that stops early stands for every larger λ with its final model
+    // (as `model_at` clamps), the way a practitioner would treat a
+    // converged path, so the curve below reads the fold's last error.
     let splits: Vec<(Vec<usize>, Vec<usize>)> = folds.splits().collect();
     let fold_results: Vec<Result<Vec<f64>>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
         let (train, test) = &splits[q];
@@ -142,13 +145,14 @@ where
         let test_view = RowSubsetSource::new(g, test);
         let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
         let path = fit_path(&train_view, &f_train)?;
+        let scored = path.len().min(cfg.lambda_max);
         // Gather the union of the path's supports on the test rows
         // once; every λ is then scored from this |test|×|union| slab.
         // The union is bounded by the path length (plus lasso drops),
         // never by M.
         let mut union: Vec<usize> = Vec::new();
-        for lambda in 1..=cfg.lambda_max {
-            for &(j, _) in path.model_at(lambda).coefficients() {
+        for (_, model) in path.iter().take(scored) {
+            for &(j, _) in model.coefficients() {
                 if let Err(pos) = union.binary_search(&j) {
                     union.insert(pos, j);
                 }
@@ -156,21 +160,28 @@ where
         }
         let mut cols = Matrix::zeros(test.len(), union.len());
         test_view.columns_into(&union, &mut cols);
-        let pos_of: BTreeMap<usize, usize> =
-            union.iter().enumerate().map(|(p, &j)| (j, p)).collect();
-        let mut fold_errs = Vec::with_capacity(cfg.lambda_max);
+        let mut fold_errs = Vec::with_capacity(scored);
         let mut pred = vec![0.0; test.len()];
-        for lambda in 1..=cfg.lambda_max {
-            let model = path.model_at(lambda);
+        // (slab column, coefficient) per term, in coefficient order.
+        let mut terms: Vec<(usize, f64)> = Vec::new();
+        for (_, model) in path.iter().take(scored) {
+            // The support and the union are both sorted, so one merge
+            // walk finds every term's slab column.
+            terms.clear();
+            let mut col = 0;
+            for &(j, c) in model.coefficients() {
+                while union[col] < j {
+                    col += 1;
+                }
+                debug_assert_eq!(union[col], j);
+                terms.push((col, c));
+            }
             for (r, p) in pred.iter_mut().enumerate() {
                 // Same term order as `SparseModel::predict_row`
                 // (coefficient order, from 0.0) so the fold errors are
                 // bit-identical to dense scoring.
-                *p = model
-                    .coefficients()
-                    .iter()
-                    .map(|&(j, c)| c * cols[(r, pos_of[&j])])
-                    .sum();
+                let row = cols.row(r);
+                *p = terms.iter().map(|&(col, c)| c * row[col]).sum();
             }
             fold_errs.push(relative_error(&pred, &f_test));
         }
@@ -180,13 +191,16 @@ where
     for r in fold_results {
         per_fold.push(r?);
     }
-    let mut errors = Vec::with_capacity(cfg.lambda_max);
-    let mut errors_se = Vec::with_capacity(cfg.lambda_max);
+    // Past the longest fold path every fold is clamped to its final
+    // model, so ε(λ) would repeat its last value: the curve ends there.
+    let explored = per_fold.iter().map(Vec::len).max().unwrap_or(0);
+    let mut errors = Vec::with_capacity(explored);
+    let mut errors_se = Vec::with_capacity(explored);
     let mut monitor = cfg.early_stop.map(EarlyStopMonitor::new);
-    for l in 0..cfg.lambda_max {
+    for l in 0..explored {
         let vals: Vec<f64> = per_fold
             .iter()
-            .map(|fe| fe[l])
+            .map(|fe| fe[l.min(fe.len() - 1)])
             .filter(|v| v.is_finite())
             .collect();
         let (mean, se) = if vals.is_empty() {
@@ -229,8 +243,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lar::LarConfig;
     use crate::omp::OmpConfig;
+    use crate::source::DictionarySource;
+    use rsm_basis::{Dictionary, DictionaryKind};
     use rsm_stats::NormalSampler;
+    use std::collections::BTreeSet;
 
     /// P-sparse problem with noise, where over-fitting is possible.
     fn noisy_problem(k: usize, m: usize, p: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -341,11 +359,100 @@ mod tests {
             let var = finite.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / 3.0;
             let se = (var / 3.0).sqrt();
             let (got_mean, got_se) = (cv.errors[lambda - 1], cv.errors_se[lambda - 1]);
-            assert!((got_mean - mean).abs() <= 1e-12 * mean, "λ = {lambda}");
-            assert!(
-                (got_se - se).abs() <= 1e-12 * se,
+            assert_eq!(got_mean.to_bits(), mean.to_bits(), "λ = {lambda}");
+            assert_eq!(
+                got_se.to_bits(),
+                se.to_bits(),
                 "λ = {lambda}: SE {got_se}, hand-computed {se}"
             );
+        }
+    }
+
+    #[test]
+    fn lasso_fold_scores_match_dense_scoring_bit_for_bit() {
+        // Input 2 is almost 0.7·(input 0 + input 1) and the response is
+        // input 0 + input 1, so the lasso path activates the composite
+        // first and drops it once the true atoms take over: a fold's
+        // support union is then larger than any one of its supports.
+        let (n, k, lambda_max) = (6, 48, 20);
+        let mut s = NormalSampler::seed_from_u64(0);
+        let mut samples = Matrix::from_fn(k, n, |_, _| s.sample());
+        for r in 0..k {
+            samples[(r, 2)] = 0.7 * (samples[(r, 0)] + samples[(r, 1)]) + 0.08 * s.sample();
+        }
+        let f: Vec<f64> = (0..k)
+            .map(|r| samples[(r, 0)] + samples[(r, 1)] + 0.12 * s.sample())
+            .collect();
+        let dict = Dictionary::new(n, DictionaryKind::Quadratic);
+        let src = DictionarySource::new(&dict, &samples);
+        let dense = dict.design_matrix(&samples);
+        let fit =
+            |gt: &dyn AtomSource, ft: &[f64]| LarConfig::new(lambda_max).with_lasso().fit(gt, ft);
+        let cv = cross_validate(&src, &f, &CvConfig::new(lambda_max), fit).unwrap();
+        let mut dropped = false;
+        let per_fold: Vec<Vec<f64>> = QFold::new(k, 4)
+            .unwrap()
+            .splits()
+            .map(|(train, test)| {
+                let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
+                let path = fit(&RowSubsetSource::new(&src, &train), &f_train).unwrap();
+                let widest = path.iter().map(|(_, m)| m.num_nonzeros()).max();
+                let union: BTreeSet<usize> = path.iter().flat_map(|(_, m)| m.support()).collect();
+                dropped |= Some(union.len()) > widest;
+                let g_test = dense.select_rows(&test);
+                let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
+                (1..=lambda_max)
+                    .map(|l| relative_error(&path.model_at(l).predict_matrix(&g_test), &f_test))
+                    .collect()
+            })
+            .collect();
+        assert!(dropped, "no fold path dropped an atom");
+        assert_eq!(cv.errors.len(), lambda_max);
+        for l in 0..lambda_max {
+            let errs: Vec<f64> = per_fold.iter().map(|fe| fe[l]).collect();
+            let n = errs.len() as f64;
+            let mean = errs.iter().sum::<f64>() / n;
+            let var = errs.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
+            let se = (var / n).sqrt();
+            assert_eq!(cv.errors[l].to_bits(), mean.to_bits(), "λ = {}", l + 1);
+            assert_eq!(cv.errors_se[l].to_bits(), se.to_bits(), "λ = {}", l + 1);
+        }
+    }
+
+    #[test]
+    fn cost_follows_the_fold_paths_not_lambda_max() {
+        // With M = 10 atoms no fold path is longer than 10 steps. A λ
+        // range of 10¹² must cost what the paths reach and give the
+        // bits of the range cut at the longest fold path.
+        let (g, f) = noisy_problem(40, 10, 3, 11);
+        let fit = |lambda_max: usize| {
+            move |gt: &dyn AtomSource, ft: &[f64]| LarConfig::new(lambda_max).fit(gt, ft)
+        };
+        let longest = QFold::new(40, 4)
+            .unwrap()
+            .splits()
+            .map(|(train, _)| {
+                let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
+                fit(10)(&RowSubsetSource::new(&g, &train), &f_train)
+                    .unwrap()
+                    .len()
+            })
+            .max()
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for one_se_rule in [false, true] {
+            let cfg = |lambda_max| CvConfig {
+                one_se_rule,
+                ..CvConfig::new(lambda_max)
+            };
+            let huge = 1_000_000_000_000;
+            let wide = cross_validate(&g, &f, &cfg(huge), fit(huge)).unwrap();
+            let cut = cross_validate(&g, &f, &cfg(longest), fit(longest)).unwrap();
+            assert_eq!(wide.errors.len(), longest);
+            assert_eq!(bits(&wide.errors), bits(&cut.errors));
+            assert_eq!(bits(&wide.errors_se), bits(&cut.errors_se));
+            assert_eq!(wide.best_lambda, cut.best_lambda);
+            assert_eq!(wide.best_error.to_bits(), cut.best_error.to_bits());
         }
     }
 

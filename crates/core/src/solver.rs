@@ -66,7 +66,9 @@ pub struct FitReport {
     pub model: SparseModel,
     /// The method used.
     pub method: Method,
-    /// The `λ` actually used (number of selected bases; `M` for LS).
+    /// The `λ` actually used: the requested or cross-validated order,
+    /// capped at the length of the path the solver traced (number of
+    /// selection steps; `M` for LS).
     pub lambda: usize,
     /// The cross-validation curve, when [`ModelOrder::CrossValidated`]
     /// was requested.
@@ -122,10 +124,12 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
                 return Err(CoreError::BadConfig("lambda must be at least 1".into()));
             }
             let path = fit_path(method, g, f, lambda)?;
+            // A path that ends early stands for every larger λ
+            // (`model_at` clamps): report the order that was used.
             FitReport {
                 model: path.model_at(lambda),
                 method,
-                lambda,
+                lambda: lambda.min(path.len()),
                 cv,
                 fit_seconds: 0.0,
             }
@@ -216,6 +220,20 @@ mod tests {
         assert_eq!(cv.best_lambda, rep.lambda);
         assert_eq!(rep.model.num_nonzeros(), rep.lambda);
         assert!(cv.errors.len() == 20);
+    }
+
+    #[test]
+    fn fixed_order_past_the_path_reports_the_path_length() {
+        // M = 12: no path has more than 12 steps, so λ = 1000 fits the
+        // 12-step model and must say so.
+        let (g, f) = problem(40, 12, 5);
+        for method in [Method::Lar, Method::Omp, Method::Star] {
+            let rep = fit(&g, &f, method, &ModelOrder::Fixed(1000)).unwrap();
+            let path = fit_path(method, &g, &f, 1000).unwrap();
+            assert_eq!(rep.lambda, path.len(), "{method:?}");
+            assert_eq!(rep.lambda, 12, "{method:?}");
+            assert_eq!(rep.model, path.model_at(12), "{method:?}");
+        }
     }
 
     #[test]

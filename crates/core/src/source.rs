@@ -71,6 +71,11 @@ pub trait AtomSource {
 
     /// Computes all correlations `ξ = Gᵀ·res`.
     ///
+    /// The provided sources skip every row whose residual is exactly
+    /// zero (either sign), so such a row contributes nothing even when
+    /// it holds NaN or ±inf; [`RowSubsetSource`] relies on this for the
+    /// rows outside its subset.
+    ///
     /// # Panics
     ///
     /// Implementations panic if `res.len() != num_rows()`.
@@ -426,11 +431,11 @@ impl<S: AtomSource + ?Sized> AtomSource for RowSubsetSource<'_, S> {
     fn correlate(&self, res: &[f64]) -> Vec<f64> {
         assert_eq!(res.len(), self.rows.len(), "residual length mismatch");
         // Scatter into a full-length residual and delegate: rows
-        // outside the subset carry an exact 0.0, which contributes
-        // nothing (the streaming source skips exactly-zero residual
-        // rows outright). This reuses the inner source's deterministic
-        // parallel accumulation instead of re-deriving a chunk grid
-        // per subset.
+        // outside the subset carry an exact 0.0, which the provided
+        // sources skip outright. This reuses the inner source's
+        // deterministic parallel accumulation instead of re-deriving a
+        // chunk grid per subset (a sweep over the subset's rows alone
+        // would move the chunk boundaries and change bits).
         let mut full = vec![0.0; self.inner.num_rows()];
         for (&r, &v) in self.rows.iter().zip(res) {
             full[r] = v;
@@ -615,12 +620,20 @@ mod tests {
         let dense = g.select_rows(&rows);
         assert_eq!(view.num_rows(), 4);
         assert_eq!(view.num_atoms(), g.cols());
-        // correlate agrees with the copied sub-matrix.
+        // Below the parallel gate, correlate is the copied sub-matrix's
+        // `matvec_t` bit for bit: the zero-padded rows outside the
+        // subset are skipped, even when they hold NaN or ±inf.
         let res = [0.5, -1.0, 2.0, 0.25];
-        let xi_view = view.correlate(&res);
-        let xi_dense = dense.correlate(&res);
+        let mut poisoned = g.clone();
+        for r in (0..g.rows()).filter(|r| !rows.contains(r)) {
+            poisoned
+                .row_mut(r)
+                .fill([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][r % 3]);
+        }
+        let xi_view = RowSubsetSource::new(&poisoned, &rows).correlate(&res);
+        let xi_dense = dense.matvec_t(&res).unwrap();
         for (a, b) in xi_view.iter().zip(&xi_dense) {
-            assert!((a - b).abs() < 1e-12);
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         // Columns and rows.
         let mut col = vec![0.0; 4];

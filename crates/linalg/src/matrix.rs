@@ -254,6 +254,13 @@ impl Matrix {
 
     /// Transposed matrix–vector product `Aᵀ·x`.
     ///
+    /// Rows whose weight `x[r]` is exactly zero (either sign) are
+    /// skipped, so they contribute nothing even when they hold NaN or
+    /// ±inf — the rule the dictionary sweep follows. For finite rows the
+    /// skip changes no bit: every partial sum starts at `+0.0` and,
+    /// under round-to-nearest, never becomes `−0.0`, so adding the `±0`
+    /// product of such a row would leave it unchanged.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows`.
@@ -278,7 +285,9 @@ impl Matrix {
                 |rr| {
                     let mut part = vec![0.0; self.cols];
                     for r in rr {
-                        vec_ops::axpy(x[r], self.row(r), &mut part);
+                        if !tol::exactly_zero(x[r]) {
+                            vec_ops::axpy(x[r], self.row(r), &mut part);
+                        }
                     }
                     part
                 },
@@ -291,7 +300,9 @@ impl Matrix {
             return Ok(y);
         }
         for (r, &xr) in x.iter().enumerate() {
-            vec_ops::axpy(xr, self.row(r), &mut y);
+            if !tol::exactly_zero(xr) {
+                vec_ops::axpy(xr, self.row(r), &mut y);
+            }
         }
         Ok(y)
     }
@@ -599,6 +610,51 @@ mod tests {
         let via_t = a.transpose().matvec(&x).unwrap();
         for (d, v) in direct.iter().zip(&via_t) {
             assert!(approx(*d, *v));
+        }
+    }
+
+    #[test]
+    fn matvec_t_skips_zero_weight_rows_bit_for_bit() {
+        // One shape below the parallel gate (plain loop), one above it
+        // (16 row chunks). The reference sweeps every row in the
+        // kernel's order, ±0-weighted ones included; poisoning those
+        // rows must not move a bit.
+        for (rows, cols) in [(40, 30), (300, 120)] {
+            let mut a = Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5 + 1e-3 * (r as f64)
+            });
+            let x: Vec<f64> = (0..rows)
+                .map(|r| match r % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    k => (k as f64 - 3.3) * (1.0 + r as f64 / 9.0),
+                })
+                .collect();
+            let chunk = if rows * cols >= PAR_MIN_ELEMS {
+                rows.div_ceil(PAR_ROW_CHUNKS)
+            } else {
+                rows
+            };
+            let mut want = vec![0.0; cols];
+            for lo in (0..rows).step_by(chunk) {
+                let mut part = vec![0.0; cols];
+                for r in lo..(lo + chunk).min(rows) {
+                    vec_ops::axpy(x[r], a.row(r), &mut part);
+                }
+                for (w, p) in want.iter_mut().zip(&part) {
+                    *w += p;
+                }
+            }
+            let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+            for r in (0..rows).filter(|&r| tol::exactly_zero(x[r])) {
+                for (c, v) in a.row_mut(r).iter_mut().enumerate() {
+                    *v = poison[(r + c) % poison.len()];
+                }
+            }
+            let got = a.matvec_t(&x).unwrap();
+            for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols}, column {c}");
+            }
         }
     }
 
