@@ -68,10 +68,7 @@ fn bench_omp_vs_lambda(c: &mut Criterion) {
     let (g, f) = sparse_problem(400, 4_000, 40, 2);
     for &lambda in &[10usize, 20, 40, 80] {
         group.bench_with_input(BenchmarkId::from_parameter(lambda), &lambda, |b, &l| {
-            let cfg = OmpConfig {
-                rel_tol: 0.0, // force the full path
-                ..OmpConfig::new(l)
-            };
+            let cfg = OmpConfig::new(l);
             b.iter(|| cfg.fit(black_box(&g), black_box(&f)).unwrap())
         });
     }

@@ -71,6 +71,8 @@ impl std::error::Error for CsvError {}
 pub struct Table {
     /// Column names (synthesized `c0, c1, …` when the file is headerless).
     pub columns: Vec<String>,
+    /// Whether the first row was a header.
+    pub has_header: bool,
     /// Row-major data, `rows × columns`.
     pub data: Matrix,
 }
@@ -139,7 +141,11 @@ impl Table {
             return Err(CsvError::Empty);
         }
         let data = Matrix::from_vec(nrows, ncols, rows).expect("consistent row widths");
-        Ok(Table { columns, data })
+        Ok(Table {
+            columns,
+            has_header,
+            data,
+        })
     }
 
     /// Index of a column by name, or by numeric string (`"3"`).
@@ -193,6 +199,7 @@ mod tests {
     #[test]
     fn parses_with_header() {
         let t = Table::parse("a,b,y\n1,2,3\n4,5,6\n").unwrap();
+        assert!(t.has_header);
         assert_eq!(t.columns, vec!["a", "b", "y"]);
         assert_eq!(t.data.shape(), (2, 3));
         assert_eq!(t.data[(1, 2)], 6.0);
@@ -201,6 +208,7 @@ mod tests {
     #[test]
     fn parses_headerless() {
         let t = Table::parse("1,2\n3,4\n").unwrap();
+        assert!(!t.has_header);
         assert_eq!(t.columns, vec!["c0", "c1"]);
         assert_eq!(t.data.shape(), (2, 2));
     }

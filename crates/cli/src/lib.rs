@@ -121,7 +121,9 @@ curve where it stops improving and picks lambda from the kept prefix;
 it cannot be combined with --lambda.
 
 The CSV has one sample per row; every column except the response is a
-variation variable. A header row is auto-detected.
+variation variable. A header row is auto-detected. predict finds the
+model's inputs by name under a header; a headerless file must hold
+exactly the inputs, in the model's order.
 ";
 
 /// Runs the CLI against already-split arguments, returning the stdout
@@ -210,7 +212,7 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
             .map_err(|_| "--lambda-max must be an integer")?;
         let mut cfg = CvConfig::new(lmax);
         if opts.boolean("early-stop") {
-            cfg = cfg.with_early_stop(rsm_stats::EarlyStopRule::new());
+            cfg = cfg.with_early_stop();
         }
         ModelOrder::CrossValidated(cfg)
     };
@@ -253,9 +255,8 @@ fn cmd_fit(opts: &Options) -> Result<String, String> {
             cv.best_error * 100.0
         );
         if let ModelOrder::CrossValidated(CvConfig {
-            early_stop: Some(_),
+            early_stop: true,
             lambda_max,
-            ..
         }) = &order
         {
             let _ = write!(out, ", λ explored = {} of {lambda_max}", cv.errors.len());
@@ -290,14 +291,16 @@ fn cmd_predict(opts: &Options) -> Result<String, String> {
     let dict = bundle.dictionary().map_err(|e| e.to_string())?;
     let table =
         csv::Table::parse(&read_file(opts.required("input")?)?).map_err(|e| e.to_string())?;
-    // Accept either exactly the input columns (by name) or, for
-    // headerless files, the right column count in order.
-    let inputs = if table.columns.iter().any(|c| c.starts_with('c'))
-        && bundle
+    // A header selects the inputs by name; a headerless file holds
+    // exactly the inputs, in the model's order.
+    let inputs = if table.has_header {
+        let idx: Vec<usize> = bundle
             .input_columns
             .iter()
-            .all(|c| !table.columns.contains(c))
-    {
+            .map(|c| table.column_index(c).map_err(|e| e.to_string()))
+            .collect::<Result<_, _>>()?;
+        table.data.select_cols(&idx)
+    } else {
         if table.data.cols() != bundle.input_columns.len() {
             return Err(format!(
                 "expected {} input columns, found {}",
@@ -306,13 +309,6 @@ fn cmd_predict(opts: &Options) -> Result<String, String> {
             ));
         }
         table.data.clone()
-    } else {
-        let idx: Vec<usize> = bundle
-            .input_columns
-            .iter()
-            .map(|c| table.column_index(c).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        table.data.select_cols(&idx)
     };
     // The one scoring code path: the same batch evaluator the serving
     // stack uses (support-union columns only, fixed-order chunking),

@@ -1,6 +1,8 @@
 //! Inputs `rsm` must refuse: the real binary exits 1 with a message
 //! naming the problem, never 101 from a panic and never 0 with a
-//! model or predictions built from unusable numbers.
+//! model or predictions built from unusable numbers. Also the rule by
+//! which `rsm predict` finds a model's inputs in a file: by name under
+//! a header, by position without one.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -125,5 +127,80 @@ fn predict_and_info_reject_a_support_outside_the_dictionary() {
     ]);
     assert_rejected(&out, needle);
     assert_rejected(&rsm(&["info", "--model", path_str(&model)]), needle);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn predict_selects_inputs_by_name_under_any_header() {
+    // A header that names none of the model's inputs is rejected,
+    // whatever its names start with; it is never read by position.
+    let dir = temp_dir("header");
+    let clean = dir.join("clean.csv");
+    std::fs::write(&clean, samples_csv(None)).expect("write csv");
+    let model = dir.join("model.json");
+    assert!(fit(&clean, "omp", &model).status.success());
+    for header in ["cload,vdd,temp", "load,vdd,temp"] {
+        let points = dir.join("points.csv");
+        std::fs::write(&points, format!("{header}\n0.5,-1.0,2.0\n")).expect("write points");
+        let out = rsm(&[
+            "predict",
+            "--model",
+            path_str(&model),
+            "--input",
+            path_str(&points),
+        ]);
+        assert_rejected(&out, "no column named 'a'");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn predict_reads_a_headerless_file_by_position() {
+    // Fit from a headerless file whose response is column 1: the model
+    // inputs are c0, c2 and c3. A headerless file of exactly those
+    // three columns scores like the same points under a c0,c2,c3
+    // header; one of another width is rejected.
+    let dir = temp_dir("headerless");
+    let mut train = String::new();
+    let (mut points, mut named) = (String::new(), String::from("c0,c2,c3\n"));
+    for line in samples_csv(None).lines().skip(1) {
+        let f: Vec<&str> = line.split(',').collect();
+        train.push_str(&format!("{},{},{},{}\n", f[0], f[3], f[1], f[2]));
+        let inputs = format!("{},{},{}\n", f[0], f[1], f[2]);
+        points.push_str(&inputs);
+        named.push_str(&inputs);
+    }
+    let (train_csv, model) = (dir.join("train.csv"), dir.join("model.json"));
+    std::fs::write(&train_csv, &train).expect("write csv");
+    let out = rsm(&[
+        "fit",
+        "--input",
+        path_str(&train_csv),
+        "--response",
+        "c1",
+        "--lambda",
+        "3",
+        "--model",
+        path_str(&model),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let predict = |text: &str, tag: &str| {
+        let input = dir.join(tag);
+        std::fs::write(&input, text).expect("write points");
+        rsm(&[
+            "predict",
+            "--model",
+            path_str(&model),
+            "--input",
+            path_str(&input),
+        ])
+    };
+    let by_position = predict(&points, "points.csv");
+    assert!(by_position.status.success(), "{by_position:?}");
+    assert_eq!(by_position.stdout, predict(&named, "named.csv").stdout);
+    assert_rejected(
+        &predict(&train, "wide.csv"),
+        "expected 3 input columns, found 4",
+    );
     std::fs::remove_dir_all(dir).ok();
 }

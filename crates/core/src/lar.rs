@@ -27,7 +27,7 @@
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result};
+use crate::{check_response, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::cholesky::GrowingCholesky;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, dot, norm2};
@@ -42,9 +42,6 @@ pub struct LarConfig {
     /// Enable the lasso modification (drop variables whose coefficient
     /// hits zero).
     pub lasso: bool,
-    /// Stop when the maximal absolute correlation falls below
-    /// `rel_tol · ‖F‖₂`.
-    pub rel_tol: f64,
 }
 
 impl LarConfig {
@@ -53,7 +50,6 @@ impl LarConfig {
         LarConfig {
             max_steps,
             lasso: false,
-            rel_tol: 1e-12,
         }
     }
 
@@ -63,7 +59,9 @@ impl LarConfig {
         self
     }
 
-    /// Runs LARS on `G·α = F`, returning the solution path.
+    /// Runs LARS on `G·α = F`, returning the solution path. The path
+    /// ends early once the maximal absolute correlation falls to
+    /// `1e-12 · ‖F‖₂`.
     ///
     /// `g` is any [`AtomSource`]: a dense [`rsm_linalg::Matrix`], a
     /// streaming [`crate::source::DictionarySource`], or an adapter
@@ -107,7 +105,7 @@ impl LarConfig {
             *v /= col_norms[j].max(tol::NORM_FLOOR);
         }
         // Absolute correlation floor.
-        let c_floor = self.rel_tol * f_norm;
+        let c_floor = PATH_REL_TOL * f_norm;
         let max_active = self.max_steps.min(k).min(m);
         // Current fit `X·β` in sample space.
         let mut mu = vec![0.0; k];

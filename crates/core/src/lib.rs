@@ -125,6 +125,11 @@ impl From<rsm_linalg::LinalgError> for CoreError {
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
+/// Relative stopping floor of the path solvers: LAR stops once the
+/// maximal absolute correlation, and OMP and STAR once the residual
+/// L2 norm, falls to `PATH_REL_TOL · ‖F‖₂`.
+pub(crate) const PATH_REL_TOL: f64 = 1e-12;
+
 /// Validates a response against its design source: one entry per
 /// sample row, all finite.
 pub(crate) fn check_response<S: source::AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<()> {

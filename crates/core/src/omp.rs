@@ -20,7 +20,7 @@
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result};
+use crate::{check_response, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::qr::IncrementalQr;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{dot, norm2};
@@ -31,9 +31,6 @@ use rsm_linalg::Matrix;
 pub struct OmpConfig {
     /// Number of basis functions to select (`λ` in the paper).
     pub lambda: usize,
-    /// Stop early once the residual L2 norm falls below
-    /// `rel_tol · ‖F‖₂`.
-    pub rel_tol: f64,
     /// Normalize atoms by their empirical column norm during selection
     /// (classical OMP). The paper's Algorithm 1 uses the plain inner
     /// product because its basis functions are stochastically
@@ -46,7 +43,6 @@ impl OmpConfig {
     pub fn new(lambda: usize) -> Self {
         OmpConfig {
             lambda,
-            rel_tol: 1e-12,
             normalize_atoms: false,
         }
     }
@@ -64,8 +60,9 @@ impl OmpConfig {
     /// matrix is too large to materialize (`M ~ 10⁶`, the upper end of
     /// the paper's target range). Returns the full selection path
     /// (model snapshots after each step), which cross-validation
-    /// consumes. A zero response is fitted exactly by the zero model, a
-    /// one-step path.
+    /// consumes. The path ends early once the residual L2 norm falls to
+    /// `1e-12 · ‖F‖₂`. A zero response is fitted exactly by the zero
+    /// model, a one-step path.
     ///
     /// # Errors
     ///
@@ -149,7 +146,7 @@ impl OmpConfig {
                 selected.iter().copied().zip(coef.iter().copied()).collect(),
             ));
             residual_norms.push(rn);
-            if rn <= self.rel_tol * f_norm {
+            if rn <= PATH_REL_TOL * f_norm {
                 break;
             }
         }

@@ -12,52 +12,37 @@ use crate::source::{AtomSource, RowSubsetSource};
 use crate::{CoreError, Result};
 use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
-use rsm_stats::{EarlyStopMonitor, EarlyStopRule, NormalSampler, QFold};
+use rsm_stats::QFold;
+
+/// Number of folds `Q`: the paper's examples use 4 (Fig. 2).
+pub const FOLDS: usize = 4;
 
 /// Cross-validation configuration.
 #[derive(Debug, Clone)]
 pub struct CvConfig {
-    /// Number of folds `Q` (the paper's examples use 4).
-    pub folds: usize,
     /// Largest model order to explore.
     pub lambda_max: usize,
-    /// Shuffle the fold assignment with this seed (`None` =
-    /// deterministic round-robin).
-    pub shuffle_seed: Option<u64>,
-    /// Apply the one-standard-error rule: instead of the exact
-    /// minimizer, pick the *smallest* `λ` whose mean error is within
-    /// one standard error of the minimum — a sparser model at
-    /// statistically indistinguishable accuracy (Hastie et al., the
-    /// paper's reference \[22\]).
-    pub one_se_rule: bool,
     /// Cut the error curve where it flattens: `ε(λ)` is walked in
-    /// increasing `λ` and kept only up to the first `λ` at which the
-    /// rule says stop, so `λ*` is chosen from that prefix (`None` =
-    /// the whole `1..=lambda_max` curve).
-    pub early_stop: Option<EarlyStopRule>,
+    /// increasing `λ` and kept only up to the third consecutive `λ`
+    /// that fails to improve on the best error so far by 0.1 %, so
+    /// `λ*` is chosen from that prefix (`false` = the whole
+    /// `1..=lambda_max` curve).
+    pub early_stop: bool,
 }
 
 impl CvConfig {
-    /// 4-fold cross-validation up to `lambda_max`, matching Fig. 2.
+    /// [`FOLDS`]-fold cross-validation up to `lambda_max`, matching
+    /// Fig. 2.
     pub fn new(lambda_max: usize) -> Self {
         CvConfig {
-            folds: 4,
             lambda_max,
-            shuffle_seed: None,
-            one_se_rule: false,
-            early_stop: None,
+            early_stop: false,
         }
     }
 
-    /// Enables the one-standard-error selection rule.
-    pub fn with_one_se_rule(mut self) -> Self {
-        self.one_se_rule = true;
-        self
-    }
-
-    /// Stops the error curve once it flattens under `rule`.
-    pub fn with_early_stop(mut self, rule: EarlyStopRule) -> Self {
-        self.early_stop = Some(rule);
+    /// Stops the error curve once it flattens.
+    pub fn with_early_stop(mut self) -> Self {
+        self.early_stop = true;
         self
     }
 }
@@ -71,13 +56,34 @@ pub struct CvResult {
     /// would only repeat), or the prefix of that kept by
     /// [`CvConfig::early_stop`].
     pub errors: Vec<f64>,
-    /// Standard error of `ε(λ)` across folds (same indexing).
-    pub errors_se: Vec<f64>,
-    /// The selected `λ*` (exact minimizer, or the one-SE choice when
-    /// [`CvConfig::one_se_rule`] is set).
+    /// The selected `λ*`, the minimizer of `errors`.
     pub best_lambda: usize,
     /// `ε(λ*)`.
     pub best_error: f64,
+}
+
+/// Length of the prefix of `ε(λ)` that [`CvConfig::early_stop`] keeps.
+/// A non-finite error never counts as an improvement. The cut depends
+/// only on the errors, never on timing or worker count.
+fn flat_prefix_len(errors: &[f64]) -> usize {
+    const PATIENCE: usize = 3;
+    const MIN_REL_IMPROVEMENT: f64 = 1e-3;
+    let mut best = f64::INFINITY;
+    let mut flat = 0;
+    for (i, &e) in errors.iter().enumerate() {
+        // Any finite error beats an infinite `best`, so the first
+        // finite error always resets the count.
+        if e.is_finite() && e < best * (1.0 - MIN_REL_IMPROVEMENT) {
+            best = e;
+            flat = 0;
+        } else {
+            flat += 1;
+            if flat == PATIENCE {
+                return i + 1;
+            }
+        }
+    }
+    errors.len()
 }
 
 /// Cross-validates a path-producing solver against any [`AtomSource`].
@@ -97,15 +103,15 @@ pub struct CvResult {
 /// and its error curve lands at the fold's own index, so the result is
 /// bit-identical to the sequential loop at every thread count.
 ///
-/// `ε(λ)` is the mean of the finite fold errors at `λ` and its standard
-/// error is `√(var / n)` over those `n` folds; a fold whose held-out
-/// responses are constant scores `∞` and is left out, and a `λ` with no
-/// finite fold scores `∞`.
+/// `ε(λ)` is the mean of the finite fold errors at `λ`; a fold whose
+/// held-out responses are constant scores `∞` and is left out, and a
+/// `λ` with no finite fold scores `∞`.
 ///
 /// # Errors
 ///
 /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-/// - [`CoreError::BadConfig`] for degenerate fold counts / `λ` ranges;
+/// - [`CoreError::BadConfig`] if `lambda_max == 0` or there are fewer
+///   than [`FOLDS`] samples;
 /// - any error from `fit_path` (the first failing fold in fold order).
 pub fn cross_validate<S, F>(g: &S, f: &[f64], cfg: &CvConfig, fit_path: F) -> Result<CvResult>
 where
@@ -122,15 +128,8 @@ where
     if cfg.lambda_max == 0 {
         return Err(CoreError::BadConfig("lambda_max must be at least 1".into()));
     }
-    let folds = match cfg.shuffle_seed {
-        Some(seed) => {
-            let mut s = NormalSampler::seed_from_u64(seed);
-            QFold::shuffled(k, cfg.folds, &mut s)
-        }
-        None => QFold::new(k, cfg.folds),
-    }
-    .ok_or_else(|| {
-        CoreError::BadConfig(format!("cannot split {k} samples into {} folds", cfg.folds))
+    let folds = QFold::new(k, FOLDS).ok_or_else(|| {
+        CoreError::BadConfig(format!("cannot split {k} samples into {FOLDS} folds"))
     })?;
 
     // Each fold scores λ = 1..=min(lambda_max, path length). A path
@@ -194,49 +193,32 @@ where
     // Past the longest fold path every fold is clamped to its final
     // model, so ε(λ) would repeat its last value: the curve ends there.
     let explored = per_fold.iter().map(Vec::len).max().unwrap_or(0);
-    let mut errors = Vec::with_capacity(explored);
-    let mut errors_se = Vec::with_capacity(explored);
-    let mut monitor = cfg.early_stop.map(EarlyStopMonitor::new);
-    for l in 0..explored {
-        let vals: Vec<f64> = per_fold
-            .iter()
-            .map(|fe| fe[l.min(fe.len() - 1)])
-            .filter(|v| v.is_finite())
-            .collect();
-        let (mean, se) = if vals.is_empty() {
-            (f64::INFINITY, f64::INFINITY)
-        } else {
-            let n = vals.len() as f64;
-            let mean = vals.iter().sum::<f64>() / n;
-            let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-            (mean, (var / n).sqrt())
-        };
-        errors.push(mean);
-        errors_se.push(se);
-        if monitor.as_mut().is_some_and(|m| m.observe(mean)) {
-            break;
-        }
+    let mut errors: Vec<f64> = (0..explored)
+        .map(|l| {
+            let vals: Vec<f64> = per_fold
+                .iter()
+                .map(|fe| fe[l.min(fe.len() - 1)])
+                .filter(|v| v.is_finite())
+                .collect();
+            if vals.is_empty() {
+                f64::INFINITY
+            } else {
+                vals.iter().sum::<f64>() / vals.len() as f64
+            }
+        })
+        .collect();
+    if cfg.early_stop {
+        errors.truncate(flat_prefix_len(&errors));
     }
     let (best_idx, &best_error) = errors
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.total_cmp(b.1))
         .ok_or_else(|| CoreError::BadConfig("empty CV error curve".into()))?;
-    let best_lambda = if cfg.one_se_rule {
-        let threshold = best_error + errors_se[best_idx];
-        errors
-            .iter()
-            .position(|&e| e <= threshold)
-            .map(|i| i + 1)
-            .unwrap_or(best_idx + 1)
-    } else {
-        best_idx + 1
-    };
     Ok(CvResult {
-        best_error: errors[best_lambda - 1],
+        best_lambda: best_idx + 1,
+        best_error,
         errors,
-        errors_se,
-        best_lambda,
     })
 }
 
@@ -296,45 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn four_folds_by_default() {
-        let cfg = CvConfig::new(10);
-        assert_eq!(cfg.folds, 4);
-        assert!(!cfg.one_se_rule);
-    }
-
-    #[test]
-    fn one_se_rule_never_picks_larger_lambda() {
-        let (g, f) = noisy_problem(100, 250, 5, 13);
-        let plain = cross_validate(&g, &f, &CvConfig::new(30), |gt, ft| {
-            OmpConfig::new(30).fit(gt, ft)
-        })
-        .unwrap();
-        let one_se = cross_validate(&g, &f, &CvConfig::new(30).with_one_se_rule(), |gt, ft| {
-            OmpConfig::new(30).fit(gt, ft)
-        })
-        .unwrap();
-        assert!(one_se.best_lambda <= plain.best_lambda);
-        // The one-SE error stays within a standard error of the minimum.
-        let min_idx = plain.best_lambda - 1;
-        assert!(one_se.best_error <= plain.errors[min_idx] + plain.errors_se[min_idx] + 1e-12);
-    }
-
-    #[test]
-    fn standard_errors_are_finite_and_nonnegative() {
-        let (g, f) = noisy_problem(80, 100, 3, 17);
-        let cv = cross_validate(&g, &f, &CvConfig::new(15), |gt, ft| {
-            OmpConfig::new(15).fit(gt, ft)
-        })
-        .unwrap();
-        assert_eq!(cv.errors_se.len(), 15);
-        assert!(cv.errors_se.iter().all(|&s| s >= 0.0 && s.is_finite()));
-    }
-
-    #[test]
-    fn standard_error_counts_only_the_finite_folds() {
+    fn mean_counts_only_the_finite_folds() {
         // Round-robin fold 0 holds out the rows r % 4 == 0, whose
         // response is constant: that fold scores ∞ at every λ and drops
-        // out, so ε(λ) and its SE come from the other three folds.
+        // out, so ε(λ) comes from the other three folds.
         let (g, mut f) = noisy_problem(40, 30, 3, 5);
         for r in (0..40).step_by(4) {
             f[r] = 1.0;
@@ -354,16 +301,11 @@ mod tests {
                 })
                 .collect();
             assert!(errs[0].is_infinite(), "fold 0 at λ = {lambda}: {}", errs[0]);
-            let finite = &errs[1..];
-            let mean = finite.iter().sum::<f64>() / 3.0;
-            let var = finite.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / 3.0;
-            let se = (var / 3.0).sqrt();
-            let (got_mean, got_se) = (cv.errors[lambda - 1], cv.errors_se[lambda - 1]);
-            assert_eq!(got_mean.to_bits(), mean.to_bits(), "λ = {lambda}");
+            let mean = errs[1..].iter().sum::<f64>() / 3.0;
             assert_eq!(
-                got_se.to_bits(),
-                se.to_bits(),
-                "λ = {lambda}: SE {got_se}, hand-computed {se}"
+                cv.errors[lambda - 1].to_bits(),
+                mean.to_bits(),
+                "λ = {lambda}"
             );
         }
     }
@@ -410,12 +352,8 @@ mod tests {
         assert_eq!(cv.errors.len(), lambda_max);
         for l in 0..lambda_max {
             let errs: Vec<f64> = per_fold.iter().map(|fe| fe[l]).collect();
-            let n = errs.len() as f64;
-            let mean = errs.iter().sum::<f64>() / n;
-            let var = errs.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / n;
-            let se = (var / n).sqrt();
+            let mean = errs.iter().sum::<f64>() / errs.len() as f64;
             assert_eq!(cv.errors[l].to_bits(), mean.to_bits(), "λ = {}", l + 1);
-            assert_eq!(cv.errors_se[l].to_bits(), se.to_bits(), "λ = {}", l + 1);
         }
     }
 
@@ -440,52 +378,55 @@ mod tests {
             .max()
             .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for one_se_rule in [false, true] {
-            let cfg = |lambda_max| CvConfig {
-                one_se_rule,
-                ..CvConfig::new(lambda_max)
-            };
-            let huge = 1_000_000_000_000;
-            let wide = cross_validate(&g, &f, &cfg(huge), fit(huge)).unwrap();
-            let cut = cross_validate(&g, &f, &cfg(longest), fit(longest)).unwrap();
-            assert_eq!(wide.errors.len(), longest);
-            assert_eq!(bits(&wide.errors), bits(&cut.errors));
-            assert_eq!(bits(&wide.errors_se), bits(&cut.errors_se));
-            assert_eq!(wide.best_lambda, cut.best_lambda);
-            assert_eq!(wide.best_error.to_bits(), cut.best_error.to_bits());
-        }
-    }
-
-    #[test]
-    fn shuffled_cv_also_works() {
-        let (g, f) = noisy_problem(80, 100, 3, 3);
-        let cfg = CvConfig {
-            folds: 5,
-            shuffle_seed: Some(1),
-            ..CvConfig::new(15)
-        };
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(15).fit(gt, ft)).unwrap();
-        assert!(cv.best_lambda >= 2 && cv.best_lambda <= 10);
+        let huge = 1_000_000_000_000;
+        let wide = cross_validate(&g, &f, &CvConfig::new(huge), fit(huge)).unwrap();
+        let cut = cross_validate(&g, &f, &CvConfig::new(longest), fit(longest)).unwrap();
+        assert_eq!(wide.errors.len(), longest);
+        assert_eq!(bits(&wide.errors), bits(&cut.errors));
+        assert_eq!(wide.best_lambda, cut.best_lambda);
+        assert_eq!(wide.best_error.to_bits(), cut.best_error.to_bits());
     }
 
     #[test]
     fn bad_configs_rejected() {
+        let fit = |gt: &dyn AtomSource, ft: &[f64]| OmpConfig::new(5).fit(gt, ft);
+        let (g, f) = noisy_problem(3, 10, 1, 9);
+        let err = cross_validate(&g, &f, &CvConfig::new(5), fit).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::BadConfig("cannot split 3 samples into 4 folds".into())
+        );
         let (g, f) = noisy_problem(20, 10, 1, 9);
-        let bad_folds = CvConfig {
-            folds: 1,
-            ..CvConfig::new(5)
-        };
-        assert!(cross_validate(&g, &f, &bad_folds, |gt, ft| {
-            OmpConfig::new(5).fit(gt, ft)
-        })
-        .is_err());
-        let zero_lambda = CvConfig {
-            lambda_max: 0,
-            ..CvConfig::new(5)
-        };
-        assert!(cross_validate(&g, &f, &zero_lambda, |gt, ft| {
-            OmpConfig::new(5).fit(gt, ft)
-        })
-        .is_err());
+        assert!(cross_validate(&g, &f, &CvConfig::new(0), fit).is_err());
+    }
+
+    #[test]
+    fn flat_prefix_ends_after_three_flat_errors() {
+        // Two flat errors after the best (0.5) keep the whole curve; a
+        // third cuts it there, whatever follows.
+        assert_eq!(flat_prefix_len(&[1.0, 0.5, 0.5001, 0.52]), 4);
+        assert_eq!(flat_prefix_len(&[1.0, 0.5, 0.5001, 0.52, 0.5, 0.1]), 5);
+    }
+
+    #[test]
+    fn flat_prefix_requires_relative_improvement() {
+        // Improvements of less than 0.1 % on the best do not count.
+        assert_eq!(flat_prefix_len(&[1.0, 0.9999, 0.9995, 0.9991, 0.5]), 4);
+        assert_eq!(flat_prefix_len(&[1.0, 0.998, 0.996, 0.994, 0.992]), 5);
+    }
+
+    #[test]
+    fn flat_prefix_ignores_non_finite_errors() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        // The first finite error is the first best.
+        assert_eq!(flat_prefix_len(&[inf, nan, 0.7, 0.7, 0.7]), 5);
+        assert_eq!(flat_prefix_len(&[inf, nan, 0.7, 0.7, 0.7, 0.7, 0.1]), 6);
+        assert_eq!(flat_prefix_len(&[inf, nan, inf, 0.1]), 3);
+    }
+
+    #[test]
+    fn flat_prefix_keeps_a_steadily_improving_curve() {
+        let errors: Vec<f64> = (0..50).map(|i| 0.9f64.powi(i)).collect();
+        assert_eq!(flat_prefix_len(&errors), 50);
     }
 }

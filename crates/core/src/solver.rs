@@ -255,19 +255,14 @@ mod tests {
     fn cv_early_stop_shortens_the_curve_to_a_prefix() {
         let (g, f) = problem(80, 100, 17);
         let full = ModelOrder::CrossValidated(CvConfig::new(40));
-        let rule = rsm_stats::EarlyStopRule::new().with_patience(3);
-        let stopped = ModelOrder::CrossValidated(CvConfig::new(40).with_early_stop(rule));
+        let stopped = ModelOrder::CrossValidated(CvConfig::new(40).with_early_stop());
         let base = fit(&g, &f, Method::Omp, &full).unwrap().cv.unwrap();
         let rep = fit(&g, &f, Method::Omp, &stopped).unwrap();
         let cv = rep.cv.clone().unwrap();
         // The 3-sparse truth overfits well before λ = 40.
         assert!(cv.errors.len() < 40, "explored {} of 40", cv.errors.len());
-        assert_eq!(cv.errors_se.len(), cv.errors.len());
         // The stopped curve is the unstopped one cut short, bit for bit.
         for (a, b) in cv.errors.iter().zip(&base.errors) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-        for (a, b) in cv.errors_se.iter().zip(&base.errors_se) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
         assert!(cv.best_lambda <= cv.errors.len());

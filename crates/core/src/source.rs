@@ -17,17 +17,17 @@
 //!   selection step of every greedy/path method);
 //! - [`AtomSource::column_into`] — materialize one selected column;
 //! - [`AtomSource::columns_into`] — batched gather of an active set;
-//! - [`AtomSource::row_into`] — one design-matrix row, for prediction
-//!   and cross-validation scoring;
+//! - [`AtomSource::row_into`] — one design-matrix row (a
+//!   [`RowSubsetSource`] sums its column norms row by row);
 //! - [`AtomSource::column_sq_norms`] — per-atom squared norms (the
 //!   normalization of LAR and of normalized OMP);
 //! - [`AtomSource::gram_active`] — the active-set Gram matrix
 //!   `G_Aᵀ·G_A`.
 //!
-//! All but the first two have default implementations in terms of
-//! `column_into`, so existing implementations keep working; the
-//! provided sources override them with faster, allocation-free or
-//! parallel versions.
+//! The batched gathers (`columns_into`, `column_block_into`,
+//! `gram_active`) have default implementations in terms of
+//! `column_into`; the rest, with `num_rows` and `num_atoms`, are
+//! required.
 //!
 //! The adapter [`RowSubsetSource`] presents a row slice of another
 //! source (cross-validation folds) without materializing anything.
@@ -59,9 +59,9 @@ const ATOM_TILE: usize = 16 * 1024;
 /// The interface a sparse solver needs from the design matrix
 /// `G ∈ R^{K×M}`.
 ///
-/// Only [`Self::correlate`] and [`Self::column_into`] are required;
-/// the remaining operations have (possibly slow) default
-/// implementations so that minimal sources keep working.
+/// [`Self::columns_into`], [`Self::column_block_into`] and
+/// [`Self::gram_active`] default to one [`Self::column_into`] per
+/// column; every other method is required.
 pub trait AtomSource {
     /// Number of rows `K` (samples).
     fn num_rows(&self) -> usize;
@@ -107,37 +107,17 @@ pub trait AtomSource {
     }
 
     /// Materializes design-matrix row `k` (all `M` basis values at one
-    /// sample point) into `out` — the operation prediction and
-    /// cross-validation scoring need.
-    ///
-    /// The default gathers every column and is `O(K·M)`; real sources
-    /// override it with an `O(M)` row evaluation.
+    /// sample point) into `out`, in `O(M)`.
     ///
     /// # Panics
     ///
-    /// Panics if `k >= num_rows()` or `out.len() != num_atoms()`.
-    fn row_into(&self, k: usize, out: &mut [f64]) {
-        assert!(k < self.num_rows(), "row_into: row out of range");
-        assert_eq!(out.len(), self.num_atoms(), "row_into: wrong output size");
-        let mut col = vec![0.0; self.num_rows()];
-        for (j, o) in out.iter_mut().enumerate() {
-            self.column_into(j, &mut col);
-            *o = col[k];
-        }
-    }
+    /// Implementations panic if `k >= num_rows()` or
+    /// `out.len() != num_atoms()`.
+    fn row_into(&self, k: usize, out: &mut [f64]);
 
     /// Squared L2 norm of every column — the normalization pass of LAR
-    /// and the coordinate curvatures of lasso-CD. Default: one
-    /// column-at-a-time sweep with `O(K)` scratch.
-    fn column_sq_norms(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_atoms()];
-        let mut col = vec![0.0; self.num_rows()];
-        for (j, o) in out.iter_mut().enumerate() {
-            self.column_into(j, &mut col);
-            *o = dot(&col, &col);
-        }
-        out
-    }
+    /// and of normalized OMP.
+    fn column_sq_norms(&self) -> Vec<f64>;
 
     /// Materializes the contiguous column block
     /// `[col_start, col_start + out.cols())` into `out`

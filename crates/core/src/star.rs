@@ -15,7 +15,7 @@
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result};
+use crate::{check_response, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, norm2};
 
@@ -24,17 +24,12 @@ use rsm_linalg::vec_ops::{axpy, norm2};
 pub struct StarConfig {
     /// Number of basis functions to select.
     pub lambda: usize,
-    /// Early-stop tolerance on the relative residual norm.
-    pub rel_tol: f64,
 }
 
 impl StarConfig {
     /// Selects `lambda` basis functions.
     pub fn new(lambda: usize) -> Self {
-        StarConfig {
-            lambda,
-            rel_tol: 1e-12,
-        }
+        StarConfig { lambda }
     }
 
     /// Runs STAR on `G·α = F` for any [`AtomSource`].
@@ -85,7 +80,7 @@ impl StarConfig {
             let rn = norm2(&res);
             snapshots.push(SparseModel::new(m, coeffs.clone()));
             residual_norms.push(rn);
-            if rn <= self.rel_tol * f_norm {
+            if rn <= PATH_REL_TOL * f_norm {
                 break;
             }
         }

@@ -15,8 +15,7 @@
 //!   variant ([`complex::ComplexLu`]) used by the AC small-signal
 //!   analysis of the circuit simulator,
 //! - a cyclic Jacobi symmetric eigensolver ([`eig::SymmetricEigen`])
-//!   used by PCA,
-//! - a one-sided Jacobi SVD ([`svd::Svd`]).
+//!   used by PCA.
 //!
 //! # Conventions
 //!
@@ -64,7 +63,6 @@ pub mod eig;
 pub mod lu;
 pub mod matrix;
 pub mod qr;
-pub mod svd;
 pub mod tol;
 pub mod vec_ops;
 

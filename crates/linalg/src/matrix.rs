@@ -155,18 +155,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable view of the underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its row-major storage.
-    #[inline]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Row `r` as a contiguous slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {

@@ -60,12 +60,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Squared Euclidean norm `||x||₂²`.
-#[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
-    dot(x, x)
-}
-
 /// L1 norm `||x||₁` (sum of absolute values).
 #[inline]
 pub fn norm1(x: &[f64]) -> f64 {

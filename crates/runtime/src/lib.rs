@@ -224,10 +224,10 @@ where
 /// Computes `f(0)..f(n-1)` in parallel, returning the results in index
 /// order.
 ///
-/// Each element is computed independently and placed at its own index,
-/// so the output is identical for every thread count by construction.
-/// Intended for coarse tasks (cross-validation folds, row blocks);
-/// each element costs one channel message.
+/// This is [`par_chunks_reduce`] over chunks of one element, folded
+/// into a vector in chunk order, so the output is identical for every
+/// thread count. Intended for coarse tasks (cross-validation folds,
+/// row blocks); each element costs one channel message.
 ///
 /// # Panics
 ///
@@ -237,42 +237,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = effective_workers(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers);
-    thread::scope(|scope| {
-        let next = &next;
-        let f = &f;
-        for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let v = f(i);
-                    if tx.send((i, v)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut received = 0usize;
-        for (i, v) in rx {
-            out[i] = Some(v);
-            received += 1;
-        }
-        assert_eq!(received, n, "worker panicked before finishing");
-        out.into_iter().map(Option::unwrap).collect()
-    })
+    let mut out = Vec::with_capacity(n);
+    par_chunks_reduce(n, 1, |r| f(r.start), |v| out.push(v));
+    out
 }
 
 /// Worker count for a job with `tasks` independent units: the resolved

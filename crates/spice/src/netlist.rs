@@ -204,11 +204,6 @@ impl Circuit {
         self.names.len()
     }
 
-    /// Number of MOSFET instances.
-    pub fn num_mosfets(&self) -> usize {
-        self.mosfets.len()
-    }
-
     /// Number of independent voltage sources.
     pub fn num_vsources(&self) -> usize {
         self.vsources.len()

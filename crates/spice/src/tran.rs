@@ -129,11 +129,6 @@ impl TranResult {
         self.volts.iter().map(|v| v[node.index()]).collect()
     }
 
-    /// Voltage at step `k`.
-    pub fn voltage_at(&self, k: usize, node: NodeId) -> f64 {
-        self.volts[k][node.index()]
-    }
-
     /// Number of stored time points.
     pub fn len(&self) -> usize {
         self.times.len()

@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod pca;
 pub mod rng;
 
-pub use crossval::{EarlyStopMonitor, EarlyStopRule, QFold};
+pub use crossval::QFold;
 pub use factor::FactorModel;
 pub use pca::Pca;
 pub use rng::NormalSampler;

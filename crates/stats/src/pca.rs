@@ -97,12 +97,6 @@ impl Pca {
         Self::from_covariance(&cov, rel_tol)
     }
 
-    /// Input dimension `N`.
-    #[inline]
-    pub fn input_dim(&self) -> usize {
-        self.n
-    }
-
     /// Retained latent dimension `r ≤ N`.
     #[inline]
     pub fn latent_dim(&self) -> usize {
