@@ -64,16 +64,6 @@ pub fn psi_all(x: f64, out: &mut [f64]) {
     }
 }
 
-/// Derivative `ψ_n'(x) = √n · ψ_{n−1}(x)` (useful for sensitivity
-/// analysis of fitted models).
-pub fn psi_derivative(n: usize, x: f64) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        (n as f64).sqrt() * psi(n - 1, x)
-    }
-}
-
 /// Nodes and weights of the `n`-point Gauss–Hermite quadrature rule for
 /// the *standard normal* weight (∫ f(x)·φ(x) dx ≈ Σ w_i f(x_i)).
 ///
@@ -185,17 +175,6 @@ mod tests {
         assert!((moment(6) - 15.0).abs() < 1e-9);
         assert!(moment(1).abs() < 1e-11);
         assert!(moment(3).abs() < 1e-10);
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let h = 1e-6;
-        for n in 0..6 {
-            for &x in &[-1.1, 0.2, 1.9] {
-                let fd = (psi(n, x + h) - psi(n, x - h)) / (2.0 * h);
-                assert!((psi_derivative(n, x) - fd).abs() < 1e-6, "n={n} x={x}");
-            }
-        }
     }
 
     #[test]

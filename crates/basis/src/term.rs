@@ -91,11 +91,6 @@ impl Term {
         self.factors.is_empty()
     }
 
-    /// Largest variable index referenced, or `None` for the constant.
-    pub fn max_variable(&self) -> Option<usize> {
-        self.factors.last().map(|&(v, _)| v)
-    }
-
     /// Evaluates `g(ΔY)` at a point.
     ///
     /// # Panics
@@ -109,24 +104,6 @@ impl Term {
             p *= hermite::psi(d as usize, dy[v]);
         }
         p
-    }
-
-    /// Partial derivative `∂g/∂Δy_w` evaluated at a point.
-    pub fn eval_partial(&self, dy: &[f64], w: usize) -> f64 {
-        let mut p = 0.0;
-        if self.factors.iter().all(|&(v, _)| v != w) {
-            return 0.0;
-        }
-        // Product rule over the single factor containing w.
-        let mut rest = 1.0;
-        for &(v, d) in &self.factors {
-            if v == w {
-                p = hermite::psi_derivative(d as usize, dy[v]);
-            } else {
-                rest *= hermite::psi(d as usize, dy[v]);
-            }
-        }
-        p * rest
     }
 }
 
@@ -159,7 +136,6 @@ mod tests {
         assert!(t.is_constant());
         assert_eq!(t.total_degree(), 0);
         assert_eq!(t.eval(&[1.0, 2.0]), 1.0);
-        assert_eq!(t.max_variable(), None);
         assert_eq!(format!("{t}"), "1");
     }
 
@@ -197,22 +173,6 @@ mod tests {
         let t = Term::new(vec![(2, 1), (0, 0), (2, 1), (1, 3)]);
         assert_eq!(t.factors(), &[(1, 3), (2, 2)]);
         assert_eq!(t.total_degree(), 5);
-        assert_eq!(t.max_variable(), Some(2));
-    }
-
-    #[test]
-    fn partial_derivative_matches_finite_difference() {
-        let t = Term::new(vec![(0, 2), (2, 1)]);
-        let y = [0.7, -0.3, 1.2];
-        let h = 1e-6;
-        for w in 0..3 {
-            let mut yp = y;
-            let mut ym = y;
-            yp[w] += h;
-            ym[w] -= h;
-            let fd = (t.eval(&yp) - t.eval(&ym)) / (2.0 * h);
-            assert!((t.eval_partial(&y, w) - fd).abs() < 1e-6, "w={w}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the Hermite bases and dictionaries.
 
 use proptest::prelude::*;
-use rsm_basis::hermite::{gauss_hermite, psi, psi_all, psi_derivative};
+use rsm_basis::hermite::{gauss_hermite, psi, psi_all};
 use rsm_basis::{Dictionary, DictionaryKind, Term};
 use rsm_linalg::Matrix;
 
@@ -30,12 +30,6 @@ proptest! {
         for (n, &b) in buf.iter().enumerate() {
             prop_assert!((b - psi(n, x)).abs() < 1e-10 * (1.0 + b.abs()));
         }
-    }
-
-    #[test]
-    fn derivative_is_sqrt_n_shift(x in -3.0f64..3.0, n in 1usize..9) {
-        let expect = (n as f64).sqrt() * psi(n - 1, x);
-        prop_assert!((psi_derivative(n, x) - expect).abs() < 1e-12 * (1.0 + expect.abs()));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! per-step re-fit affordable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rsm_linalg::cholesky::Cholesky;
-use rsm_linalg::eig::SymmetricEigen;
 use rsm_linalg::lu::LuDecomposition;
 use rsm_linalg::qr::{IncrementalQr, QrDecomposition};
 use rsm_linalg::Matrix;
@@ -62,29 +60,13 @@ fn bench_incremental_qr_append(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lu_and_cholesky(c: &mut Criterion) {
+fn bench_lu(c: &mut Criterion) {
     let mut group = c.benchmark_group("factorizations");
     group.sample_size(10);
     for &n in &[30usize, 100, 300] {
         let a = spd(n, 3);
-        group.bench_with_input(BenchmarkId::new("cholesky", n), &n, |b, _| {
-            b.iter(|| Cholesky::new(black_box(&a)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("lu", n), &n, |b, _| {
             b.iter(|| LuDecomposition::new(black_box(&a)).unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn bench_eig(c: &mut Criterion) {
-    // PCA's kernel: Jacobi eigendecomposition of a covariance matrix.
-    let mut group = c.benchmark_group("symmetric_eigen");
-    group.sample_size(10);
-    for &n in &[20usize, 60, 150] {
-        let a = spd(n, 4);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| SymmetricEigen::new(black_box(&a)).unwrap())
         });
     }
     group.finish();
@@ -108,8 +90,7 @@ criterion_group!(
     benches,
     bench_qr,
     bench_incremental_qr_append,
-    bench_lu_and_cholesky,
-    bench_eig,
+    bench_lu,
     bench_matvec_t
 );
 criterion_main!(benches);

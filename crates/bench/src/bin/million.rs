@@ -296,12 +296,7 @@ fn main() {
     // `ModelOrder::CrossValidated`, unrolled so the λ walk and the
     // final full-data fit are timed separately.
     let cvcfg = CvConfig::new(lmax);
-    let (cv, cv_walk_secs) = timed(|| {
-        cross_validate(&src, &prob.f, &cvcfg, |gt, ft| {
-            solver::fit_path(Method::Lar, gt, ft, cvcfg.lambda_max)
-        })
-        .unwrap()
-    });
+    let (cv, cv_walk_secs) = timed(|| cross_validate(&src, &prob.f, Method::Lar, &cvcfg).unwrap());
     let (cv_path, cv_final_secs) =
         timed(|| solver::fit_path(Method::Lar, &src, &prob.f, cv.best_lambda).unwrap());
     let cv_secs = cv_walk_secs + cv_final_secs;

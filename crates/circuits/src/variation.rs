@@ -10,8 +10,8 @@
 //! - one dedicated **local mismatch** factor (Pelgrom-style).
 //!
 //! All factors are independent standard normals, so the concatenated
-//! factor vector *is* the paper's `ΔY` (see `rsm_stats::factor` for
-//! the equivalence with PCA whitening of the implied covariance).
+//! factor vector *is* the paper's `ΔY`, what its PCA produces: no PCA
+//! runs here, and the implied parameter covariance is never formed.
 
 /// Sensitivities of one device's threshold voltage and
 /// transconductance factor to the variation hierarchy.

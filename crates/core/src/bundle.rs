@@ -93,11 +93,6 @@ impl ModelBundle {
         Ok(dict)
     }
 
-    /// Number of input variables a sample point must provide.
-    pub fn num_inputs(&self) -> usize {
-        self.input_columns.len()
-    }
-
     /// Serializes the canonical on-disk encoding: pretty JSON with a
     /// trailing newline. `rsm fit` writes exactly this, and the
     /// golden-bundle test pins it byte for byte — route every bundle
@@ -145,7 +140,6 @@ mod tests {
     fn dictionary_roundtrip_linear_and_quadratic() {
         let b = bundle("linear", 3, 4);
         assert_eq!(b.dictionary().unwrap().len(), 4);
-        assert_eq!(b.num_inputs(), 3);
         let q = bundle("quadratic", 3, 10);
         assert_eq!(q.dictionary().unwrap().len(), 10);
     }

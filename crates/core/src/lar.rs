@@ -106,6 +106,9 @@ impl LarConfig {
         }
         // Absolute correlation floor.
         let c_floor = PATH_REL_TOL * f_norm;
+        // Shortest step length that counts as a move. A step length is
+        // in the response's units, so the floor scales with `‖F‖₂`.
+        let step_floor = tol::STEP_REL_TOL * f_norm;
         let max_active = self.max_steps.min(k).min(m);
         // Current fit `X·β` in sample space.
         let mut mu = vec![0.0; k];
@@ -212,7 +215,7 @@ impl LarConfig {
                     (c_level - c[j]) / (a_a - a_vec[j]),
                     (c_level + c[j]) / (a_a + a_vec[j]),
                 ] {
-                    if cand > tol::STEP_REL_TOL && cand < gamma {
+                    if cand > step_floor && cand < gamma {
                         gamma = cand;
                     }
                 }
@@ -223,7 +226,7 @@ impl LarConfig {
                 for (pos, (&j, &wj)) in active.iter().zip(&w).enumerate() {
                     if !tol::exactly_zero(wj) {
                         let gd = -beta[j] / wj;
-                        if gd > tol::STEP_REL_TOL && gd < gamma {
+                        if gd > step_floor && gd < gamma {
                             gamma = gd;
                             drop_idx = Some(pos);
                         }
@@ -429,6 +432,39 @@ mod tests {
         let path = LarConfig::new(6).fit(&g, &f).unwrap();
         let err = relative_error(&path.final_model().predict_matrix(&g), &f);
         assert!(err < 1e-6, "err {err}");
+    }
+
+    #[test]
+    fn response_scaled_by_a_power_of_two_scales_the_path_exactly() {
+        // Multiplying F by 2^e rounds nothing, so each step must make
+        // the same choices and every coefficient must scale by exactly
+        // 2^e, however far from 1 the response's units are.
+        let mut s = NormalSampler::seed_from_u64(285);
+        let g = Matrix::from_fn(60, 200, |_, _| s.sample());
+        let f = s.sample_vec(60);
+        let bits = |m: &SparseModel, k: f64| -> Vec<(usize, u64)> {
+            m.coefficients()
+                .iter()
+                .map(|&(j, c)| (j, (c * k).to_bits()))
+                .collect()
+        };
+        for cfg in [LarConfig::new(15), LarConfig::new(15).with_lasso()] {
+            let base = cfg.fit(&g, &f).unwrap();
+            assert_eq!(base.len(), 15);
+            // The lasso path drops an atom (at step 9), so the zero
+            // crossing's floor is exercised too.
+            assert_eq!(base.final_model().num_nonzeros() < 15, cfg.lasso);
+            for e in [-1000, -500, -60, -45, -20, 0, 20, 60, 500, 1000] {
+                let scale = f64::from_bits(((1023 + e) as u64) << 52);
+                let scaled: Vec<f64> = f.iter().map(|v| v * scale).collect();
+                let path = cfg.fit(&g, &scaled).unwrap();
+                assert_eq!(path.len(), base.len(), "{cfg:?}, e = {e}");
+                for ((step, got), (_, want)) in path.iter().zip(base.iter()) {
+                    let msg = format!("{cfg:?}, e = {e}, step {step}");
+                    assert_eq!(bits(got, 1.0), bits(want, scale), "{msg}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -199,39 +199,10 @@ impl SparseModel {
         Ok(out)
     }
 
-    /// L2 norm of the coefficient vector.
-    pub fn l2_norm(&self) -> f64 {
-        self.coeffs.iter().map(|&(_, c)| c * c).sum::<f64>().sqrt()
-    }
-
     /// L1 norm of the coefficient vector (what LAR's relaxation
     /// constrains).
     pub fn l1_norm(&self) -> f64 {
         self.coeffs.iter().map(|&(_, c)| c.abs()).sum()
-    }
-
-    /// Per-variable variance contributions (total Sobol indices scaled
-    /// by the response variance) under `ΔY ~ N(0, I)`.
-    ///
-    /// For an orthonormal basis the response variance is
-    /// `Σ_{m≠0} α_m²`, and each term contributes its `α_m²` to *every*
-    /// variable it references — so a cross term `Δy_i·Δy_j` counts
-    /// toward both `i` and `j`. Returns a vector of length
-    /// `dict.num_vars()`; entries sum to ≥ the variance (cross terms
-    /// counted multiply), and the ranking is the standard variance-
-    /// based sensitivity ordering used to pick the paper's "top 200"
-    /// variables.
-    pub fn variance_contributions(&self, dict: &Dictionary) -> Vec<f64> {
-        let mut contrib = vec![0.0; dict.num_vars()];
-        for &(m, c) in &self.coeffs {
-            if m == 0 {
-                continue;
-            }
-            for &(v, _) in dict.term(m).factors() {
-                contrib[v] += c * c;
-            }
-        }
-        contrib
     }
 
     /// A human-readable report: terms sorted by decreasing |coefficient|,
@@ -410,9 +381,8 @@ mod tests {
     #[test]
     fn norms() {
         let m = SparseModel::new(5, vec![(1, 3.0), (2, -4.0)]);
-        assert!((m.l2_norm() - 5.0).abs() < 1e-15);
         assert!((m.l1_norm() - 7.0).abs() < 1e-15);
-        assert_eq!(SparseModel::zero(5).l2_norm(), 0.0);
+        assert_eq!(SparseModel::zero(5).l1_norm(), 0.0);
     }
 
     #[test]
@@ -421,23 +391,6 @@ mod tests {
         let (mean, var) = m.response_moments();
         assert!((mean - 1.5).abs() < 1e-15);
         assert!((var - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn variance_contributions_follow_term_structure() {
-        let dict = Dictionary::new(3, DictionaryKind::Quadratic);
-        // Terms: 1 (const), y0, y1, y2, ψ2(y0..2), y0y1, y0y2, y1y2.
-        // Identify the y0·y1 cross index robustly.
-        let cross01 = (0..dict.len())
-            .find(|&i| dict.term(i) == rsm_basis::Term::cross(0, 1))
-            .unwrap();
-        let m = SparseModel::new(dict.len(), vec![(0, 10.0), (1, 2.0), (cross01, 1.0)]);
-        let contrib = m.variance_contributions(&dict);
-        assert!((contrib[0] - (4.0 + 1.0)).abs() < 1e-12); // y0 + cross
-        assert!((contrib[1] - 1.0).abs() < 1e-12); // cross only
-        assert_eq!(contrib[2], 0.0);
-        let (_, var) = m.response_moments();
-        assert!((var - 5.0).abs() < 1e-12);
     }
 
     #[test]

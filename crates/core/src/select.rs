@@ -7,15 +7,24 @@
 //! `λ*`, and the final model is re-fit on the full training set at
 //! `λ*`.
 
-use crate::path::SparsePath;
+use crate::solver::{fit_path, Method};
 use crate::source::{AtomSource, RowSubsetSource};
 use crate::{CoreError, Result};
 use rsm_linalg::Matrix;
 use rsm_stats::metrics::relative_error;
-use rsm_stats::QFold;
 
 /// Number of folds `Q`: the paper's examples use 4 (Fig. 2).
 pub const FOLDS: usize = 4;
+
+/// The `(train, test)` index lists of each of `q` folds over `0..k`.
+/// Fold `q` holds out the samples `i` with `i % q == fold` (round
+/// robin, so fold sizes differ by at most one); both lists are in
+/// increasing order.
+fn split(k: usize, q: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    (0..q)
+        .map(|fold| (0..k).partition(|&i| i % q != fold))
+        .collect()
+}
 
 /// Cross-validation configuration.
 #[derive(Debug, Clone)]
@@ -86,19 +95,17 @@ fn flat_prefix_len(errors: &[f64]) -> usize {
     errors.len()
 }
 
-/// Cross-validates a path-producing solver against any [`AtomSource`].
+/// Cross-validates a path-producing `method` against any
+/// [`AtomSource`].
 ///
 /// Each fold's training and test sets are [`RowSubsetSource`] views of
-/// `g` — nothing `K×M`-sized is ever copied or materialized. The
-/// closure receives the training view as `&dyn AtomSource` (the trait
-/// is object-safe) and the training response, and must return the
-/// solver's path; the same closure is used for every fold, so its
-/// configuration should allow at least `cfg.lambda_max` steps. Scoring
+/// `g` — nothing `K×M`-sized is ever copied or materialized. Every fold
+/// runs [`fit_path`] to `cfg.lambda_max` on its training view. Scoring
 /// gathers only the path's support columns on the test view, and each
 /// fold scores only the `λ` its path reaches, so the cost follows the
 /// paths, not `cfg.lambda_max`.
 ///
-/// The folds are fit in parallel (`Fn + Sync`, one task per fold via
+/// The folds are fit in parallel (one task per fold via
 /// [`rsm_runtime::par_map_indexed`]); each fold's work is independent
 /// and its error curve lands at the fold's own index, so the result is
 /// bit-identical to the sequential loop at every thread count.
@@ -110,14 +117,15 @@ fn flat_prefix_len(errors: &[f64]) -> usize {
 /// # Errors
 ///
 /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-/// - [`CoreError::BadConfig`] if `lambda_max == 0` or there are fewer
-///   than [`FOLDS`] samples;
-/// - any error from `fit_path` (the first failing fold in fold order).
-pub fn cross_validate<S, F>(g: &S, f: &[f64], cfg: &CvConfig, fit_path: F) -> Result<CvResult>
-where
-    S: AtomSource + ?Sized + Sync,
-    F: Fn(&dyn AtomSource, &[f64]) -> Result<SparsePath> + Sync,
-{
+/// - [`CoreError::BadConfig`] if `lambda_max == 0`, if there are fewer
+///   than [`FOLDS`] samples, or for [`Method::Ls`] (which has no path);
+/// - any error from [`fit_path`] (the first failing fold in fold order).
+pub fn cross_validate<S: AtomSource + ?Sized + Sync>(
+    g: &S,
+    f: &[f64],
+    method: Method,
+    cfg: &CvConfig,
+) -> Result<CvResult> {
     let k = g.num_rows();
     if f.len() != k {
         return Err(CoreError::ShapeMismatch {
@@ -128,22 +136,24 @@ where
     if cfg.lambda_max == 0 {
         return Err(CoreError::BadConfig("lambda_max must be at least 1".into()));
     }
-    let folds = QFold::new(k, FOLDS).ok_or_else(|| {
-        CoreError::BadConfig(format!("cannot split {k} samples into {FOLDS} folds"))
-    })?;
+    if k < FOLDS {
+        return Err(CoreError::BadConfig(format!(
+            "cannot split {k} samples into {FOLDS} folds"
+        )));
+    }
 
     // Each fold scores λ = 1..=min(lambda_max, path length). A path
     // that stops early stands for every larger λ with its final model
     // (as `model_at` clamps), the way a practitioner would treat a
     // converged path, so the curve below reads the fold's last error.
-    let splits: Vec<(Vec<usize>, Vec<usize>)> = folds.splits().collect();
+    let splits = split(k, FOLDS);
     let fold_results: Vec<Result<Vec<f64>>> = rsm_runtime::par_map_indexed(splits.len(), |q| {
         let (train, test) = &splits[q];
         let train_view = RowSubsetSource::new(g, train);
         let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
         let test_view = RowSubsetSource::new(g, test);
         let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
-        let path = fit_path(&train_view, &f_train)?;
+        let path = fit_path(method, &train_view, &f_train, cfg.lambda_max)?;
         let scored = path.len().min(cfg.lambda_max);
         // Gather the union of the path's supports on the test rows
         // once; every λ is then scored from this |test|×|union| slab.
@@ -225,8 +235,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lar::LarConfig;
-    use crate::omp::OmpConfig;
     use crate::source::DictionarySource;
     use rsm_basis::{Dictionary, DictionaryKind};
     use rsm_stats::NormalSampler;
@@ -254,8 +262,7 @@ mod tests {
     fn picks_lambda_near_true_sparsity() {
         let p = 5;
         let (g, f) = noisy_problem(120, 300, p, 42);
-        let cfg = CvConfig::new(30);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(30).fit(gt, ft)).unwrap();
+        let cv = cross_validate(&g, &f, Method::Omp, &CvConfig::new(30)).unwrap();
         assert!(
             cv.best_lambda >= p && cv.best_lambda <= p + 6,
             "best λ = {} for true sparsity {p}",
@@ -267,8 +274,7 @@ mod tests {
     fn error_curve_rises_after_optimum() {
         // Over-fitting: the CV error at λ_max must exceed the minimum.
         let (g, f) = noisy_problem(60, 200, 4, 7);
-        let cfg = CvConfig::new(40);
-        let cv = cross_validate(&g, &f, &cfg, |gt, ft| OmpConfig::new(40).fit(gt, ft)).unwrap();
+        let cv = cross_validate(&g, &f, Method::Omp, &CvConfig::new(40)).unwrap();
         let last = *cv.errors.last().unwrap();
         assert!(
             last > cv.best_error * 1.05,
@@ -286,15 +292,14 @@ mod tests {
         for r in (0..40).step_by(4) {
             f[r] = 1.0;
         }
-        let fit = |gt: &dyn AtomSource, ft: &[f64]| OmpConfig::new(6).fit(gt, ft);
-        let cv = cross_validate(&g, &f, &CvConfig::new(6), fit).unwrap();
-        let folds = QFold::new(40, 4).unwrap();
+        let cv = cross_validate(&g, &f, Method::Omp, &CvConfig::new(6)).unwrap();
         for lambda in 1..=6 {
-            let errs: Vec<f64> = folds
-                .splits()
+            let errs: Vec<f64> = split(40, FOLDS)
+                .into_iter()
                 .map(|(train, test)| {
                     let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-                    let path = fit(&RowSubsetSource::new(&g, &train), &f_train).unwrap();
+                    let view = RowSubsetSource::new(&g, &train);
+                    let path = fit_path(Method::Omp, &view, &f_train, 6).unwrap();
                     let pred = path.model_at(lambda).predict_matrix(&g.select_rows(&test));
                     let f_test: Vec<f64> = test.iter().map(|&i| f[i]).collect();
                     relative_error(&pred, &f_test)
@@ -328,16 +333,15 @@ mod tests {
         let dict = Dictionary::new(n, DictionaryKind::Quadratic);
         let src = DictionarySource::new(&dict, &samples);
         let dense = dict.design_matrix(&samples);
-        let fit =
-            |gt: &dyn AtomSource, ft: &[f64]| LarConfig::new(lambda_max).with_lasso().fit(gt, ft);
-        let cv = cross_validate(&src, &f, &CvConfig::new(lambda_max), fit).unwrap();
+        let lasso = Method::LarLasso;
+        let cv = cross_validate(&src, &f, lasso, &CvConfig::new(lambda_max)).unwrap();
         let mut dropped = false;
-        let per_fold: Vec<Vec<f64>> = QFold::new(k, 4)
-            .unwrap()
-            .splits()
+        let per_fold: Vec<Vec<f64>> = split(k, FOLDS)
+            .into_iter()
             .map(|(train, test)| {
                 let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-                let path = fit(&RowSubsetSource::new(&src, &train), &f_train).unwrap();
+                let view = RowSubsetSource::new(&src, &train);
+                let path = fit_path(lasso, &view, &f_train, lambda_max).unwrap();
                 let widest = path.iter().map(|(_, m)| m.num_nonzeros()).max();
                 let union: BTreeSet<usize> = path.iter().flat_map(|(_, m)| m.support()).collect();
                 dropped |= Some(union.len()) > widest;
@@ -363,24 +367,19 @@ mod tests {
         // range of 10¹² must cost what the paths reach and give the
         // bits of the range cut at the longest fold path.
         let (g, f) = noisy_problem(40, 10, 3, 11);
-        let fit = |lambda_max: usize| {
-            move |gt: &dyn AtomSource, ft: &[f64]| LarConfig::new(lambda_max).fit(gt, ft)
-        };
-        let longest = QFold::new(40, 4)
-            .unwrap()
-            .splits()
+        let longest = split(40, FOLDS)
+            .into_iter()
             .map(|(train, _)| {
                 let f_train: Vec<f64> = train.iter().map(|&i| f[i]).collect();
-                fit(10)(&RowSubsetSource::new(&g, &train), &f_train)
-                    .unwrap()
-                    .len()
+                let view = RowSubsetSource::new(&g, &train);
+                fit_path(Method::Lar, &view, &f_train, 10).unwrap().len()
             })
             .max()
             .unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let huge = 1_000_000_000_000;
-        let wide = cross_validate(&g, &f, &CvConfig::new(huge), fit(huge)).unwrap();
-        let cut = cross_validate(&g, &f, &CvConfig::new(longest), fit(longest)).unwrap();
+        let wide = cross_validate(&g, &f, Method::Lar, &CvConfig::new(huge)).unwrap();
+        let cut = cross_validate(&g, &f, Method::Lar, &CvConfig::new(longest)).unwrap();
         assert_eq!(wide.errors.len(), longest);
         assert_eq!(bits(&wide.errors), bits(&cut.errors));
         assert_eq!(wide.best_lambda, cut.best_lambda);
@@ -389,15 +388,40 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let fit = |gt: &dyn AtomSource, ft: &[f64]| OmpConfig::new(5).fit(gt, ft);
         let (g, f) = noisy_problem(3, 10, 1, 9);
-        let err = cross_validate(&g, &f, &CvConfig::new(5), fit).unwrap_err();
+        let err = cross_validate(&g, &f, Method::Omp, &CvConfig::new(5)).unwrap_err();
         assert_eq!(
             err,
             CoreError::BadConfig("cannot split 3 samples into 4 folds".into())
         );
         let (g, f) = noisy_problem(20, 10, 1, 9);
-        assert!(cross_validate(&g, &f, &CvConfig::new(0), fit).is_err());
+        assert!(cross_validate(&g, &f, Method::Omp, &CvConfig::new(0)).is_err());
+        assert!(cross_validate(&g, &f, Method::Ls, &CvConfig::new(5)).is_err());
+    }
+
+    #[test]
+    fn folds_are_a_balanced_partition() {
+        for k in 4..120 {
+            for q in 2..=k.min(8) {
+                let folds = split(k, q);
+                assert_eq!(folds.len(), q);
+                let mut held_out = vec![0; k];
+                for (train, test) in &folds {
+                    // Fig. 2: each run trains on every group it does not
+                    // hold out.
+                    let mut all = [train.as_slice(), test.as_slice()].concat();
+                    all.sort_unstable();
+                    assert_eq!(all, (0..k).collect::<Vec<_>>(), "k = {k}, q = {q}");
+                    for &i in test {
+                        held_out[i] += 1;
+                    }
+                }
+                assert!(held_out.iter().all(|&n| n == 1), "k = {k}, q = {q}");
+                let sizes: Vec<usize> = folds.iter().map(|(_, test)| test.len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "k = {k}, q = {q}: {sizes:?}");
+            }
+        }
     }
 
     #[test]

@@ -114,9 +114,7 @@ pub fn fit<S: AtomSource + ?Sized + Sync>(
             let (lambda, cv) = match order {
                 ModelOrder::Fixed(l) => (*l, None),
                 ModelOrder::CrossValidated(cfg) => {
-                    let cv = cross_validate(g, f, cfg, |gt, ft| {
-                        fit_path(method, gt, ft, cfg.lambda_max)
-                    })?;
+                    let cv = cross_validate(g, f, method, cfg)?;
                     (cv.best_lambda, Some(cv))
                 }
             };

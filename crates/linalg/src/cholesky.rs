@@ -1,112 +1,8 @@
-//! Cholesky factorization of symmetric positive-definite matrices,
-//! including a growing variant used by the LARS solver.
+//! The growing Cholesky factorization of the LARS solver's active-set
+//! Gram matrix.
 
 use crate::vec_ops::dot;
-use crate::{LinalgError, Matrix, Result};
-
-/// Lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
-///
-/// # Example
-///
-/// ```
-/// use rsm_linalg::{Matrix, cholesky::Cholesky};
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-/// let ch = Cholesky::new(&a).unwrap();
-/// let x = ch.solve(&[8.0, 7.0]).unwrap();
-/// assert!((x[0] - 1.25).abs() < 1e-12 && (x[1] - 1.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    /// `n × n` matrix whose lower triangle holds `L`.
-    l: Matrix,
-    n: usize,
-}
-
-impl Cholesky {
-    /// Factors a symmetric positive-definite matrix.
-    ///
-    /// Only the lower triangle of `a` is read; symmetry of the upper
-    /// triangle is the caller's responsibility.
-    ///
-    /// # Errors
-    ///
-    /// - [`LinalgError::ShapeMismatch`] if `a` is not square;
-    /// - [`LinalgError::NotPositiveDefinite`] if a pivot is `<= 0`.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: "square matrix".into(),
-                found: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                // s -= Σ_k L[i,k]·L[j,k]
-                let (li, lj) = (l.row(i), l.row(j));
-                s -= dot(&li[..j], &lj[..j]);
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { index: i });
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l, n })
-    }
-
-    /// Dimension of the factored matrix.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Solves `A·x = b` via forward/backward substitution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != n`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("rhs of length {}", self.n),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let mut y = b.to_vec();
-        // L·y = b
-        for i in 0..self.n {
-            let li = self.l.row(i);
-            let s = dot(&li[..i], &y[..i]);
-            y[i] = (y[i] - s) / li[i];
-        }
-        // Lᵀ·x = y
-        for i in (0..self.n).rev() {
-            let mut s = y[i];
-            for j in (i + 1)..self.n {
-                s -= self.l[(j, i)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        Ok(y)
-    }
-
-    /// Log-determinant of `A` (`2·Σ log L[i,i]`), useful for Gaussian
-    /// likelihoods.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-}
+use crate::{LinalgError, Result};
 
 /// A Cholesky factorization of a Gram matrix that grows one row/column
 /// at a time, as LARS adds predictors to its active set.
@@ -258,6 +154,7 @@ impl GrowingCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     fn spd(n: usize, seed: u64) -> Matrix {
         let mut state = seed
@@ -276,63 +173,23 @@ mod tests {
         g
     }
 
-    #[test]
-    fn factor_reconstructs() {
-        let a = spd(6, 1);
-        let ch = Cholesky::new(&a).unwrap();
-        let l = ch.l();
-        let rec = l.matmul(&l.transpose()).unwrap();
-        assert!(rec.max_abs_diff(&a).unwrap() < 1e-10);
-    }
-
-    #[test]
-    fn solve_recovers_known_solution() {
-        let a = spd(5, 2);
-        let x_true: Vec<f64> = (0..5).map(|i| (i as f64) - 2.0).collect();
-        let b = a.matvec(&x_true).unwrap();
-        let x = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-9);
+    /// Asserts that `x` solves `A·x = b`: every entry of the residual
+    /// `A·x − b` is below 1e-12 (the test systems have entries of order
+    /// one and are well conditioned).
+    fn assert_solves(a: &Matrix, x: &[f64], b: &[f64]) {
+        let ax = a.matvec(x).unwrap();
+        for (i, (axi, bi)) in ax.iter().zip(b).enumerate() {
+            assert!((axi - bi).abs() < 1e-12, "row {i}: A·x = {axi}, b = {bi}");
         }
     }
 
     #[test]
-    fn indefinite_rejected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::new(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-    }
-
-    #[test]
-    fn non_square_rejected() {
-        let a = Matrix::zeros(2, 3);
-        assert!(Cholesky::new(&a).is_err());
-    }
-
-    #[test]
-    fn log_det_diag() {
-        let a = Matrix::from_diag(&[2.0, 8.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 16.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn growing_matches_batch() {
+    fn growing_factor_solves_the_gram_system() {
         let a = spd(6, 9);
         // Treat `a` as a Gram matrix we reveal column by column.
-        let mut g = GrowingCholesky::new();
-        for p in 0..6 {
-            let cross: Vec<f64> = (0..p).map(|i| a[(i, p)]).collect();
-            g.push(&cross, a[(p, p)]).unwrap();
-        }
+        let g = growing_from(&a);
         let b: Vec<f64> = (0..6).map(|i| (i as f64 + 1.0).sqrt()).collect();
-        let x_inc = g.solve(&b).unwrap();
-        let x_batch = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        for (xi, bi) in x_inc.iter().zip(&x_batch) {
-            assert!((xi - bi).abs() < 1e-9);
-        }
+        assert_solves(&a, &g.solve(&b).unwrap(), &b);
     }
 
     #[test]
@@ -363,19 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_column_matches_refactorization() {
+    fn drop_column_solves_the_shrunk_system() {
         let a = spd(7, 11);
         for pos in 0..7 {
             let mut g = growing_from(&a);
             g.drop_column(pos).unwrap();
             assert_eq!(g.dim(), 6);
-            let shrunk = shrink(&a, pos);
             let b: Vec<f64> = (0..6).map(|i| ((i as f64) - 2.5).cos()).collect();
-            let x_down = g.solve(&b).unwrap();
-            let x_full = Cholesky::new(&shrunk).unwrap().solve(&b).unwrap();
-            for (xd, xf) in x_down.iter().zip(&x_full) {
-                assert!((xd - xf).abs() < 1e-9, "pos {pos}: {xd} vs {xf}");
-            }
+            assert_solves(&shrink(&a, pos), &g.solve(&b).unwrap(), &b);
         }
     }
 
@@ -384,18 +236,14 @@ mod tests {
         let a = spd(5, 3);
         let mut g = growing_from(&a);
         // Drop in a scrambled order; each intermediate solve must stay
-        // consistent with a dense factorization of the surviving Gram.
+        // a solution of the surviving Gram system.
         let mut dense = a.clone();
         for &pos in &[2usize, 0, 2, 1, 0] {
             g.drop_column(pos).unwrap();
             dense = shrink(&dense, pos);
             if g.dim() > 0 {
                 let b: Vec<f64> = (0..g.dim()).map(|i| i as f64 + 1.0).collect();
-                let x_down = g.solve(&b).unwrap();
-                let x_full = Cholesky::new(&dense).unwrap().solve(&b).unwrap();
-                for (xd, xf) in x_down.iter().zip(&x_full) {
-                    assert!((xd - xf).abs() < 1e-9);
-                }
+                assert_solves(&dense, &g.solve(&b).unwrap(), &b);
             }
         }
         assert_eq!(g.dim(), 0);
@@ -422,12 +270,12 @@ mod tests {
         // Orthogonal predictors: L is diagonal, the Givens sweep sees
         // a = 0 on every pivot, and power-of-two entries make every
         // operation exact — the downdate must be bit-identical to the
-        // factorization of the shrunk Gram.
+        // factor grown from the shrunk Gram, and solve it exactly.
         let a = Matrix::from_diag(&[4.0, 16.0, 64.0, 256.0]);
         let mut g = growing_from(&a);
         g.drop_column(1).unwrap();
         let shrunk = shrink(&a, 1);
-        let expect = Cholesky::new(&shrunk).unwrap();
+        let expect = growing_from(&shrunk);
         for row in 0..3 {
             let b: Vec<f64> = (0..3).map(|c| if c == row { 1.0 } else { 0.0 }).collect();
             let xd = g.solve(&b).unwrap();
@@ -435,6 +283,7 @@ mod tests {
             for (d, f) in xd.iter().zip(&xf) {
                 assert_eq!(d.to_bits(), f.to_bits());
             }
+            assert_eq!(shrunk.matvec(&xd).unwrap(), b);
         }
     }
 
@@ -467,11 +316,7 @@ mod tests {
         let perm: Vec<usize> = keep.iter().copied().chain([1]).collect();
         let permuted = Matrix::from_fn(5, 5, |i, j| a[(perm[i], perm[j])]);
         let b: Vec<f64> = (0..5).map(|i| (i as f64 * 0.7).sin()).collect();
-        let x_inc = g.solve(&b).unwrap();
-        let x_ref = Cholesky::new(&permuted).unwrap().solve(&b).unwrap();
-        for (x, y) in x_inc.iter().zip(&x_ref) {
-            assert!((x - y).abs() < 1e-9);
-        }
+        assert_solves(&permuted, &g.solve(&b).unwrap(), &b);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Reciprocal `1/z` (overflow-safe via Smith's algorithm).
     #[inline]
     pub fn recip(self) -> Self {
@@ -291,7 +285,6 @@ mod tests {
         assert_eq!(z * Complex::ONE, z);
         assert_eq!(Complex::J * Complex::J, c(-1.0, 0.0));
         assert_eq!(-z, c(-2.0, 3.0));
-        assert_eq!(z.conj(), c(2.0, 3.0));
     }
 
     #[test]

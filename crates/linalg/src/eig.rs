@@ -1,5 +1,6 @@
 //! Symmetric eigendecomposition by the cyclic Jacobi method — the
-//! kernel behind PCA whitening of correlated process parameters.
+//! kernel behind the Golub–Welsch Gauss–Hermite rule in
+//! `rsm_basis::hermite`.
 
 use crate::{LinalgError, Matrix, Result};
 

@@ -8,14 +8,15 @@
 //! - Householder QR ([`qr::QrDecomposition`]) and an *incremental*
 //!   Gram–Schmidt QR ([`qr::IncrementalQr`]) used by the OMP solver to
 //!   append one basis column per iteration in `O(K·p)`,
-//! - Cholesky factorization with column-append updates
-//!   ([`cholesky::Cholesky`], [`cholesky::GrowingCholesky`]) used by the
-//!   LARS solver,
+//! - a Cholesky factor of the LARS solver's active-set Gram matrix
+//!   that grows one column per activation and is downdated by Givens
+//!   rotations on a lasso drop ([`cholesky::GrowingCholesky`]),
 //! - LU with partial pivoting ([`lu::LuDecomposition`]) and a complex
 //!   variant ([`complex::ComplexLu`]) used by the AC small-signal
 //!   analysis of the circuit simulator,
 //! - a cyclic Jacobi symmetric eigensolver ([`eig::SymmetricEigen`])
-//!   used by PCA.
+//!   behind the Gauss–Hermite quadrature rule that checks the Hermite
+//!   basis's orthonormality.
 //!
 //! # Conventions
 //!

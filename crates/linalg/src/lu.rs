@@ -21,8 +21,6 @@ pub struct LuDecomposition {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
     n: usize,
 }
 
@@ -44,7 +42,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         // Scale factors for scaled partial pivoting.
         let mut scale = vec![0.0f64; n];
         for i in 0..n {
@@ -73,7 +70,6 @@ impl LuDecomposition {
                 }
                 perm.swap(k, prow);
                 scale.swap(k, prow);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -87,7 +83,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition { lu, perm, sign, n })
+        Ok(LuDecomposition { lu, perm, n })
     }
 
     /// Dimension of the factored matrix.
@@ -128,28 +124,6 @@ impl LuDecomposition {
             x[i] = s / row[i];
         }
         Ok(x)
-    }
-
-    /// Determinant of `A`.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.n {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
-
-    /// Explicit inverse `A⁻¹` (prefer [`Self::solve`] where possible).
-    pub fn inverse(&self) -> Result<Matrix> {
-        let mut inv = Matrix::zeros(self.n, self.n);
-        let mut e = vec![0.0; self.n];
-        for c in 0..self.n {
-            e[c] = 1.0;
-            let col = self.solve(&e)?;
-            inv.set_col(c, &col);
-            e[c] = 0.0;
-        }
-        Ok(inv)
     }
 }
 
@@ -212,21 +186,6 @@ mod tests {
             LuDecomposition::new(&a),
             Err(LinalgError::Singular { .. })
         ));
-    }
-
-    #[test]
-    fn det_of_permutation_and_diag() {
-        let a = Matrix::from_rows(&[&[0.0, 2.0], &[3.0, 0.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.det() + 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_a_is_identity() {
-        let a = rand_matrix(6, 8);
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = inv.matmul(&a).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(6)).unwrap() < 1e-9);
     }
 
     #[test]

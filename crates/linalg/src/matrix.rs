@@ -6,17 +6,14 @@ use crate::{LinalgError, Result};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Minimum number of matrix elements before `matvec`/`matvec_t` use
-/// the parallel runtime; smaller operands stay on the plain loops.
+/// Minimum number of matrix elements before `matvec_t` uses the
+/// parallel runtime; smaller operands stay on the plain loop.
 /// The gate depends only on operand shape — never on the thread count
 /// — so a given problem always takes the same code path and produces
 /// the same bits (see the `rsm-runtime` crate docs).
 const PAR_MIN_ELEMS: usize = 32_768;
 
-/// Minimum multiply-add count before `matmul` goes parallel.
-const PAR_MIN_MATMUL_FLOPS: usize = 262_144;
-
-/// Fixed row-chunk count for the parallel kernels. A function of
+/// Fixed row-chunk count for the parallel kernel. A function of
 /// nothing: chunk boundaries derive from the row count alone, keeping
 /// chunked accumulation order identical for every thread count.
 const PAR_ROW_CHUNKS: usize = 16;
@@ -219,22 +216,6 @@ impl Matrix {
                 found: format!("length {}", x.len()),
             });
         }
-        if self.rows * self.cols >= PAR_MIN_ELEMS {
-            // Each output element is an independent dot product, so
-            // row-block parallelism is bit-identical to the serial loop.
-            let chunk = self.rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let mut y = Vec::with_capacity(self.rows);
-            rsm_runtime::par_chunks_reduce(
-                self.rows,
-                chunk,
-                |rr| {
-                    rr.map(|r| vec_ops::dot(self.row(r), x))
-                        .collect::<Vec<f64>>()
-                },
-                |block| y.extend_from_slice(&block),
-            );
-            return Ok(y);
-        }
         Ok((0..self.rows)
             .map(|r| vec_ops::dot(self.row(r), x))
             .collect())
@@ -307,43 +288,6 @@ impl Matrix {
                 found: format!("{}x{}", other.rows, other.cols),
             });
         }
-        let flops = self
-            .rows
-            .saturating_mul(self.cols)
-            .saturating_mul(other.cols);
-        if flops >= PAR_MIN_MATMUL_FLOPS {
-            // Output rows are independent (row i of C uses row i of A
-            // and all of B), so row-block parallelism reproduces the
-            // serial result exactly.
-            let chunk = self.rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-            let mut data = Vec::with_capacity(self.rows * other.cols);
-            rsm_runtime::par_chunks_reduce(
-                self.rows,
-                chunk,
-                |rr| {
-                    let mut block = vec![0.0; rr.len() * other.cols];
-                    let start = rr.start;
-                    for i in rr {
-                        let orow =
-                            &mut block[(i - start) * other.cols..(i - start + 1) * other.cols];
-                        for k in 0..self.cols {
-                            let aik = self.data[i * self.cols + k];
-                            if tol::exactly_zero(aik) {
-                                continue;
-                            }
-                            vec_ops::axpy(aik, other.row(k), orow);
-                        }
-                    }
-                    block
-                },
-                |block: Vec<f64>| data.extend_from_slice(&block),
-            );
-            return Ok(Matrix {
-                rows: self.rows,
-                cols: other.cols,
-                data,
-            });
-        }
         let mut out = Matrix::zeros(self.rows, other.cols);
         // i-k-j loop order keeps both inner accesses row-contiguous.
         for i in 0..self.rows {
@@ -386,51 +330,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         vec_ops::norm2(&self.data)
-    }
-
-    /// Element-wise in-place scaling `A ← alpha·A`.
-    pub fn scale(&mut self, alpha: f64) {
-        vec_ops::scale(alpha, &mut self.data);
-    }
-
-    /// Element-wise sum `A + B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        self.check_same_shape(other)?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Element-wise difference `A - B`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
-        self.check_same_shape(other)?;
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// Extracts the sub-matrix formed by the given column indices, in order.
@@ -665,18 +564,6 @@ mod tests {
         assert_eq!(sr.shape(), (2, 4));
         assert!(approx(sr[(0, 1)], 21.0));
         assert!(approx(sr[(1, 1)], 1.0));
-    }
-
-    #[test]
-    fn add_sub_and_scale() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, -1.0]]).unwrap();
-        let mut s = a.add(&b).unwrap();
-        assert_eq!(s.as_slice(), &[4.0, 1.0]);
-        s.scale(2.0);
-        assert_eq!(s.as_slice(), &[8.0, 2.0]);
-        let d = s.sub(&b).unwrap();
-        assert_eq!(d.as_slice(), &[5.0, 3.0]);
     }
 
     #[test]

@@ -60,39 +60,12 @@ pub fn norm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// L1 norm `||x||₁` (sum of absolute values).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// L∞ norm `max |xᵢ|`; `0.0` for an empty slice.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-}
-
-/// Number of entries with `|xᵢ| > tol` — the (thresholded) "L0 norm"
-/// the paper's regularization constrains.
-#[inline]
-pub fn norm0(x: &[f64], tol: f64) -> usize {
-    x.iter().filter(|v| v.abs() > tol).count()
-}
-
 /// `y ← y + alpha·x`.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
-    }
-}
-
-/// `x ← alpha·x`.
-#[inline]
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
     }
 }
 
@@ -118,23 +91,6 @@ pub fn mean(x: &[f64]) -> f64 {
     } else {
         x.iter().sum::<f64>() / x.len() as f64
     }
-}
-
-/// Index and value of the entry with the largest absolute value.
-///
-/// Returns `None` for an empty slice. Ties resolve to the lowest index,
-/// which makes greedy basis selection deterministic.
-#[inline]
-pub fn argmax_abs(x: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        match best {
-            Some((_, b)) if a <= b => {}
-            _ => best = Some((i, a)),
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -172,20 +128,14 @@ mod tests {
     fn norms_simple_values() {
         let x = [1.0, -2.0, 2.0];
         assert!((norm2(&x) - 3.0).abs() < 1e-15);
-        assert!((norm1(&x) - 5.0).abs() < 1e-15);
-        assert!((norm_inf(&x) - 2.0).abs() < 1e-15);
-        assert_eq!(norm0(&x, 1e-12), 3);
-        assert_eq!(norm0(&[0.0, 1e-14, 5.0], 1e-12), 1);
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_accumulates() {
         let x = [1.0, 2.0, 3.0];
         let mut y = [10.0, 10.0, 10.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 14.0, 16.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, [6.0, 7.0, 8.0]);
     }
 
     #[test]
@@ -197,14 +147,6 @@ mod tests {
         for (a, b) in back.iter().zip(&x) {
             assert!((a - b).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn argmax_abs_picks_largest_magnitude_lowest_index() {
-        assert_eq!(argmax_abs(&[]), None);
-        let (i, v) = argmax_abs(&[1.0, -5.0, 5.0, 2.0]).unwrap();
-        assert_eq!(i, 1);
-        assert!((v - 5.0).abs() < 1e-15);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the linear-algebra kernels.
 
 use proptest::prelude::*;
-use rsm_linalg::cholesky::{Cholesky, GrowingCholesky};
+use rsm_linalg::cholesky::GrowingCholesky;
 use rsm_linalg::eig::SymmetricEigen;
 use rsm_linalg::lu::LuDecomposition;
 use rsm_linalg::qr::{IncrementalQr, QrDecomposition};
@@ -52,25 +52,15 @@ proptest! {
     }
 
     #[test]
-    fn cholesky_matches_lu_solve(a in spd(5), b in proptest::collection::vec(-1.0f64..1.0, 5)) {
-        let x1 = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        let x2 = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn growing_cholesky_matches_batch(a in spd(6), b in proptest::collection::vec(-1.0f64..1.0, 6)) {
+    fn growing_cholesky_solves_the_gram_system(a in spd(6), b in proptest::collection::vec(-1.0f64..1.0, 6)) {
         let mut g = GrowingCholesky::new();
         for p in 0..6 {
             let cross: Vec<f64> = (0..p).map(|i| a[(i, p)]).collect();
             g.push(&cross, a[(p, p)]).unwrap();
         }
-        let x1 = g.solve(&b).unwrap();
-        let x2 = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-8);
+        let ax = a.matvec(&g.solve(&b).unwrap()).unwrap();
+        for (u, v) in ax.iter().zip(&b) {
+            prop_assert!((u - v).abs() < 1e-12, "A·x = {u}, b = {v}");
         }
     }
 
@@ -137,7 +127,6 @@ proptest! {
     ) {
         let s = vec_ops::add(&x, &y);
         prop_assert!(vec_ops::norm2(&s) <= vec_ops::norm2(&x) + vec_ops::norm2(&y) + 1e-12);
-        prop_assert!(vec_ops::norm1(&s) <= vec_ops::norm1(&x) + vec_ops::norm1(&y) + 1e-12);
     }
 
     #[test]

@@ -224,6 +224,13 @@ impl DcAnalysis {
                 }
                 x[i] += dx;
             }
+            // `f64::max` drops NaN, so the test below would accept a
+            // non-finite iterate; such an iterate never becomes finite
+            // again (NaN stays NaN, and an infinite current turns NaN on
+            // the next update), so it is a failure at once.
+            if x.iter().any(|v| !v.is_finite()) {
+                break;
+            }
             let vmax = x[..nn].iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if max_dv <= self.vtol + self.rtol * vmax {
                 return Ok(());
@@ -258,74 +265,6 @@ impl DcAnalysis {
             num_vsources: ckt.num_vsources(),
             mos_evals,
         }
-    }
-}
-
-/// A DC transfer sweep: one voltage source stepped over a value grid,
-/// each point warm-started from the previous solution.
-#[derive(Debug, Clone)]
-pub struct DcSweepResult {
-    values: Vec<f64>,
-    points: Vec<OperatingPoint>,
-}
-
-impl DcSweepResult {
-    /// The swept source values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The operating point at sweep index `k`.
-    pub fn point(&self, k: usize) -> &OperatingPoint {
-        &self.points[k]
-    }
-
-    /// The transfer curve `v(node)` across the sweep.
-    pub fn transfer(&self, node: NodeId) -> Vec<f64> {
-        self.points.iter().map(|p| p.voltage(node)).collect()
-    }
-
-    /// Number of sweep points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if the sweep is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
-impl DcAnalysis {
-    /// Sweeps the DC value of one voltage source across `values`,
-    /// solving the operating point at each step. Warm starts make the
-    /// sweep fast and keep Newton on the same solution branch — the
-    /// standard way to trace a transfer characteristic.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::solve`], at the first failing point.
-    pub fn sweep_vsource(
-        &self,
-        ckt: &Circuit,
-        src: VsourceId,
-        values: &[f64],
-    ) -> Result<DcSweepResult> {
-        let mut work = ckt.clone();
-        let mut points = Vec::with_capacity(values.len());
-        let mut nodeset: Vec<(NodeId, f64)> = Vec::new();
-        for &v in values {
-            work.set_vsource_dc(src, v);
-            let op = self.solve_with_nodeset(&work, &nodeset)?;
-            nodeset = (1..work.num_nodes())
-                .map(|i| (NodeId(i), op.voltages()[i]))
-                .collect();
-            points.push(op);
-        }
-        Ok(DcSweepResult {
-            values: values.to_vec(),
-            points,
-        })
     }
 }
 
@@ -614,6 +553,35 @@ mod tests {
     }
 
     #[test]
+    fn nan_source_is_a_bad_netlist() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.vsource(a, Circuit::GROUND, f64::NAN);
+        c.resistor(a, Circuit::GROUND, 1_000.0);
+        assert!(matches!(
+            DcAnalysis::default().solve(&c),
+            Err(SpiceError::BadNetlist(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_operating_point_is_an_error() {
+        // Every value is finite, but 1e300 V across 1e-300 Ω overflows
+        // the Newton iterate.
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.vsource(vin, Circuit::GROUND, 1e300);
+        c.resistor(vin, out, 1e-300);
+        c.resistor(out, Circuit::GROUND, 1.0);
+        let res = DcAnalysis::default().solve(&c);
+        assert!(
+            matches!(res, Err(SpiceError::NoConvergence { .. })),
+            "{res:?}"
+        );
+    }
+
+    #[test]
     fn op_report_names_everything() {
         let mut c = Circuit::new();
         let vin = c.node("supply");
@@ -627,38 +595,6 @@ mod tests {
         assert!(report.contains("load_node"), "{report}");
         assert!(report.contains("source currents"), "{report}");
         assert!(!report.contains("mosfets"), "{report}");
-    }
-
-    #[test]
-    fn dc_sweep_traces_inverter_vtc() {
-        use crate::mosfet::MosParams;
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let inp = c.node("in");
-        let out = c.node("out");
-        c.vsource(vdd, Circuit::GROUND, 1.2);
-        let vin = c.vsource(inp, Circuit::GROUND, 0.0);
-        c.mosfet(out, inp, Circuit::GROUND, MosParams::nmos_65nm());
-        c.mosfet(out, inp, vdd, MosParams::pmos_65nm().scaled_width(2.0));
-        let values: Vec<f64> = (0..=24).map(|i| i as f64 * 0.05).collect();
-        let sweep = DcAnalysis::default()
-            .sweep_vsource(&c, vin, &values)
-            .unwrap();
-        let vtc = sweep.transfer(out);
-        assert_eq!(sweep.len(), 25);
-        // Monotone non-increasing transfer curve, full swing.
-        for w in vtc.windows(2) {
-            assert!(w[1] <= w[0] + 1e-6, "VTC not monotone: {w:?}");
-        }
-        assert!(vtc[0] > 1.1 && *vtc.last().unwrap() < 0.1);
-        // The switching threshold sits mid-range.
-        let crossing = values
-            .iter()
-            .zip(&vtc)
-            .find(|&(_, &v)| v < 0.6)
-            .map(|(&vin, _)| vin)
-            .unwrap();
-        assert!(crossing > 0.3 && crossing < 0.9, "threshold {crossing}");
     }
 
     #[test]

@@ -216,25 +216,6 @@ pub fn cross_time(times: &[f64], wave: &[f64], threshold: f64, rising: bool) -> 
     )))
 }
 
-/// 50 %-to-50 % propagation delay between an input edge and the
-/// resulting output edge.
-///
-/// # Errors
-///
-/// Propagates [`cross_time`] failures from either waveform.
-pub fn propagation_delay(
-    times: &[f64],
-    input: &[f64],
-    output: &[f64],
-    mid: f64,
-    input_rising: bool,
-    output_rising: bool,
-) -> Result<f64> {
-    let t_in = cross_time(times, input, mid, input_rising)?;
-    let t_out = cross_time(times, output, mid, output_rising)?;
-    Ok(t_out - t_in)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,20 +335,5 @@ mod tests {
             cross_time(&times, &wave, 0.5, true),
             Err(SpiceError::MeasureFailed(_))
         ));
-    }
-
-    #[test]
-    fn propagation_delay_between_edges() {
-        let times: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let input: Vec<f64> = times
-            .iter()
-            .map(|&t| if t >= 2.0 { 1.0 } else { 0.0 })
-            .collect();
-        let output: Vec<f64> = times
-            .iter()
-            .map(|&t| if t >= 5.0 { 0.0 } else { 1.0 })
-            .collect();
-        let d = propagation_delay(&times, &input, &output, 0.5, true, false).unwrap();
-        assert!(d > 2.0 && d < 4.0, "delay {d}");
     }
 }

@@ -187,13 +187,6 @@ impl Circuit {
         id
     }
 
-    /// Creates a fresh anonymous node.
-    pub fn anon_node(&mut self) -> NodeId {
-        let id = NodeId(self.names.len());
-        self.names.push(format!("_n{}", id.0));
-        id
-    }
-
     /// Node name (for diagnostics).
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.names[id.0]
@@ -359,25 +352,48 @@ impl Circuit {
         &self.mosfets[id.0].params
     }
 
-    /// Mutable access to a MOSFET's parameters — the hook the
-    /// variability pipeline uses to apply per-device `ΔV_th`/`Δβ`.
-    pub fn mosfet_params_mut(&mut self, id: MosId) -> &mut MosParams {
-        &mut self.mosfets[id.0].params
-    }
-
     /// Sets the DC value of a voltage source (e.g. to sweep a bias).
     pub fn set_vsource_dc(&mut self, id: VsourceId, dc: f64) {
         self.vsources[id.0].dc = dc;
     }
 
-    /// Basic structural validation: every non-ground node must have at
-    /// least two element connections (one still leaves the node
-    /// floating in DC, but catches typos early).
+    /// Basic validation: every element value is finite, and every
+    /// non-ground node has at least one element connection (one still
+    /// leaves the node floating in DC, but catches typos early).
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::BadNetlist`] naming the first bad node.
+    /// Returns [`SpiceError::BadNetlist`] naming the first element with
+    /// a NaN or infinite value, or else the first unconnected node.
     pub fn validate(&self) -> Result<()> {
+        // Resistors, capacitors and inductors are checked when added.
+        let finite = |kind: &str, k: usize, values: &[f64]| {
+            if values.iter().all(|v| v.is_finite()) {
+                Ok(())
+            } else {
+                Err(SpiceError::BadNetlist(format!(
+                    "{kind} {k} has a non-finite value"
+                )))
+            }
+        };
+        for (k, v) in self.vsources.iter().enumerate() {
+            finite("voltage source", k, &[v.dc, v.ac])?;
+        }
+        for (k, i) in self.isources.iter().enumerate() {
+            finite("current source", k, &[i.dc])?;
+        }
+        for (k, g) in self.vccs.iter().enumerate() {
+            finite("VCCS", k, &[g.g])?;
+        }
+        for (k, d) in self.diodes.iter().enumerate() {
+            let p = &d.params;
+            finite("diode", k, &[p.is, p.n, p.cj])?;
+        }
+        for (k, m) in self.mosfets.iter().enumerate() {
+            let p = &m.params;
+            let values = [p.vth0, p.kp, p.lambda, p.w, p.l, m.cgs, m.cgd, m.cdb];
+            finite("MOSFET", k, &values)?;
+        }
         let n = self.num_nodes();
         let mut degree = vec![0usize; n];
         let bump = |id: NodeId, degree: &mut Vec<usize>| degree[id.0] += 1;
@@ -447,14 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn anon_nodes_are_unique() {
-        let mut c = Circuit::new();
-        let x = c.anon_node();
-        let y = c.anon_node();
-        assert_ne!(x, y);
-    }
-
-    #[test]
     fn mna_dim_counts_vsources() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -482,6 +490,36 @@ mod tests {
     }
 
     #[test]
+    fn validate_flags_non_finite_values() {
+        let grounded = || {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            c.resistor(a, Circuit::GROUND, 10.0);
+            (c, a)
+        };
+        let (mut c, a) = grounded();
+        c.vsource_ac(a, Circuit::GROUND, 1.0, f64::NAN);
+        let (mut d, a) = grounded();
+        d.isource(Circuit::GROUND, a, f64::INFINITY);
+        let (mut e, a) = grounded();
+        let params = MosParams {
+            kp: f64::NEG_INFINITY,
+            ..MosParams::nmos_65nm()
+        };
+        e.mosfet(a, a, Circuit::GROUND, params);
+        for (ckt, kind) in [
+            (c, "voltage source 0"),
+            (d, "current source 0"),
+            (e, "MOSFET 0"),
+        ] {
+            match ckt.validate() {
+                Err(SpiceError::BadNetlist(msg)) => assert!(msg.contains(kind), "{msg}"),
+                other => panic!("{kind}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn validate_flags_floating_node() {
         let mut c = Circuit::new();
         let a = c.node("a");
@@ -492,17 +530,6 @@ mod tests {
             SpiceError::BadNetlist(msg) => assert!(msg.contains("dangling")),
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn mosfet_param_mutation() {
-        let mut c = Circuit::new();
-        let d = c.node("d");
-        let g = c.node("g");
-        let id = c.mosfet(d, g, Circuit::GROUND, MosParams::nmos_65nm());
-        let vth_before = c.mosfet_params(id).vth0;
-        c.mosfet_params_mut(id).vth0 += 0.01;
-        assert!((c.mosfet_params(id).vth0 - vth_before - 0.01).abs() < 1e-15);
     }
 
     #[test]

@@ -154,8 +154,10 @@ pub fn parse(netlist: &str) -> Result<ParsedCircuit> {
                 let a = intern(toks[1], &mut circuit, &mut nodes);
                 let b = intern(toks[2], &mut circuit, &mut nodes);
                 let v = parse_value(toks[3]).map_err(|e| err(e.to_string()))?;
-                if v <= 0.0 || v.is_nan() {
-                    return Err(err(format!("{kind} value must be positive, got {v}")));
+                if !(v > 0.0 && v.is_finite()) {
+                    return Err(err(format!(
+                        "{kind} value must be positive and finite, got {v}"
+                    )));
                 }
                 match kind {
                     'R' => circuit.resistor(a, b, v),
@@ -358,6 +360,7 @@ G1 b 0 a 0 2m
             ("R1 a 0 1k\nR1 b 0 2k\n", "line 2: duplicate"),
             ("X1 a 0 1k\n", "unsupported element"),
             ("R1 a 0 -5\n", "must be positive"),
+            ("C1 a 0 1e308k\n", "must be positive and finite"),
             ("V1 a 0 DC\n", "missing DC"),
             (".tran 1n 1u\n", "unsupported dot-card"),
             ("M1 d g s BJT\n", "unknown model"),

@@ -68,78 +68,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Minimum and maximum of the sample. Returns `None` for empty input.
-pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in xs {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    Some((lo, hi))
-}
-
-/// A fixed-width histogram over `[lo, hi]`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<usize>,
-    /// Samples below `lo` / above `hi`.
-    outside: usize,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width bins over `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize, xs: &[f64]) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be nonempty");
-        let mut counts = vec![0usize; bins];
-        let mut outside = 0usize;
-        let w = (hi - lo) / bins as f64;
-        for &x in xs {
-            if x < lo || x > hi || !x.is_finite() {
-                outside += 1;
-                continue;
-            }
-            let mut b = ((x - lo) / w) as usize;
-            if b >= bins {
-                b = bins - 1; // x == hi lands in the last bin
-            }
-            counts[b] += 1;
-        }
-        Histogram {
-            lo,
-            hi,
-            counts,
-            outside,
-        }
-    }
-
-    /// Bin counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// Number of samples outside `[lo, hi]`.
-    pub fn outside(&self) -> usize {
-        self.outside
-    }
-
-    /// Center of bin `b`.
-    pub fn bin_center(&self, b: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (b as f64 + 0.5) * w
-    }
-}
-
 /// Pearson correlation coefficient of two equally-long samples;
 /// `0.0` if either is degenerate.
 pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
@@ -177,7 +105,6 @@ mod tests {
         assert_eq!(skewness(&[3.0, 3.0, 3.0]), 0.0);
         assert_eq!(excess_kurtosis(&[3.0, 3.0]), 0.0);
         assert!(quantile(&[], 0.5).is_nan());
-        assert_eq!(min_max(&[]), None);
     }
 
     #[test]
@@ -200,28 +127,6 @@ mod tests {
         let xs = [1.0, 2.0];
         assert_eq!(quantile(&xs, -1.0), 1.0);
         assert_eq!(quantile(&xs, 2.0), 2.0);
-    }
-
-    #[test]
-    fn min_max_simple() {
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
-    }
-
-    #[test]
-    fn histogram_counts_and_edges() {
-        let xs = [0.0, 0.5, 1.0, 1.5, 2.0, -5.0, 7.0];
-        let h = Histogram::new(0.0, 2.0, 4, &xs);
-        assert_eq!(h.counts().iter().sum::<usize>(), 5);
-        assert_eq!(h.outside(), 2);
-        // x == hi lands in the last bin.
-        assert_eq!(h.counts()[3], 2); // 1.5 and 2.0
-        assert!((h.bin_center(0) - 0.25).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0, &[]);
     }
 
     #[test]

@@ -4,25 +4,16 @@
 //!
 //! - [`rng`] — deterministic standard-normal sampling (Marsaglia polar
 //!   method over a seedable PRNG), since the paper draws its sampling
-//!   points from the joint PDF of the post-PCA variables;
+//!   points from the joint PDF of the post-PCA variables, which are
+//!   independent standard normals;
 //! - [`describe`] — descriptive statistics and empirical quantiles;
-//! - [`metrics`] — the relative modeling-error measures reported in the
-//!   paper's figures and tables;
-//! - [`pca`] — principal component analysis / whitening of correlated
-//!   jointly-normal process parameters (Section II of the paper);
-//! - [`factor`] — factor-form Gaussian models `Σ = L·Lᵀ + D` that scale
-//!   to the paper's 21 310-variable SRAM example without ever forming a
-//!   dense covariance;
-//! - [`crossval`] — the Q-fold cross-validation splitter of Fig. 2;
+//! - [`metrics`] — the relative modeling error reported in the paper's
+//!   figures and tables;
 //! - [`lhs`] — Latin hypercube sampling in normal space (plus the
 //!   inverse normal CDF), used by the sampling-strategy ablation;
 //! - [`kstest`] — two-sample Kolmogorov–Smirnov comparison for
 //!   validating model-predicted performance distributions.
 
-#![expect(
-    clippy::needless_range_loop,
-    reason = "numerical kernels index several parallel arrays inside one loop; iterator-zip rewrites obscure the math"
-)]
 // Library code reports failures as structured errors, compares floats
 // exactly only through `rsm_linalg::tol`, and never drops a `Result`
 // silently: each exception is a reasoned `#[expect]`. Tests may panic
@@ -38,16 +29,10 @@
 )]
 #![warn(missing_docs)]
 
-pub mod crossval;
 pub mod describe;
-pub mod factor;
 pub mod kstest;
 pub mod lhs;
 pub mod metrics;
-pub mod pca;
 pub mod rng;
 
-pub use crossval::QFold;
-pub use factor::FactorModel;
-pub use pca::Pca;
 pub use rng::NormalSampler;

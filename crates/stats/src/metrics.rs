@@ -1,4 +1,4 @@
-//! Modeling-error metrics.
+//! The modeling-error metric.
 //!
 //! The paper reports "modeling error" as a percentage (e.g. 4.09% for
 //! the SRAM read delay in Table IV). We follow the standard convention
@@ -41,72 +41,6 @@ pub fn relative_error(pred: &[f64], truth: &[f64]) -> f64 {
     }
 }
 
-/// Plain root-mean-square error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "rmse: length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = pred.iter().zip(truth).map(|(p, t)| (p - t) * (p - t)).sum();
-    (s / pred.len() as f64).sqrt()
-}
-
-/// Maximum absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn max_abs_error(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "max_abs_error: length mismatch");
-    pred.iter()
-        .zip(truth)
-        .fold(0.0f64, |m, (p, t)| m.max((p - t).abs()))
-}
-
-/// Coefficient of determination `R² = 1 − SS_res / SS_tot`.
-///
-/// Returns `f64::NEG_INFINITY`-free results: if the truth has zero
-/// variance, returns `1.0` when residuals are zero and `0.0` otherwise.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn r_squared(pred: &[f64], truth: &[f64]) -> f64 {
-    let e = relative_error(pred, truth);
-    if e.is_infinite() {
-        0.0
-    } else {
-        1.0 - e * e
-    }
-}
-
-/// Mean absolute percentage error `mean(|pred−truth| / |truth|)`,
-/// skipping points where `truth == 0`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mape(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "mape: length mismatch");
-    let mut s = 0.0;
-    let mut n = 0usize;
-    for (p, t) in pred.iter().zip(truth) {
-        if !tol::exactly_zero(*t) {
-            s += ((p - t) / t).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        s / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +49,6 @@ mod tests {
     fn perfect_prediction_is_zero_error() {
         let t = [1.0, 2.0, 3.0];
         assert_eq!(relative_error(&t, &t), 0.0);
-        assert_eq!(rmse(&t, &t), 0.0);
-        assert_eq!(max_abs_error(&t, &t), 0.0);
-        assert!((r_squared(&t, &t) - 1.0).abs() < 1e-15);
-        assert_eq!(mape(&t, &t), 0.0);
     }
 
     #[test]
@@ -126,15 +56,6 @@ mod tests {
         let truth = [1.0, 2.0, 3.0, 4.0];
         let pred = [2.5; 4];
         assert!((relative_error(&pred, &truth) - 1.0).abs() < 1e-12);
-        assert!(r_squared(&pred, &truth).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_known_value() {
-        let pred = [1.0, 2.0];
-        let truth = [0.0, 0.0];
-        assert!((rmse(&pred, &truth) - (2.5f64).sqrt()).abs() < 1e-15);
-        assert!((max_abs_error(&pred, &truth) - 2.0).abs() < 1e-15);
     }
 
     #[test]
@@ -142,20 +63,11 @@ mod tests {
         let truth = [5.0, 5.0];
         assert_eq!(relative_error(&truth, &truth), 0.0);
         assert!(relative_error(&[5.0, 6.0], &truth).is_infinite());
-        assert_eq!(r_squared(&[5.0, 6.0], &truth), 0.0);
-    }
-
-    #[test]
-    fn mape_skips_zeros() {
-        let pred = [2.0, 1.0];
-        let truth = [0.0, 2.0];
-        assert!((mape(&pred, &truth) - 0.5).abs() < 1e-15);
-        assert_eq!(mape(&[1.0], &[0.0]), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let _ = rmse(&[1.0], &[1.0, 2.0]);
+        let _ = relative_error(&[1.0], &[1.0, 2.0]);
     }
 }

@@ -13,8 +13,8 @@
 //!   STAR and LS solvers for the underdetermined system `G·α = F`,
 //!   with Q-fold cross-validated model-order selection;
 //! - [`basis`] *(rsm-basis)* — orthonormal Hermite dictionaries;
-//! - [`stats`] *(rsm-stats)* — RNG, PCA/whitening, factor-form
-//!   variation models, error metrics, CV splitting;
+//! - [`stats`] *(rsm-stats)* — normal sampling, descriptive stats, the
+//!   modeling-error metric, Latin hypercube sampling, the KS test;
 //! - [`spice`] *(rsm-spice)* — an MNA transistor-level circuit
 //!   simulator (DC / AC / transient) standing in for Spectre;
 //! - [`circuits`] *(rsm-circuits)* — the paper's two benchmarks: a

@@ -176,7 +176,7 @@ fn cross_validation_is_thread_count_invariant() {
     let (g, f) = matrix_problem();
     let cfg = CvConfig::new(12);
     for method in [Method::Omp, Method::Star] {
-        let run = || cross_validate(&g, &f, &cfg, |gt, ft| fit_path(method, gt, ft, 12)).unwrap();
+        let run = || cross_validate(&g, &f, method, &cfg).unwrap();
         runtime::set_threads(1);
         let base = run();
         for &n in &THREAD_COUNTS[1..] {
@@ -251,12 +251,8 @@ fn cv_dense_and_source_backends_pick_the_same_model() {
     let cfg = CvConfig::new(8);
     for &n in &[1usize, 4] {
         runtime::set_threads(n);
-        let dense =
-            cross_validate(&g, &f, &cfg, |gt, ft| fit_path(Method::Lar, gt, ft, 8)).unwrap();
-        let implicit = cross_validate(&src, &f, &cfg, |view, ft| {
-            fit_path(Method::Lar, view, ft, 8)
-        })
-        .unwrap();
+        let dense = cross_validate(&g, &f, Method::Lar, &cfg).unwrap();
+        let implicit = cross_validate(&src, &f, Method::Lar, &cfg).unwrap();
         assert_eq!(
             dense.best_lambda, implicit.best_lambda,
             "CV backends disagree on λ* at {n} threads"
