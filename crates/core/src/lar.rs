@@ -23,14 +23,79 @@
 //! factor is a [`GrowingCholesky`] that grows by one row per activation
 //! and is downdated by Givens rotations on a lasso drop, so each step's
 //! re-solve costs `O(p²)`.
+//!
+//! The per-atom state is three `M`-wide `f64` vectors — the column
+//! norms, the correlations `c` and the step's `a = Xᵀu` — and one
+//! state byte per atom (free, active or excluded). Coefficients are
+//! kept per active position. Every `O(M)` pass over that state runs on
+//! a fixed grid of 16 Ki-atom tiles through
+//! [`rsm_runtime::par_chunks_mut_reduce`], and its folds (a minimum, a
+//! NaN-ignoring maximum, a first-index strict maximum) pick the same
+//! value from any tiling, so the path is bit-identical at every thread
+//! count and to a single serial scan.
 
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result, PATH_REL_TOL};
+use crate::{check_response, non_finite_sq_norm, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::cholesky::GrowingCholesky;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, dot, norm2};
+
+/// Atoms per tile of the per-atom passes. A constant, so one thread
+/// walks the same tiles inline.
+const TILE: usize = 16 * 1024;
+
+/// Where an atom stands on the path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AtomState {
+    /// Eligible for activation.
+    Free,
+    /// In the active set.
+    Active,
+    /// Of zero norm, or numerically dependent on the active set when it
+    /// came up for activation.
+    Excluded,
+}
+
+/// The next activation: the first atom holding the strict maximum of
+/// `|c_j|` over free atoms, if that maximum is above zero. Tile results
+/// merged in tile order give the atom a single scan gives.
+#[derive(Debug, Clone, Copy)]
+struct Best {
+    abs: f64,
+    atom: Option<usize>,
+}
+
+impl Best {
+    const NONE: Best = Best {
+        abs: 0.0,
+        atom: None,
+    };
+
+    fn offer(&mut self, j: usize, abs: f64) {
+        if abs > self.abs {
+            *self = Best { abs, atom: Some(j) };
+        }
+    }
+
+    fn merge(&mut self, later: Best) {
+        if let Some(j) = later.atom {
+            self.offer(j, later.abs);
+        }
+    }
+
+    /// A serial scan of the free atoms.
+    fn scan(c: &[f64], state: &[AtomState]) -> Best {
+        let mut best = Best::NONE;
+        for (j, (cj, &s)) in c.iter().zip(state).enumerate() {
+            if s == AtomState::Free {
+                best.offer(j, cj.abs());
+            }
+        }
+        best
+    }
+}
 
 /// LARS configuration.
 #[derive(Debug, Clone)]
@@ -65,16 +130,20 @@ impl LarConfig {
     ///
     /// `g` is any [`AtomSource`]: a dense [`rsm_linalg::Matrix`], a
     /// streaming [`crate::source::DictionarySource`], or an adapter
-    /// stack. Per-step cost is one [`AtomSource::correlate`] stream plus
-    /// `O(K)` work per active column; scratch is `O(K·|A| + M)`, never
-    /// `O(K·M)`. A zero response is fitted exactly by the zero model, a
-    /// one-step path.
+    /// stack. Per-step cost is one [`AtomSource::correlate`] stream,
+    /// two tiled passes over the atoms, and `O(K)` work per active
+    /// column. Scratch is three `M`-wide `f64` vectors, one byte per
+    /// atom, and `O(K·|A|)` for the active columns — never `O(K·M)`. A
+    /// zero response is fitted exactly by the zero model, a one-step
+    /// path.
     ///
     /// # Errors
     ///
     /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-    /// - [`CoreError::BadConfig`] if `max_steps == 0` or `f` is
-    ///   non-finite;
+    /// - [`CoreError::BadConfig`] if `max_steps == 0`, `f` is
+    ///   non-finite, or a squared column norm is not finite (a
+    ///   non-finite entry, or squares that overflow), naming the first
+    ///   such atom;
     /// - [`CoreError::Unsolvable`] if no atom can be activated at the
     ///   first step;
     /// - [`CoreError::Numerical`] if the active-set Gram factorization
@@ -89,20 +158,43 @@ impl LarConfig {
         if tol::exactly_zero(f_norm) {
             return Ok(SparsePath::new(m, vec![SparseModel::zero(m)], vec![0.0]));
         }
-        // `‖G_j‖₂`; atoms of zero norm are excluded from the start, and
-        // numerically dependent ones when they fail to activate.
-        let mut col_norms = g.column_sq_norms();
-        let mut excluded = vec![false; m];
-        for (j, n) in col_norms.iter_mut().enumerate() {
-            *n = n.sqrt();
-            if *n <= tol::NORM_FLOOR {
-                excluded[j] = true;
-            }
-        }
-        // Normalized correlations `Xᵀ(f − μ)` (X = column-normalized G).
+        // One pass turns the squared norms into `‖G_j‖₂` and `Gᵀf` into
+        // the normalized correlations `Xᵀ(f − μ)` (X = column-normalized
+        // G) in place, excludes atoms of zero norm (numerically
+        // dependent ones are excluded when they fail to activate), and
+        // finds the first activation.
+        let mut norms = g.column_sq_norms();
         let mut c = g.correlate(f);
-        for (j, v) in c.iter_mut().enumerate() {
-            *v /= col_norms[j].max(tol::NORM_FLOOR);
+        let mut state = vec![AtomState::Free; m];
+        let mut non_finite: Option<(usize, f64)> = None;
+        let mut next = Best::NONE;
+        rsm_runtime::par_chunks_mut_reduce(
+            (&mut norms[..], &mut c[..], &mut state[..]),
+            TILE,
+            |atoms, (norms, c, state)| {
+                let mut non_finite = None;
+                let mut best = Best::NONE;
+                for (j, ((n, cj), s)) in atoms.zip(norms.iter_mut().zip(c).zip(state)) {
+                    if !n.is_finite() && non_finite.is_none() {
+                        non_finite = Some((j, *n));
+                    }
+                    *n = n.sqrt();
+                    *cj /= n.max(tol::NORM_FLOOR);
+                    if *n <= tol::NORM_FLOOR {
+                        *s = AtomState::Excluded;
+                    } else {
+                        best.offer(j, cj.abs());
+                    }
+                }
+                (non_finite, best)
+            },
+            |(tile_non_finite, tile_best)| {
+                non_finite = non_finite.or(tile_non_finite);
+                next.merge(tile_best);
+            },
+        );
+        if let Some((j, sq)) = non_finite {
+            return Err(non_finite_sq_norm(j, sq));
         }
         // Absolute correlation floor.
         let c_floor = PATH_REL_TOL * f_norm;
@@ -113,9 +205,8 @@ impl LarConfig {
         // Current fit `X·β` in sample space.
         let mut mu = vec![0.0; k];
         let mut active: Vec<usize> = Vec::new();
-        let mut in_active = vec![false; m];
-        // Coefficients in normalized coordinates.
-        let mut beta = vec![0.0; m];
+        // Coefficients in normalized coordinates, by active position.
+        let mut beta: Vec<f64> = Vec::new();
         let mut chol = GrowingCholesky::new();
         // Normalized active columns, in activation order.
         let mut active_cols: Vec<Vec<f64>> = Vec::new();
@@ -126,34 +217,21 @@ impl LarConfig {
         let mut dropped = false;
 
         'path: for _ in 0..self.max_steps {
-            // Activation: scan for the maximal absolute correlation
-            // among non-active columns, retrying past numerically
-            // dependent atoms (each retry re-scans the unchanged
-            // correlation vector). Right after a lasso drop the dropped
-            // atom still sits at the correlation level, so the scan
-            // would pick it straight back; instead the step moves along
-            // the reduced active set (Efron et al. 2004, §3.1), unless
-            // the drop emptied it.
+            // Activation of `next`, the maximal absolute correlation
+            // among free atoms, retrying past numerically dependent
+            // atoms (each retry rescans the unchanged correlations).
+            // Right after a lasso drop the dropped atom still sits at
+            // the correlation level, so it would be picked straight
+            // back; instead the step moves along the reduced active set
+            // (Efron et al. 2004, §3.1), unless the drop emptied it.
             let after_drop = std::mem::take(&mut dropped) && !active.is_empty();
             loop {
-                let mut cmax = 0.0f64;
-                let mut jbest: Option<usize> = None;
-                for j in 0..m {
-                    if in_active[j] || excluded[j] {
-                        continue;
-                    }
-                    let a = c[j].abs();
-                    if a > cmax {
-                        cmax = a;
-                        jbest = Some(j);
-                    }
-                }
                 if !after_drop && active.len() < max_active {
-                    match jbest {
-                        Some(j) if cmax > c_floor => {
+                    match next.atom {
+                        Some(j) if next.abs > c_floor => {
                             let mut col = vec![0.0; k];
                             g.column_into(j, &mut col);
-                            let inv = 1.0 / col_norms[j];
+                            let inv = 1.0 / norms[j];
                             for v in &mut col {
                                 *v *= inv;
                             }
@@ -162,12 +240,16 @@ impl LarConfig {
                             match chol.push(&cross, 1.0) {
                                 Ok(()) => {
                                     active.push(j);
-                                    in_active[j] = true;
+                                    beta.push(0.0);
+                                    state[j] = AtomState::Active;
                                     active_cols.push(col);
                                     break;
                                 }
                                 // Try the next-best column.
-                                Err(_) => excluded[j] = true,
+                                Err(_) => {
+                                    state[j] = AtomState::Excluded;
+                                    next = Best::scan(&c, &state);
+                                }
                             }
                         }
                         // Nothing informative left.
@@ -198,34 +280,47 @@ impl LarConfig {
             for (ac, &wj) in active_cols.iter().zip(&w) {
                 axpy(wj, ac, &mut u);
             }
-            let mut a_vec = g.correlate(&u);
-            for (j, v) in a_vec.iter_mut().enumerate() {
-                *v /= col_norms[j].max(tol::NORM_FLOOR);
-            }
+            let mut a = g.correlate(&u);
             // Correlation level inside the active set.
             let c_level = active.iter().map(|&j| c[j].abs()).fold(0.0f64, f64::max);
 
-            // Step length to the next activation event.
-            let mut gamma = c_level / a_a; // full step (last-variable case)
-            for j in 0..m {
-                if in_active[j] || excluded[j] {
-                    continue;
-                }
-                for cand in [
-                    (c_level - c[j]) / (a_a - a_vec[j]),
-                    (c_level + c[j]) / (a_a + a_vec[j]),
-                ] {
-                    if cand > step_floor && cand < gamma {
-                        gamma = cand;
+            // One pass normalizes `a` in place and finds the step length
+            // to the next activation event: the full step (the
+            // last-variable case) or the shortest candidate above the
+            // floor.
+            let mut gamma = c_level / a_a;
+            rsm_runtime::par_chunks_mut_reduce(
+                &mut a[..],
+                TILE,
+                |atoms, a| {
+                    let mut shortest = f64::INFINITY;
+                    let (norms, c, state) =
+                        (&norms[atoms.clone()], &c[atoms.clone()], &state[atoms]);
+                    for (aj, ((n, &cj), &s)) in a.iter_mut().zip(norms.iter().zip(c).zip(state)) {
+                        *aj /= n.max(tol::NORM_FLOOR);
+                        if s != AtomState::Free {
+                            continue;
+                        }
+                        for cand in [(c_level - cj) / (a_a - *aj), (c_level + cj) / (a_a + *aj)] {
+                            if cand > step_floor && cand < shortest {
+                                shortest = cand;
+                            }
+                        }
                     }
-                }
-            }
+                    shortest
+                },
+                |shortest| {
+                    if shortest < gamma {
+                        gamma = shortest;
+                    }
+                },
+            );
             // Lasso: step length to the first zero crossing.
             let mut drop_idx: Option<usize> = None;
             if self.lasso {
-                for (pos, (&j, &wj)) in active.iter().zip(&w).enumerate() {
+                for (pos, (&b, &wj)) in beta.iter().zip(&w).enumerate() {
                     if !tol::exactly_zero(wj) {
-                        let gd = -beta[j] / wj;
+                        let gd = -b / wj;
                         if gd > step_floor && gd < gamma {
                             gamma = gd;
                             drop_idx = Some(pos);
@@ -235,21 +330,18 @@ impl LarConfig {
             }
 
             // Advance.
-            for (&j, &wj) in active.iter().zip(&w) {
-                beta[j] += gamma * wj;
+            for (b, &wj) in beta.iter_mut().zip(&w) {
+                *b += gamma * wj;
             }
             axpy(gamma, &u, &mut mu);
-            for (cj, aj) in c.iter_mut().zip(&a_vec) {
-                *cj -= gamma * aj;
-            }
 
             // Handle a lasso drop: a Givens downdate of the Cholesky
             // factor in O(p²) — no refactorization of the surviving
             // active set.
             if let Some(pos) = drop_idx {
                 let j = active.remove(pos);
-                in_active[j] = false;
-                beta[j] = 0.0;
+                beta.remove(pos);
+                state[j] = AtomState::Free;
                 active_cols.remove(pos);
                 if chol.drop_column(pos).is_err() {
                     return Err(CoreError::Numerical(
@@ -259,22 +351,46 @@ impl LarConfig {
                 dropped = true;
             }
 
+            // One pass moves the correlations to the new fit and finds
+            // the largest one left outside the excluded atoms, for the
+            // stop test, and the next activation.
+            let mut remaining = 0.0f64;
+            next = Best::NONE;
+            rsm_runtime::par_chunks_mut_reduce(
+                &mut c[..],
+                TILE,
+                |atoms, c| {
+                    let mut most = 0.0f64;
+                    let mut best = Best::NONE;
+                    let (a, state) = (&a[atoms.clone()], &state[atoms.clone()]);
+                    for (j, (cj, (&aj, &s))) in atoms.zip(c.iter_mut().zip(a.iter().zip(state))) {
+                        *cj -= gamma * aj;
+                        if s != AtomState::Excluded {
+                            most = most.max(cj.abs());
+                        }
+                        if s == AtomState::Free {
+                            best.offer(j, cj.abs());
+                        }
+                    }
+                    (most, best)
+                },
+                |(most, best)| {
+                    remaining = remaining.max(most);
+                    next.merge(best);
+                },
+            );
+
             // Record a snapshot in the caller's (unnormalized) scale.
             let coeffs: Vec<(usize, f64)> = active
                 .iter()
-                .map(|&j| (j, beta[j] / col_norms[j]))
+                .zip(&beta)
+                .map(|(&j, &b)| (j, b / norms[j]))
                 .collect();
             snapshots.push(SparseModel::new(m, coeffs));
             let res: Vec<f64> = f.iter().zip(&mu).map(|(a, b)| a - b).collect();
             residual_norms.push(norm2(&res));
 
             // Converged: correlations exhausted.
-            let remaining = c
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| !excluded[j])
-                .map(|(_, v)| v.abs())
-                .fold(0.0f64, f64::max);
             if remaining <= c_floor {
                 break;
             }

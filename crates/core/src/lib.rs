@@ -147,3 +147,43 @@ pub(crate) fn check_response<S: source::AtomSource + ?Sized>(g: &S, f: &[f64]) -
     }
     Ok(())
 }
+
+/// The error for atom `j`, whose squared column norm `sq` is not
+/// finite: the design holds a non-finite entry, or the squares of its
+/// finite entries overflow.
+pub(crate) fn non_finite_sq_norm(j: usize, sq: f64) -> CoreError {
+    CoreError::BadConfig(format!(
+        "atom {j}'s squared column norm is {sq}: the design holds a non-finite entry, \
+         or the squares of its entries overflow"
+    ))
+}
+
+/// The selection scan of OMP and STAR: the first atom holding the
+/// strict maximum of `|xi_j|` over the atoms not in `skip`, with its
+/// score, or `None` when every atom is skipped.
+///
+/// # Errors
+///
+/// [`CoreError::BadConfig`] naming the first unskipped atom whose score
+/// is not finite. A `NaN` score compares false against everything, so
+/// the scan would restart at the next atom whatever its score.
+pub(crate) fn select_max_abs(xi: &[f64], skip: &[bool]) -> Result<Option<(usize, f64)>> {
+    let mut best: Option<(usize, f64)> = None;
+    for (j, (&v, &skipped)) in xi.iter().zip(skip).enumerate() {
+        if skipped {
+            continue;
+        }
+        let score = v.abs();
+        if !score.is_finite() {
+            return Err(CoreError::BadConfig(format!(
+                "atom {j}'s correlation with the residual is {v}: the design holds a \
+                 non-finite entry, or the correlation overflows"
+            )));
+        }
+        match best {
+            Some((_, b)) if score <= b => {}
+            _ => best = Some((j, score)),
+        }
+    }
+    Ok(best)
+}

@@ -20,7 +20,7 @@
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result, PATH_REL_TOL};
+use crate::{check_response, non_finite_sq_norm, select_max_abs, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::qr::IncrementalQr;
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{dot, norm2};
@@ -67,7 +67,10 @@ impl OmpConfig {
     /// # Errors
     ///
     /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-    /// - [`CoreError::BadConfig`] if `lambda == 0` or `f` is non-finite;
+    /// - [`CoreError::BadConfig`] if `lambda == 0` or `f` is non-finite,
+    ///   or, naming the first such atom, if a correlation with the
+    ///   residual is not finite or, under normalized selection, a
+    ///   squared column norm is not finite;
     /// - [`CoreError::Unsolvable`] if no informative column exists at
     ///   the very first step;
     /// - [`CoreError::Numerical`] if the least-squares re-fit fails.
@@ -82,12 +85,18 @@ impl OmpConfig {
             return Ok(SparsePath::new(m, vec![SparseModel::zero(m)], vec![0.0]));
         }
         // `max(‖G_j‖₂, NORM_FLOOR)` per atom (normalized selection only).
-        let norms: Option<Vec<f64>> = self.normalize_atoms.then(|| {
-            g.column_sq_norms()
-                .iter()
-                .map(|&s| s.sqrt().max(tol::NORM_FLOOR))
-                .collect()
-        });
+        let norms = if self.normalize_atoms {
+            let mut norms = g.column_sq_norms();
+            for (j, n) in norms.iter_mut().enumerate() {
+                if !n.is_finite() {
+                    return Err(non_finite_sq_norm(j, *n));
+                }
+                *n = n.sqrt().max(tol::NORM_FLOOR);
+            }
+            Some(norms)
+        } else {
+            None
+        };
         let lambda_max = self.lambda.min(k).min(m);
         let mut qr = IncrementalQr::new(k);
         let mut selected: Vec<usize> = Vec::new();
@@ -112,18 +121,7 @@ impl OmpConfig {
                 }
             }
             loop {
-                let mut best: Option<(usize, f64)> = None;
-                for (j, &v) in xi.iter().enumerate() {
-                    if skip[j] {
-                        continue;
-                    }
-                    let score = v.abs();
-                    match best {
-                        Some((_, b)) if score <= b => {}
-                        _ => best = Some((j, score)),
-                    }
-                }
-                let Some((s, score)) = best else {
+                let Some((s, score)) = select_max_abs(&xi, &skip)? else {
                     break 'path;
                 };
                 if score <= f_norm * tol::STEP_REL_TOL {

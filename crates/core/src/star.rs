@@ -15,7 +15,7 @@
 use crate::model::SparseModel;
 use crate::path::{traced_path, SparsePath};
 use crate::source::AtomSource;
-use crate::{check_response, CoreError, Result, PATH_REL_TOL};
+use crate::{check_response, select_max_abs, CoreError, Result, PATH_REL_TOL};
 use rsm_linalg::tol;
 use rsm_linalg::vec_ops::{axpy, norm2};
 
@@ -36,7 +36,10 @@ impl StarConfig {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::omp::OmpConfig::fit`].
+    /// Same contract as [`crate::omp::OmpConfig::fit`], and
+    /// [`CoreError::Numerical`] if a coefficient update leaves a
+    /// non-finite residual, as on a design whose scale squared
+    /// overflows. So no returned coefficient is non-finite.
     pub fn fit<S: AtomSource + ?Sized>(&self, g: &S, f: &[f64]) -> Result<SparsePath> {
         check_response(g, f)?;
         if self.lambda == 0 {
@@ -57,27 +60,26 @@ impl StarConfig {
         let mut col = vec![0.0; k];
         while coeffs.len() < lambda_max {
             let xi = g.correlate(&res);
-            let mut best: Option<(usize, f64)> = None;
-            for (j, &v) in xi.iter().enumerate() {
-                if in_model[j] {
-                    continue;
-                }
-                match best {
-                    Some((_, b)) if v.abs() <= b => {}
-                    _ => best = Some((j, v.abs())),
-                }
-            }
-            let Some((s, score)) = best else { break };
+            let Some((s, score)) = select_max_abs(&xi, &in_model)? else {
+                break;
+            };
             if score <= f_norm * tol::STEP_REL_TOL {
                 break;
             }
             // The coefficient IS the inner-product estimate — no re-fit.
+            // It is finite, since the scan rejects a non-finite score.
             let alpha = xi[s] / kf;
             in_model[s] = true;
             coeffs.push((s, alpha));
             g.column_into(s, &mut col);
             axpy(-alpha, &col, &mut res);
             let rn = norm2(&res);
+            if !rn.is_finite() {
+                return Err(CoreError::Numerical(format!(
+                    "STAR residual is not finite after selecting atom {s} with coefficient \
+                     {alpha}: the design's scale overflows the update"
+                )));
+            }
             snapshots.push(SparseModel::new(m, coeffs.clone()));
             residual_norms.push(rn);
             if rn <= PATH_REL_TOL * f_norm {

@@ -16,10 +16,11 @@
 //! - **Chunk boundaries are a function of problem size only.** A
 //!   caller states the chunk length; the chunk grid never adapts to
 //!   [`threads()`].
-//! - **Reduction order is fixed.** [`par_chunks_reduce`] hands chunk
-//!   partials to the caller's `fold` in ascending chunk order, however
-//!   the workers were scheduled; [`par_map_indexed`] places each
-//!   result at its own index.
+//! - **Reduction order is fixed.** [`par_chunks_reduce`] and its
+//!   in-place form [`par_chunks_mut_reduce`] hand chunk partials to the
+//!   caller's `fold` in ascending chunk order, however the workers were
+//!   scheduled; [`par_map_indexed`] places each result at its own
+//!   index.
 //! - **One thread runs the same algorithm.** With a single worker the
 //!   same chunk grid is walked in the same order inline, so serial and
 //!   parallel runs perform the identical floating-point op sequence.
@@ -52,7 +53,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Process-wide worker-count override; 0 means "not set".
@@ -221,6 +222,127 @@ where
     });
 }
 
+/// Mutable data that [`par_chunks_mut_reduce`] cuts into chunks: a
+/// slice, or a triple of equally long slices cut at the same indices.
+pub trait SplitMut: Default + Send {
+    /// Number of elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices of a triple differ in length.
+    fn elements(&self) -> usize;
+
+    /// The first `mid` elements and the rest.
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<X: Send> SplitMut for &mut [X] {
+    fn elements(&self) -> usize {
+        self.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: SplitMut, B: SplitMut, C: SplitMut> SplitMut for (A, B, C) {
+    fn elements(&self) -> usize {
+        let n = self.0.elements();
+        assert!(
+            self.1.elements() == n && self.2.elements() == n,
+            "split slices differ in length"
+        );
+        n
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (a, a_rest) = self.0.split_at(mid);
+        let (b, b_rest) = self.1.split_at(mid);
+        let (c, c_rest) = self.2.split_at(mid);
+        ((a, b, c), (a_rest, b_rest, c_rest))
+    }
+}
+
+/// [`par_chunks_reduce`] for a `map` that writes its chunk in place.
+///
+/// `data` is cut on the same fixed grid of `chunk_len` elements, and
+/// `map` receives each chunk's index range together with that chunk of
+/// `data`, its own `&mut` borrow. It runs through [`par_chunks_reduce`]
+/// — the same workers, the same fold in ascending chunk order — so an
+/// element-wise update plus an order-sensitive reduction gives the same
+/// bits at every thread count.
+///
+/// # Examples
+///
+/// Doubling every element while summing the result:
+///
+/// ```
+/// let mut xs: Vec<f64> = (0..100).map(f64::from).collect();
+/// let mut total = 0.0;
+/// rsm_runtime::par_chunks_mut_reduce(
+///     &mut xs[..],
+///     16,
+///     |_, chunk| {
+///         chunk.iter_mut().for_each(|x| *x *= 2.0);
+///         chunk.iter().sum::<f64>()
+///     },
+///     |p| total += p,
+/// );
+/// assert_eq!((xs[99], total), (198.0, 9900.0));
+/// ```
+///
+/// `map` is still `Fn + Sync`: the chunk it is handed is the only
+/// thing it can write.
+///
+/// ```compile_fail,E0594
+/// let mut xs = vec![1.0; 100];
+/// let mut total = 0.0;
+/// rsm_runtime::par_chunks_mut_reduce(&mut xs[..], 16, |_, chunk| total += chunk[0], |()| {});
+/// ```
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is zero or the slices of a triple differ in
+/// length, or propagates a panic from `map`.
+pub fn par_chunks_mut_reduce<D, T, M, F>(data: D, chunk_len: usize, map: M, fold: F)
+where
+    D: SplitMut,
+    T: Send,
+    M: Fn(Range<usize>, D) -> T + Sync,
+    F: FnMut(T),
+{
+    let len = data.elements();
+    let mut rest = data;
+    // Cut on the grid up front. Each piece waits in its chunk's slot
+    // for the one `map` call of that chunk, so no slot is contended.
+    let slots: Vec<Mutex<Option<D>>> = (0..num_chunks(len, chunk_len))
+        .map(|idx| {
+            let (piece, tail) =
+                std::mem::take(&mut rest).split_at(chunk_range(len, chunk_len, idx).len());
+            rest = tail;
+            Mutex::new(Some(piece))
+        })
+        .collect();
+    par_chunks_reduce(
+        len,
+        chunk_len,
+        |range| {
+            // `map` runs after the lock is released, so a panic in it
+            // cannot poison a slot.
+            let piece = slots[range.start / chunk_len]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let Some(piece) = piece else {
+                unreachable!("every chunk is mapped once");
+            };
+            map(range, piece)
+        },
+        fold,
+    );
+}
+
 /// Computes `f(0)..f(n-1)` in parallel, returning the results in index
 /// order.
 ///
@@ -256,6 +378,14 @@ fn effective_workers(tasks: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// The thread override is process-global and `cargo test` runs
+    /// tests in parallel, so every test that sets it holds this lock.
+    static THREADS_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_threads() -> std::sync::MutexGuard<'static, ()> {
+        THREADS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn sum_chunked(len: usize, chunk_len: usize, xs: &[f64]) -> f64 {
         let mut total = 0.0;
         par_chunks_reduce(
@@ -269,6 +399,7 @@ mod tests {
 
     #[test]
     fn reduce_is_thread_count_invariant() {
+        let _guard = lock_threads();
         let xs: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 101) as f64 * 0.3).collect();
         set_threads(1);
         let s1 = sum_chunked(xs.len(), 64, &xs);
@@ -282,6 +413,7 @@ mod tests {
 
     #[test]
     fn reduce_handles_empty_and_ragged() {
+        let _guard = lock_threads();
         set_threads(4);
         let mut calls = 0;
         par_chunks_reduce(0, 8, |_| 1usize, |_| calls += 1);
@@ -295,6 +427,7 @@ mod tests {
 
     #[test]
     fn map_indexed_preserves_order() {
+        let _guard = lock_threads();
         for t in [1, 2, 5] {
             set_threads(t);
             let out = par_map_indexed(100, |i| i * i);
@@ -306,6 +439,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline_and_match() {
+        let _guard = lock_threads();
         let compute = || {
             par_map_indexed(6, |i| {
                 let mut s = 0.0;
@@ -330,8 +464,125 @@ mod tests {
         assert!(same, "{serial:?} vs {nested:?}");
     }
 
+    /// Writes `i · 0.1` into element `i` of a chunked slice and sums
+    /// each chunk's squares.
+    fn fill_and_sum(len: usize, chunk_len: usize) -> (Vec<f64>, f64) {
+        let mut xs = vec![f64::NAN; len];
+        let mut total = 0.0;
+        par_chunks_mut_reduce(
+            &mut xs[..],
+            chunk_len,
+            |range, chunk: &mut [f64]| {
+                assert_eq!(range.len(), chunk.len());
+                for (x, i) in chunk.iter_mut().zip(range) {
+                    *x = i as f64 * 0.1;
+                }
+                chunk.iter().map(|x| x * x).sum::<f64>()
+            },
+            |p: f64| total += p,
+        );
+        (xs, total)
+    }
+
+    #[test]
+    fn in_place_writes_land_in_their_own_chunk() {
+        let _guard = lock_threads();
+        for t in [1, 2, 4] {
+            set_threads(t);
+            let (xs, _) = fill_and_sum(1000, 64);
+            assert!(xs.iter().enumerate().all(|(i, &x)| x == i as f64 * 0.1));
+            // A triple is cut at the same indices in every slice.
+            let (mut a, mut b, mut c) = (vec![0usize; 10], vec![0.0f64; 10], vec![0u8; 10]);
+            par_chunks_mut_reduce(
+                (&mut a[..], &mut b[..], &mut c[..]),
+                4,
+                |range, (a, b, c): (&mut [usize], &mut [f64], &mut [u8])| {
+                    for (i, j) in range.enumerate() {
+                        (a[i], b[i], c[i]) = (j, j as f64, j as u8);
+                    }
+                },
+                |()| {},
+            );
+            assert_eq!(a, (0..10).collect::<Vec<_>>());
+            assert!(b.iter().enumerate().all(|(j, &v)| v == j as f64));
+            assert_eq!(c, (0..10).collect::<Vec<u8>>());
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn in_place_partials_fold_in_chunk_order() {
+        let _guard = lock_threads();
+        for t in [1, 3, 4] {
+            set_threads(t);
+            let mut xs = [0u32; 10];
+            let mut ranges = Vec::new();
+            par_chunks_mut_reduce(&mut xs[..], 4, |r, _: &mut [u32]| r, |r| ranges.push(r));
+            assert_eq!(ranges, vec![0..4, 4..8, 8..10], "threads = {t}");
+            let mut calls = 0;
+            par_chunks_mut_reduce(&mut xs[..0], 4, |_, _: &mut [u32]| (), |()| calls += 1);
+            assert_eq!(calls, 0);
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn in_place_results_are_thread_count_invariant() {
+        let _guard = lock_threads();
+        set_threads(1);
+        let (xs1, s1) = fill_and_sum(10_000, 64);
+        for t in 2..=16 {
+            set_threads(t);
+            let (xs, st) = fill_and_sum(10_000, 64);
+            assert_eq!(s1.to_bits(), st.to_bits(), "threads = {t}");
+            assert!(xs.iter().zip(&xs1).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn nested_in_place_calls_run_inline_and_match() {
+        let _guard = lock_threads();
+        let compute = || {
+            par_map_indexed(6, |i| {
+                let (_, s) = fill_and_sum(50 + i, 7);
+                s
+            })
+        };
+        set_threads(1);
+        let serial = compute();
+        set_threads(4);
+        let nested = compute();
+        set_threads(0);
+        let same = serial
+            .iter()
+            .zip(&nested)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{serial:?} vs {nested:?}");
+    }
+
+    #[test]
+    fn a_panic_in_an_in_place_map_propagates() {
+        let _guard = lock_threads();
+        for t in [1, 4] {
+            set_threads(t);
+            let outcome = std::panic::catch_unwind(|| {
+                let mut xs = vec![0.0f64; 100];
+                par_chunks_mut_reduce(
+                    &mut xs[..],
+                    10,
+                    |r, _: &mut [f64]| assert!(r.start != 50, "chunk 5 fails"),
+                    |()| {},
+                );
+            });
+            assert!(outcome.is_err(), "threads = {t}");
+        }
+        set_threads(0);
+    }
+
     #[test]
     fn override_beats_env() {
+        let _guard = lock_threads();
         set_threads(3);
         assert_eq!(threads(), 3);
         set_threads(0);

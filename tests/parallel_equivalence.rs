@@ -585,3 +585,89 @@ fn cv_with_early_stop_is_thread_count_invariant() {
     }
     runtime::set_threads(0);
 }
+
+/// A 60 × 40 000 Gaussian design, wider than two of LAR's 16 Ki-atom
+/// bookkeeping tiles, and its response. Three planted atoms sit in
+/// three different tiles, and the last column is an exact copy of the
+/// strongest one, atom 1 234, so the copy's correlations equal the
+/// original's bit for bit at every step.
+fn multi_tile_problem() -> (Matrix, Vec<f64>) {
+    let (k, m) = (60, 40_000);
+    let mut s = NormalSampler::seed_from_u64(40_001);
+    let mut g = Matrix::from_fn(k, m, |_, _| s.sample());
+    for r in 0..k {
+        g[(r, m - 1)] = g[(r, MULTI_TILE_COPIED)];
+    }
+    let mut f = vec![0.0; k];
+    for &(j, v) in &[(MULTI_TILE_COPIED, 3.0), (20_000, -2.0), (35_000, 1.5)] {
+        for r in 0..k {
+            f[r] += v * g[(r, j)];
+        }
+    }
+    for fr in &mut f {
+        *fr += 0.3 * s.sample();
+    }
+    (g, f)
+}
+
+/// The atom whose exact copy is the last column of [`multi_tile_problem`].
+const MULTI_TILE_COPIED: usize = 1_234;
+
+/// FNV-1a over every snapshot's support and coefficient bits and every
+/// residual norm's bits.
+fn path_digest(path: &SparsePath) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (lambda, model) in path.iter() {
+        eat(lambda as u64);
+        for &(j, c) in model.coefficients() {
+            eat(j as u64);
+            eat(c.to_bits());
+        }
+    }
+    for r in path.residual_norms() {
+        eat(r.to_bits());
+    }
+    h
+}
+
+#[test]
+fn multi_tile_lar_paths_match_golden_bits_at_every_thread_count() {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let (g, f) = multi_tile_problem();
+    let copy = g.cols() - 1;
+    // (config, final support size, digest), captured at one worker
+    // thread before LAR's per-step bookkeeping was tiled. Both paths
+    // run all 50 steps, and the lasso path drops atoms on the way.
+    let golden = [
+        (LarConfig::new(50), 50, 0x0d12_f35c_bb82_6b09),
+        (LarConfig::new(50).with_lasso(), 46, 0x0760_4156_cdf7_5ce7),
+    ];
+    for (cfg, nonzeros, digest) in golden {
+        for n in [1, 2, 4] {
+            runtime::set_threads(n);
+            let path = cfg.fit(&g, &f).unwrap();
+            let what = format!("{cfg:?} @ {n} threads");
+            assert_eq!(path.len(), 50, "{what}");
+            assert_eq!(path.final_model().num_nonzeros(), nonzeros, "{what}");
+            assert_eq!(path_digest(&path), digest, "{what}");
+            // The copy ties the original at the first activation, where
+            // the lower index wins. On this seed it later comes up as
+            // the next activation, fails to join the factor and is
+            // excluded by the retry.
+            assert_eq!(path.model_at(1).support(), [MULTI_TILE_COPIED], "{what}");
+            for (lambda, model) in path.iter() {
+                assert!(
+                    model.coefficient(copy).is_none(),
+                    "{what}: the copy of atom {MULTI_TILE_COPIED} is active at λ = {lambda}"
+                );
+            }
+        }
+    }
+    runtime::set_threads(0);
+}
