@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rsm_circuits::{OpAmp, PerformanceCircuit, SramReadPath};
-use rsm_spice::ac::{log_sweep, AcAnalysis};
-use rsm_spice::dc::DcAnalysis;
+use rsm_spice::ac::{self, log_sweep};
+use rsm_spice::dc;
 use rsm_spice::netlist::Circuit;
-use rsm_spice::tran::{TranAnalysis, Waveform};
+use rsm_spice::tran::{self, Step};
 use rsm_stats::NormalSampler;
 use std::hint::black_box;
 
@@ -50,26 +50,22 @@ fn mos_divider() -> (Circuit, rsm_spice::netlist::VsourceId) {
 fn bench_dc_newton(c: &mut Criterion) {
     let (ckt, _) = mos_divider();
     c.bench_function("dc_newton_small_amp", |b| {
-        b.iter(|| DcAnalysis::default().solve(black_box(&ckt)).unwrap())
+        b.iter(|| dc::solve(black_box(&ckt)).unwrap())
     });
 }
 
 fn bench_ac_sweep(c: &mut Criterion) {
     let (ckt, _) = mos_divider();
-    let op = DcAnalysis::default().solve(&ckt).unwrap();
+    let op = dc::solve(&ckt).unwrap();
     let freqs = log_sweep(1e3, 1e9, 10);
     c.bench_function("ac_sweep_61pts", |b| {
-        b.iter(|| {
-            AcAnalysis::default()
-                .sweep(black_box(&ckt), black_box(&op), black_box(&freqs))
-                .unwrap()
-        })
+        b.iter(|| ac::sweep(black_box(&ckt), black_box(&op), black_box(&freqs)).unwrap())
     });
 }
 
 fn bench_transient(c: &mut Criterion) {
     let (ckt, vin) = mos_divider();
-    let stim = Waveform::Step {
+    let stim = Step {
         v0: 0.0,
         v1: 1.2,
         t0: 1e-10,
@@ -78,8 +74,7 @@ fn bench_transient(c: &mut Criterion) {
     let mut group = c.benchmark_group("transient_1000_steps");
     group.sample_size(20);
     group.bench_function("trapezoidal", |b| {
-        let tran = TranAnalysis::new(1e-12, 1e-9);
-        b.iter(|| tran.run(black_box(&ckt), &[(vin, stim.clone())]).unwrap())
+        b.iter(|| tran::run(black_box(&ckt), 1e-12, 1e-9, &[(vin, stim)]).unwrap())
     });
     group.finish();
 }

@@ -14,8 +14,8 @@
 
 use crate::variation::{DeviceSigmas, DeviceVariation, ParasiticSensitivity};
 use crate::PerformanceCircuit;
-use rsm_spice::ac::{log_sweep, AcAnalysis};
-use rsm_spice::dc::DcAnalysis;
+use rsm_spice::ac::{self, log_sweep};
+use rsm_spice::dc;
 use rsm_spice::measure;
 use rsm_spice::mosfet::{MosParams, MosType};
 use rsm_spice::netlist::Circuit;
@@ -180,13 +180,11 @@ impl Lna {
             (mid, 0.4),
             (out, VDD),
         ];
-        let op = DcAnalysis::default()
-            .solve_with_nodeset(&ckt, &nodeset)
-            .ok()?;
+        let op = dc::solve_with_nodeset(&ckt, &nodeset).ok()?;
         // Two-stage sweep: coarse locate, then a fine linear grid
         // spanning ±20 % of the peak so f0 and the −3 dB skirts are
         // resolved far below the metric's process-variation sigma.
-        let coarse = AcAnalysis::default().sweep(&ckt, &op, &self.freqs).ok()?;
+        let coarse = ac::sweep(&ckt, &op, &self.freqs).ok()?;
         let mag = coarse.magnitude(out);
         let kmax = mag
             .iter()
@@ -197,7 +195,7 @@ impl Lna {
         let fine_freqs: Vec<f64> = (0..241)
             .map(|i| f_guess * (0.80 + 0.40 * i as f64 / 240.0))
             .collect();
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &fine_freqs).ok()?;
+        let sweep = ac::sweep(&ckt, &op, &fine_freqs).ok()?;
         let (f0, peak) = measure::peak_magnitude(&sweep, out).ok()?;
         let bw = measure::bandwidth_3db_around_peak(&sweep, out).ok()?;
         let power = VDD * op.vsource_current(vdd_src).abs() * (1.0 + 0.01 * dy[G_TEMP]);

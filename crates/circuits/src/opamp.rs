@@ -20,8 +20,8 @@
 
 use crate::variation::{DeviceSigmas, DeviceVariation, ParasiticSensitivity};
 use crate::PerformanceCircuit;
-use rsm_spice::ac::{log_sweep, AcAnalysis};
-use rsm_spice::dc::DcAnalysis;
+use rsm_spice::ac::{self, log_sweep};
+use rsm_spice::dc;
 use rsm_spice::measure;
 use rsm_spice::mosfet::{MosParams, MosType};
 use rsm_spice::netlist::Circuit;
@@ -285,8 +285,8 @@ impl OpAmp {
             (tail, 0.15),
             (d1, 0.65),
         ];
-        let op = DcAnalysis::default().solve_with_nodeset(&ckt, &nodeset)?;
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &self.freqs)?;
+        let op = dc::solve_with_nodeset(&ckt, &nodeset)?;
+        let sweep = ac::sweep(&ckt, &op, &self.freqs)?;
         let gain = measure::to_db(measure::dc_gain(&sweep, out)?);
         let bandwidth = measure::bandwidth_3db(&sweep, out)?;
         let power = VDD * op.vsource_current(vdd_src).abs();

@@ -18,7 +18,7 @@ use crate::variation::{DeviceSigmas, DeviceVariation, ParasiticSensitivity};
 use crate::PerformanceCircuit;
 use rsm_spice::mosfet::{MosParams, MosType};
 use rsm_spice::netlist::Circuit;
-use rsm_spice::tran::{TranAnalysis, Waveform};
+use rsm_spice::tran::{self, Step};
 
 const VDD: f64 = 1.2;
 /// Ring length (odd).
@@ -126,21 +126,13 @@ impl RingOscillator {
         // Symmetry-breaking kick into node 0.
         ckt.capacitor(kick_in, nodes[0], C_KICK);
 
-        let tran = TranAnalysis::new(self.dt, self.t_stop);
-        let res = tran
-            .run(
-                &ckt,
-                &[(
-                    kick_src,
-                    Waveform::Step {
-                        v0: 0.0,
-                        v1: VDD,
-                        t0: 10e-12,
-                        t_rise: 10e-12,
-                    },
-                )],
-            )
-            .ok()?;
+        let kick = Step {
+            v0: 0.0,
+            v1: VDD,
+            t0: 10e-12,
+            t_rise: 10e-12,
+        };
+        let res = tran::run(&ckt, self.dt, self.t_stop, &[(kick_src, kick)]).ok()?;
         // Count rising mid-rail crossings in the settled second half.
         let wave = res.voltage(nodes[2]);
         let times = res.times();

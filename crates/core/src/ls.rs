@@ -27,7 +27,8 @@ use rsm_linalg::Matrix;
 /// # Errors
 ///
 /// - [`CoreError::ShapeMismatch`] if `f.len() != g.num_rows()`;
-/// - [`CoreError::BadConfig`] if `f` is non-finite;
+/// - [`CoreError::BadConfig`] if `f` is non-finite, or naming the
+///   first atom whose column holds a non-finite entry;
 /// - [`CoreError::Unsolvable`] if `K < M` (the underdetermined case
 ///   this paper exists to solve — use OMP/LAR/STAR) or if `G` is
 ///   rank-deficient.
@@ -43,6 +44,20 @@ pub fn fit<S: AtomSource + ?Sized>(g: &S, f: &[f64]) -> Result<SparseModel> {
     let js: Vec<usize> = (0..m).collect();
     let mut dense = Matrix::zeros(k, m);
     g.columns_into(&js, &mut dense);
+    // A non-finite entry would factor into `NaN` coefficients. The
+    // gathered design is row-major: entry i lies in column i % m.
+    let first_bad = dense
+        .as_slice()
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| !v.is_finite())
+        .map(|(i, _)| i % m)
+        .min();
+    if let Some(j) = first_bad {
+        return Err(CoreError::BadConfig(format!(
+            "atom {j}'s column holds a non-finite entry"
+        )));
+    }
     let qr = QrDecomposition::new(&dense)
         .map_err(|e| CoreError::Numerical(format!("QR factorization failed: {e}")))?;
     let alpha = qr

@@ -2,7 +2,8 @@
 //! 20 × 30 Gaussian `Matrix` with `f = 2·g₇ − g₃ + 0.1·noise` and
 //! `λ = 4`. A sparse method either rejects such a design with a
 //! structured error or fits it with finite coefficients; it never
-//! returns `Ok` with a model of some other design.
+//! returns `Ok` with a model of some other design. LS, which needs
+//! K ≥ M, fits a 40 × 10 design planted the same way.
 //!
 //! Without the checks a `NaN` would pass silently: a selection scan
 //! that keeps the best score with `score <= best` restarts at the atom
@@ -11,6 +12,7 @@
 
 use rsm_core::lar::LarConfig;
 use rsm_core::omp::OmpConfig;
+use rsm_core::solver::{self, Method, ModelOrder};
 use rsm_core::star::StarConfig;
 use rsm_core::{CoreError, SparsePath};
 use rsm_linalg::Matrix;
@@ -132,4 +134,33 @@ fn star_never_returns_a_non_finite_coefficient() {
         Err(CoreError::Numerical(_)) => {}
         other => panic!("STAR on the ×1e300 design: expected Numerical, got {other:?}"),
     }
+}
+
+/// LS on a 40 × 10 design planted like [`design`], with `v` at (4, 7).
+fn least_squares_with_entry(v: f64) -> rsm_core::Result<solver::FitReport> {
+    let mut s = NormalSampler::seed_from_u64(40);
+    let mut g = Matrix::from_fn(40, 10, |_, _| s.sample());
+    let f: Vec<f64> = (0..40)
+        .map(|r| 2.0 * g[(r, 7)] - g[(r, 3)] + 0.1 * s.sample())
+        .collect();
+    g[(4, 7)] = v;
+    solver::fit(&g, &f, Method::Ls, &ModelOrder::Fixed(10))
+}
+
+/// Asserts that LS answers `BadConfig` naming atom 7.
+fn assert_ls_rejects_atom_7(v: f64) {
+    match least_squares_with_entry(v) {
+        Err(CoreError::BadConfig(msg)) => assert!(msg.contains("atom 7"), "{msg}"),
+        other => panic!("LS with {v} at (4, 7): expected BadConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn least_squares_rejects_a_nan_entry() {
+    assert_ls_rejects_atom_7(f64::NAN);
+}
+
+#[test]
+fn least_squares_rejects_an_infinite_entry() {
+    assert_ls_rejects_atom_7(f64::INFINITY);
 }

@@ -2,28 +2,17 @@
 //!
 //! Linearizes the circuit at a DC operating point and solves the
 //! complex phasor system `(G + jωC)·x = b` across a frequency sweep.
-//! The stimulus is the set of voltage sources declared with a nonzero
-//! AC magnitude ([`Circuit::vsource_ac`]).
+//! `G` is the DC Newton Jacobian at the operating point, so every
+//! element linearizes the way DC stamps it; `C` holds the circuit's
+//! capacitances and the inductors' branch reactances. The stimulus is
+//! the set of voltage sources declared with a nonzero AC magnitude
+//! ([`Circuit::vsource_ac`]).
 
-use crate::dc::OperatingPoint;
+use crate::dc::{self, OperatingPoint};
 use crate::netlist::{Circuit, NodeId};
-use crate::{Result, SpiceError};
+use crate::{Result, SpiceError, GMIN};
 use rsm_linalg::complex::ComplexLu;
 use rsm_linalg::{Complex, Matrix};
-
-/// AC sweep configuration.
-#[derive(Debug, Clone)]
-pub struct AcAnalysis {
-    /// Shunt conductance matching the DC analysis (keeps the matrix
-    /// nonsingular for cutoff devices / floating gates).
-    pub gmin: f64,
-}
-
-impl Default for AcAnalysis {
-    fn default() -> Self {
-        AcAnalysis { gmin: 1e-12 }
-    }
-}
 
 /// Result of an AC sweep: complex node voltages per frequency point.
 #[derive(Debug, Clone)]
@@ -49,14 +38,6 @@ impl AcSweep {
         self.solutions
             .iter()
             .map(|s| s[node.index()].abs())
-            .collect()
-    }
-
-    /// Phase of V(node) in radians across the sweep.
-    pub fn phase(&self, node: NodeId) -> Vec<f64> {
-        self.solutions
-            .iter()
-            .map(|s| s[node.index()].arg())
             .collect()
     }
 
@@ -91,155 +72,59 @@ pub fn log_sweep(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
         .collect()
 }
 
-impl AcAnalysis {
-    /// Runs the sweep at the given operating point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] if the phasor system is
-    /// singular at some frequency.
-    pub fn sweep(&self, ckt: &Circuit, op: &OperatingPoint, freqs: &[f64]) -> Result<AcSweep> {
-        let nn = ckt.num_nodes() - 1;
-        let dim = ckt.mna_dim();
-        let (g, c) = self.build_gc(ckt, op);
-        // AC RHS: only sources with nonzero `ac`.
-        let mut b = vec![Complex::ZERO; dim];
-        for (k, v) in ckt.vsources.iter().enumerate() {
-            b[nn + k] = Complex::from_real(v.ac);
-        }
-        let mut solutions = Vec::with_capacity(freqs.len());
-        let mut sys = vec![Complex::ZERO; dim * dim];
-        for &f in freqs {
-            let w = 2.0 * std::f64::consts::PI * f;
-            for i in 0..dim {
-                for j in 0..dim {
-                    sys[i * dim + j] = Complex::new(g[(i, j)], w * c[(i, j)]);
-                }
-            }
-            let lu = ComplexLu::new(dim, &sys).map_err(|_| SpiceError::SingularMatrix {
-                context: format!("AC system at {f} Hz"),
-            })?;
-            let x = lu.solve(&b).map_err(|_| SpiceError::SingularMatrix {
-                context: format!("AC solve at {f} Hz"),
-            })?;
-            let mut nodes = vec![Complex::ZERO; ckt.num_nodes()];
-            nodes[1..].copy_from_slice(&x[..nn]);
-            solutions.push(nodes);
-        }
-        Ok(AcSweep {
-            freqs: freqs.to_vec(),
-            solutions,
-        })
+/// Runs the sweep at the given operating point.
+///
+/// # Errors
+///
+/// Returns [`SpiceError::SingularMatrix`] if the phasor system is
+/// singular at some frequency.
+pub fn sweep(ckt: &Circuit, op: &OperatingPoint, freqs: &[f64]) -> Result<AcSweep> {
+    let nn = ckt.num_nodes() - 1;
+    let dim = ckt.mna_dim();
+    let (g, _) = dc::assemble(ckt, op.solution(), GMIN, 1.0);
+    let mut c = Matrix::zeros(dim, dim);
+    for (a, b, farads) in ckt.capacitances() {
+        dc::stamp(&mut c, a, b, farads);
     }
-
-    /// Builds the real conductance matrix `G` (linearized at `op`) and
-    /// capacitance matrix `C`.
-    fn build_gc(&self, ckt: &Circuit, op: &OperatingPoint) -> (Matrix, Matrix) {
-        let nn = ckt.num_nodes() - 1;
-        let dim = ckt.mna_dim();
-        let mut g = Matrix::zeros(dim, dim);
-        let mut c = Matrix::zeros(dim, dim);
-        let stamp = |m: &mut Matrix, n1: NodeId, n2: NodeId, val: f64| {
-            let (i, j) = (n1.index(), n2.index());
-            if i > 0 {
-                m[(i - 1, i - 1)] += val;
-            }
-            if j > 0 {
-                m[(j - 1, j - 1)] += val;
-            }
-            if i > 0 && j > 0 {
-                m[(i - 1, j - 1)] -= val;
-                m[(j - 1, i - 1)] -= val;
-            }
-        };
-        for r in &ckt.resistors {
-            stamp(&mut g, r.a, r.b, 1.0 / r.ohms);
-        }
-        for i in 0..nn {
-            g[(i, i)] += self.gmin;
-        }
-        for cap in &ckt.capacitors {
-            stamp(&mut c, cap.a, cap.b, cap.farads);
-        }
-        for (k, v) in ckt.vsources.iter().enumerate() {
-            let row = nn + k;
-            if v.plus.index() > 0 {
-                g[(v.plus.index() - 1, row)] += 1.0;
-                g[(row, v.plus.index() - 1)] += 1.0;
-            }
-            if v.minus.index() > 0 {
-                g[(v.minus.index() - 1, row)] -= 1.0;
-                g[(row, v.minus.index() - 1)] -= 1.0;
-            }
-        }
-        // Inductor branch k: v_a − v_b − jωL·i = 0. The −jωL lands in
-        // the imaginary (C) matrix at the branch diagonal.
-        for (k, l) in ckt.inductors.iter().enumerate() {
-            let row = nn + ckt.vsources.len() + k;
-            if l.a.index() > 0 {
-                g[(l.a.index() - 1, row)] += 1.0;
-                g[(row, l.a.index() - 1)] += 1.0;
-            }
-            if l.b.index() > 0 {
-                g[(l.b.index() - 1, row)] -= 1.0;
-                g[(row, l.b.index() - 1)] -= 1.0;
-            }
-            c[(row, row)] -= l.henries;
-        }
-        for x in &ckt.vccs {
-            let mut st = |out: NodeId, ctrl: NodeId, val: f64| {
-                if out.index() > 0 && ctrl.index() > 0 {
-                    g[(out.index() - 1, ctrl.index() - 1)] += val;
-                }
-            };
-            st(x.out_plus, x.ctrl_plus, x.g);
-            st(x.out_plus, x.ctrl_minus, -x.g);
-            st(x.out_minus, x.ctrl_plus, -x.g);
-            st(x.out_minus, x.ctrl_minus, x.g);
-        }
-        for d in &ckt.diodes {
-            let vd = op.voltage(d.anode) - op.voltage(d.cathode);
-            let (_, gd) = crate::netlist::diode_eval(&d.params, vd);
-            stamp(&mut g, d.anode, d.cathode, gd + self.gmin);
-            stamp(&mut c, d.anode, d.cathode, d.params.cj);
-        }
-        for (idx, m) in ckt.mosfets.iter().enumerate() {
-            let e = op.mos_evals()[idx];
-            let (d, gt, s) = (m.d.index(), m.g.index(), m.s.index());
-            // gm: i_d responds to v_g − v_s.
-            if d > 0 {
-                if gt > 0 {
-                    g[(d - 1, gt - 1)] += e.gm;
-                }
-                g[(d - 1, d - 1)] += e.gds;
-                if s > 0 {
-                    g[(d - 1, s - 1)] -= e.gm + e.gds;
-                }
-            }
-            if s > 0 {
-                if gt > 0 {
-                    g[(s - 1, gt - 1)] -= e.gm;
-                }
-                if d > 0 {
-                    g[(s - 1, d - 1)] -= e.gds;
-                }
-                g[(s - 1, s - 1)] += e.gm + e.gds;
-            }
-            // Channel gmin mirror of the DC assembly.
-            stamp(&mut g, m.d, m.s, self.gmin);
-            // Device capacitances.
-            stamp(&mut c, m.g, m.s, m.cgs);
-            stamp(&mut c, m.g, m.d, m.cgd);
-            stamp(&mut c, m.d, Circuit::GROUND, m.cdb);
-        }
-        (g, c)
+    // Inductor branch k: v_a − v_b − jωL·i = 0. The −jωL lands in the
+    // imaginary (C) matrix at the branch diagonal.
+    for (k, l) in ckt.inductors.iter().enumerate() {
+        let row = nn + ckt.vsources.len() + k;
+        c[(row, row)] -= l.henries;
     }
+    // AC RHS: only sources with nonzero `ac`.
+    let mut b = vec![Complex::ZERO; dim];
+    for (k, v) in ckt.vsources.iter().enumerate() {
+        b[nn + k] = Complex::from_real(v.ac);
+    }
+    let mut solutions = Vec::with_capacity(freqs.len());
+    let mut sys = vec![Complex::ZERO; dim * dim];
+    for &f in freqs {
+        let w = 2.0 * std::f64::consts::PI * f;
+        for i in 0..dim {
+            for j in 0..dim {
+                sys[i * dim + j] = Complex::new(g[(i, j)], w * c[(i, j)]);
+            }
+        }
+        let lu = ComplexLu::new(dim, &sys).map_err(|_| SpiceError::SingularMatrix {
+            context: format!("AC system at {f} Hz"),
+        })?;
+        let x = lu.solve(&b).map_err(|_| SpiceError::SingularMatrix {
+            context: format!("AC solve at {f} Hz"),
+        })?;
+        let mut nodes = vec![Complex::ZERO; ckt.num_nodes()];
+        nodes[1..].copy_from_slice(&x[..nn]);
+        solutions.push(nodes);
+    }
+    Ok(AcSweep {
+        freqs: freqs.to_vec(),
+        solutions,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dc::DcAnalysis;
 
     #[test]
     fn log_sweep_endpoints_and_monotonic() {
@@ -260,39 +145,15 @@ mod tests {
         ckt.vsource_ac(vin, Circuit::GROUND, 0.0, 1.0);
         ckt.resistor(vin, out, 1_000.0);
         ckt.capacitor(out, Circuit::GROUND, 1e-6);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
+        let op = dc::solve(&ckt).unwrap();
         let fc = 1.0 / (2.0 * std::f64::consts::PI * 1_000.0 * 1e-6);
-        let sweep = AcAnalysis::default()
-            .sweep(&ckt, &op, &[fc / 100.0, fc, fc * 100.0])
-            .unwrap();
+        let sweep = sweep(&ckt, &op, &[fc / 100.0, fc, fc * 100.0]).unwrap();
         let mag = sweep.magnitude(out);
         assert!((mag[0] - 1.0).abs() < 1e-3, "passband {mag:?}");
         assert!((mag[1] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
         assert!(mag[2] < 0.011, "stopband {mag:?}");
-        let ph = sweep.phase(out);
-        assert!((ph[1] + std::f64::consts::FRAC_PI_4).abs() < 1e-2);
-    }
-
-    #[test]
-    fn vccs_amplifier_gain_flat_at_low_freq() {
-        // gm = 2 mS into 10 kΩ → gain 20.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource_ac(vin, Circuit::GROUND, 0.0, 1.0);
-        ckt.resistor(out, Circuit::GROUND, 10_000.0);
-        ckt.vccs(out, Circuit::GROUND, vin, Circuit::GROUND, 2e-3);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
-        let sweep = AcAnalysis::default()
-            .sweep(&ckt, &op, &[1.0, 1_000.0])
-            .unwrap();
-        let mag = sweep.magnitude(out);
-        for m in mag {
-            assert!((m - 20.0).abs() < 1e-6);
-        }
-        // Inverting: current pulled out of `out` → phase π.
-        let ph = sweep.phase(out);
-        assert!((ph[0].abs() - std::f64::consts::PI).abs() < 1e-9);
+        let phase = sweep.voltage(1, out).arg();
+        assert!((phase + std::f64::consts::FRAC_PI_4).abs() < 1e-2);
     }
 
     #[test]
@@ -307,10 +168,10 @@ mod tests {
         ckt.resistor(tank, Circuit::GROUND, 10_000.0);
         ckt.inductor(tank, Circuit::GROUND, 5e-9);
         ckt.capacitor(tank, Circuit::GROUND, 2e-12); // f0 ≈ 1.59 GHz
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
+        let op = dc::solve(&ckt).unwrap();
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * (5e-9f64 * 2e-12).sqrt());
         let freqs = log_sweep(f0 / 100.0, f0 * 100.0, 60);
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &freqs).unwrap();
+        let sweep = sweep(&ckt, &op, &freqs).unwrap();
         let mag = sweep.magnitude(tank);
         // Peak location.
         let (kmax, _) = mag
@@ -346,18 +207,17 @@ mod tests {
         let b = ckt.node("b");
         let vs = ckt.vsource(a, Circuit::GROUND, 1.0);
         ckt.resistor(a, b, 1_000.0);
-        let ind = ckt.inductor(b, Circuit::GROUND, 1e-3);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
+        ckt.inductor(b, Circuit::GROUND, 1e-3);
+        let op = dc::solve(&ckt).unwrap();
         assert!(op.voltage(b).abs() < 1e-9, "v(b) = {}", op.voltage(b));
         // All 1 mA flows through the inductor (b → ground) and the
         // source branch reads the opposite sign convention.
         assert!((op.vsource_current(vs) + 1e-3).abs() < 1e-9);
-        assert!((op.inductor_current(ind) - 1e-3).abs() < 1e-9);
     }
 
     #[test]
     fn mos_common_source_has_expected_small_signal_gain() {
-        use crate::mosfet::{MosParams, MosType};
+        use crate::mosfet::{self, MosParams, MosType};
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
         let gnode = ckt.node("g");
@@ -374,11 +234,11 @@ mod tests {
             w: 1e-6,
             l: 100e-9,
         };
-        let mid = ckt.mosfet(d, gnode, Circuit::GROUND, params);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
-        let e = op.mos_eval(mid);
+        ckt.mosfet(d, gnode, Circuit::GROUND, params);
+        let op = dc::solve(&ckt).unwrap();
+        let e = mosfet::eval_device(&params, op.voltage(d), 0.6, 0.0);
         let expected_gain = e.gm * (1.0 / (1.0 / rload + e.gds));
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &[10.0]).unwrap();
+        let sweep = sweep(&ckt, &op, &[10.0]).unwrap();
         let gain = sweep.magnitude(d)[0];
         assert!(
             (gain - expected_gain).abs() / expected_gain < 1e-3,
@@ -406,8 +266,8 @@ mod tests {
             l: 100e-9,
         };
         ckt.mosfet(d, gnode, Circuit::GROUND, params);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &[1e3, 1e9]).unwrap();
+        let op = dc::solve(&ckt).unwrap();
+        let sweep = sweep(&ckt, &op, &[1e3, 1e9]).unwrap();
         let mag = sweep.magnitude(d);
         assert!(mag[1] < mag[0] / 10.0, "no rolloff: {mag:?}");
     }

@@ -6,26 +6,27 @@
 //! flow:
 //!
 //! - [`netlist`] — circuit description: nodes, linear elements
-//!   (R, C, L, V, I, VCCS) and square-law (SPICE level-1 style)
-//!   MOSFETs;
+//!   (R, C, L, V) and square-law (SPICE level-1 style) MOSFETs;
 //! - [`mosfet`] — the nonlinear device model and its small-signal
 //!   derivatives;
 //! - [`dc`] — DC operating point by Newton–Raphson with gmin stepping
 //!   and source stepping fallbacks;
 //! - [`ac`] — small-signal AC sweeps `(G + jωC)·x = b` around an
-//!   operating point;
-//! - [`tran`] — transient analysis (backward Euler / trapezoidal
-//!   companion models) with Newton iteration at each time point;
-//! - [`parser`] — a SPICE-style netlist parser (`R1 a b 4.7k` cards
-//!   with engineering suffixes);
+//!   operating point, where `G` is the DC Newton Jacobian there;
+//! - [`tran`] — transient analysis (trapezoidal companion models,
+//!   backward Euler on the first step) with Newton iteration at each
+//!   time point;
 //! - [`measure`] — waveform and transfer-function measurements (gain,
-//!   −3 dB bandwidth, threshold crossings).
+//!   −3 dB bandwidth, resonance, threshold crossings).
+//!
+//! Each element is stamped in one place: conductances in
+//! [`dc`]'s assembly, which AC reuses, and capacitances from one list
+//! that AC and the transient share.
 //!
 //! # Example: resistive divider
 //!
 //! ```
 //! use rsm_spice::netlist::Circuit;
-//! use rsm_spice::dc::DcAnalysis;
 //!
 //! let mut ckt = Circuit::new();
 //! let vin = ckt.node("in");
@@ -33,7 +34,7 @@
 //! ckt.vsource(vin, Circuit::GROUND, 2.0);
 //! ckt.resistor(vin, out, 1_000.0);
 //! ckt.resistor(out, Circuit::GROUND, 1_000.0);
-//! let op = DcAnalysis::default().solve(&ckt).unwrap();
+//! let op = rsm_spice::dc::solve(&ckt).unwrap();
 //! assert!((op.voltage(out) - 1.0).abs() < 1e-9);
 //! ```
 
@@ -61,11 +62,15 @@ pub mod dc;
 pub mod measure;
 pub mod mosfet;
 pub mod netlist;
-pub mod parser;
 pub mod tran;
 
-pub use dc::{DcAnalysis, OperatingPoint};
+pub use dc::OperatingPoint;
 pub use netlist::{Circuit, NodeId};
+
+/// Shunt conductance (S) added from every node to ground and across
+/// every MOSFET channel, in DC, AC and transient alike: it keeps
+/// floating gates and cutoff devices from making the matrix singular.
+pub(crate) const GMIN: f64 = 1e-12;
 
 use std::fmt;
 

@@ -61,33 +61,6 @@ pub fn bandwidth_3db(sweep: &AcSweep, node: NodeId) -> Result<f64> {
     )))
 }
 
-/// Unity-gain frequency: where the magnitude first falls below 1,
-/// log-interpolated.
-///
-/// # Errors
-///
-/// Returns [`SpiceError::MeasureFailed`] if the magnitude stays above
-/// (or starts below) unity across the sweep.
-pub fn unity_gain_freq(sweep: &AcSweep, node: NodeId) -> Result<f64> {
-    let mag = sweep.magnitude(node);
-    if mag.is_empty() || mag[0] <= 1.0 {
-        return Err(SpiceError::MeasureFailed(
-            "magnitude does not start above unity".into(),
-        ));
-    }
-    for k in 1..mag.len() {
-        if mag[k] <= 1.0 {
-            let (f0, f1) = (sweep.freqs()[k - 1], sweep.freqs()[k]);
-            let (m0, m1) = (mag[k - 1], mag[k]);
-            let t = m0.ln() / (m0.ln() - m1.ln());
-            return Ok(f0 * (f1 / f0).powf(t));
-        }
-    }
-    Err(SpiceError::MeasureFailed(
-        "magnitude never crosses unity within the sweep".into(),
-    ))
-}
-
 /// Peak of |V(node)| across the sweep: `(f_peak, magnitude)` with
 /// parabolic refinement of the peak location in log-frequency /
 /// log-magnitude coordinates (for resonant RF responses).
@@ -219,8 +192,8 @@ pub fn cross_time(times: &[f64], wave: &[f64], threshold: f64, rising: bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ac::{log_sweep, AcAnalysis};
-    use crate::dc::DcAnalysis;
+    use crate::ac::{self, log_sweep};
+    use crate::dc;
     use crate::netlist::Circuit;
 
     fn rc_sweep() -> (AcSweep, NodeId, f64) {
@@ -230,9 +203,9 @@ mod tests {
         ckt.vsource_ac(vin, Circuit::GROUND, 0.0, 1.0);
         ckt.resistor(vin, out, 1_000.0);
         ckt.capacitor(out, Circuit::GROUND, 1e-9);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
+        let op = dc::solve(&ckt).unwrap();
         let freqs = log_sweep(1e2, 1e8, 40);
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &freqs).unwrap();
+        let sweep = ac::sweep(&ckt, &op, &freqs).unwrap();
         let fc = 1.0 / (2.0 * std::f64::consts::PI * 1_000.0 * 1e-9);
         (sweep, out, fc)
     }
@@ -257,25 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn unity_gain_of_single_pole_amplifier() {
-        // H(f) = A / (1 + jf/fc) → f_u ≈ A·fc for A ≫ 1.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource_ac(vin, Circuit::GROUND, 0.0, 1.0);
-        ckt.vccs(out, Circuit::GROUND, vin, Circuit::GROUND, 1e-3); // gm 1mS
-        ckt.resistor(out, Circuit::GROUND, 100_000.0); // A = 100
-        ckt.capacitor(out, Circuit::GROUND, 1e-12);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
-        let freqs = log_sweep(1e3, 1e10, 30);
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &freqs).unwrap();
-        let fu = unity_gain_freq(&sweep, out).unwrap();
-        let fc = 1.0 / (2.0 * std::f64::consts::PI * 100_000.0 * 1e-12);
-        let expect = 100.0 * fc; // GBW product
-        assert!((fu - expect).abs() / expect < 0.02, "fu {fu} vs {expect}");
-    }
-
-    #[test]
     fn peak_and_band_of_rlc_tank() {
         // Parallel RLC through series R: analytic f0 and Q.
         let mut ckt = Circuit::new();
@@ -289,10 +243,10 @@ mod tests {
         ckt.resistor(vin, tank, rs);
         ckt.inductor(tank, Circuit::GROUND, l);
         ckt.capacitor(tank, Circuit::GROUND, c);
-        let op = DcAnalysis::default().solve(&ckt).unwrap();
+        let op = dc::solve(&ckt).unwrap();
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * (l * c).sqrt());
         let freqs = log_sweep(f0 / 5.0, f0 * 5.0, 300);
-        let sweep = AcAnalysis::default().sweep(&ckt, &op, &freqs).unwrap();
+        let sweep = ac::sweep(&ckt, &op, &freqs).unwrap();
         let (f_peak, mag) = peak_magnitude(&sweep, tank).unwrap();
         assert!((f_peak - f0).abs() / f0 < 0.01, "{f_peak:.3e} vs {f0:.3e}");
         assert!((mag - 1.0).abs() < 0.02, "peak mag {mag}");

@@ -1,12 +1,12 @@
 //! Integration tests of the circuit-simulation substrate across
 //! analyses: DC, AC and transient must tell one consistent story.
 
-use sparse_rsm::spice::ac::{log_sweep, AcAnalysis};
-use sparse_rsm::spice::dc::DcAnalysis;
+use sparse_rsm::spice::ac::{self, log_sweep};
+use sparse_rsm::spice::dc;
 use sparse_rsm::spice::measure;
 use sparse_rsm::spice::mosfet::MosParams;
 use sparse_rsm::spice::netlist::Circuit;
-use sparse_rsm::spice::tran::{TranAnalysis, Waveform};
+use sparse_rsm::spice::tran::{self, Step};
 
 /// A common-source amplifier used across the tests.
 fn cs_amp() -> (
@@ -36,8 +36,8 @@ fn ac_gain_matches_dc_transfer_slope() {
     // The AC small-signal gain must equal the numerical derivative of
     // the DC transfer curve — linearization consistency.
     let (ckt, out, vin) = cs_amp();
-    let op = DcAnalysis::default().solve(&ckt).unwrap();
-    let sweep = AcAnalysis::default().sweep(&ckt, &op, &[1.0]).unwrap();
+    let op = dc::solve(&ckt).unwrap();
+    let sweep = ac::sweep(&ckt, &op, &[1.0]).unwrap();
     let ac_gain = sweep.voltage(0, out).abs();
 
     let dv = 1e-5;
@@ -45,8 +45,8 @@ fn ac_gain_matches_dc_transfer_slope() {
     hi.set_vsource_dc(vin, 0.55 + dv);
     let mut lo = ckt.clone();
     lo.set_vsource_dc(vin, 0.55 - dv);
-    let v_hi = DcAnalysis::default().solve(&hi).unwrap().voltage(out);
-    let v_lo = DcAnalysis::default().solve(&lo).unwrap().voltage(out);
+    let v_hi = dc::solve(&hi).unwrap().voltage(out);
+    let v_lo = dc::solve(&lo).unwrap().voltage(out);
     let dc_slope = ((v_hi - v_lo) / (2.0 * dv)).abs();
     assert!(
         (ac_gain - dc_slope).abs() / dc_slope < 1e-3,
@@ -61,26 +61,15 @@ fn transient_settles_to_dc_solution_after_step() {
     let (ckt, out, vin) = cs_amp();
     let mut final_ckt = ckt.clone();
     final_ckt.set_vsource_dc(vin, 0.65);
-    let dc_final = DcAnalysis::default()
-        .solve(&final_ckt)
-        .unwrap()
-        .voltage(out);
+    let dc_final = dc::solve(&final_ckt).unwrap().voltage(out);
 
-    let tran = TranAnalysis::new(50e-12, 80e-9);
-    let res = tran
-        .run(
-            &ckt,
-            &[(
-                vin,
-                Waveform::Step {
-                    v0: 0.55,
-                    v1: 0.65,
-                    t0: 1e-9,
-                    t_rise: 100e-12,
-                },
-            )],
-        )
-        .unwrap();
+    let step = Step {
+        v0: 0.55,
+        v1: 0.65,
+        t0: 1e-9,
+        t_rise: 100e-12,
+    };
+    let res = tran::run(&ckt, 50e-12, 80e-9, &[(vin, step)]).unwrap();
     let v_end = *res.voltage(out).last().unwrap();
     assert!(
         (v_end - dc_final).abs() < 1e-3,
@@ -93,27 +82,19 @@ fn ac_bandwidth_matches_transient_time_constant() {
     // Single-pole consistency: f_3dB from AC ≈ 1/(2πτ) with τ from the
     // transient step response (63.2 % settling).
     let (ckt, out, vin) = cs_amp();
-    let op = DcAnalysis::default().solve(&ckt).unwrap();
+    let op = dc::solve(&ckt).unwrap();
     let freqs = log_sweep(1e3, 1e10, 24);
-    let sweep = AcAnalysis::default().sweep(&ckt, &op, &freqs).unwrap();
+    let sweep = ac::sweep(&ckt, &op, &freqs).unwrap();
     let f3db = measure::bandwidth_3db(&sweep, out).unwrap();
 
     let v0 = op.voltage(out);
-    let tran = TranAnalysis::new(2e-12, 40e-9);
-    let res = tran
-        .run(
-            &ckt,
-            &[(
-                vin,
-                Waveform::Step {
-                    v0: 0.55,
-                    v1: 0.56, // small step: stay in the linear region
-                    t0: 0.0,
-                    t_rise: 1e-13,
-                },
-            )],
-        )
-        .unwrap();
+    let step = Step {
+        v0: 0.55,
+        v1: 0.56, // small step: stay in the linear region
+        t0: 0.0,
+        t_rise: 1e-13,
+    };
+    let res = tran::run(&ckt, 2e-12, 40e-9, &[(vin, step)]).unwrap();
     let wave = res.voltage(out);
     let v_end = *wave.last().unwrap();
     let target = v0 + (v_end - v0) * (1.0 - (-1.0f64).exp());
