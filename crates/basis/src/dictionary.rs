@@ -11,13 +11,10 @@
 //!   in lexicographic order. This matches the paper's
 //!   "200-dimensional quadratic model contains 20 301 unknown
 //!   coefficients": `1 + 400 + 19 900 = 20 301`.
-//!
-//! An arbitrary total-degree family is provided for small `N`.
 
-use crate::hermite;
-use crate::term::Term;
 use rsm_linalg::{tol, Matrix};
 use std::f64::consts::FRAC_1_SQRT_2;
+use std::fmt;
 use std::ops::Range;
 
 /// What [`Dictionary::accumulate`] adds, per sample row `k`, into the
@@ -38,9 +35,6 @@ pub enum DictionaryKind {
     Linear,
     /// Constant + linear + pure-quadratic + pairwise cross terms.
     Quadratic,
-    /// All Hermite products of total degree ≤ d (small `N` only —
-    /// the term list is materialized).
-    TotalDegree(u32),
 }
 
 /// An indexable dictionary of `M` orthonormal basis functions over `N`
@@ -57,9 +51,6 @@ pub enum DictionaryKind {
 pub struct Dictionary {
     n: usize,
     kind: DictionaryKind,
-    /// Materialized terms for [`DictionaryKind::TotalDegree`]; empty for
-    /// the structured families.
-    terms: Vec<Term>,
 }
 
 /// One basis function of a [`Dictionary`], decoded from its index by
@@ -76,9 +67,19 @@ pub enum Atom {
     PureQuadratic(usize),
     /// `Δy_i·Δy_j`, `i < j`.
     Cross(usize, usize),
-    /// Term `m` of a [`DictionaryKind::TotalDegree`] dictionary's
-    /// materialized list.
-    Listed(usize),
+}
+
+/// Names the basis function over the variables `y0, y1, …`: `1`, `y3`,
+/// `ψ2(y3)` or `y3·y7`.
+impl fmt::Display for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Atom::Constant => write!(f, "1"),
+            Atom::Linear(v) => write!(f, "y{v}"),
+            Atom::PureQuadratic(v) => write!(f, "ψ2(y{v})"),
+            Atom::Cross(i, j) => write!(f, "y{i}·y{j}"),
+        }
+    }
 }
 
 impl Dictionary {
@@ -86,48 +87,10 @@ impl Dictionary {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, or for [`DictionaryKind::TotalDegree`] if the
-    /// term count would exceed 10⁷ (use the structured families
-    /// instead).
+    /// Panics if `n == 0`.
     pub fn new(n: usize, kind: DictionaryKind) -> Self {
         assert!(n > 0, "dictionary needs at least one variable");
-        let terms = match kind {
-            DictionaryKind::TotalDegree(d) => {
-                /// DFS frame: (next variable, remaining degree, partial factors).
-                type Frame = (usize, u32, Vec<(usize, u32)>);
-                let mut terms = Vec::new();
-                let mut stack: Vec<Frame> = vec![(0, d, Vec::new())];
-                // Depth-first enumeration of exponent vectors with
-                // total degree ≤ d, producing graded-lexicographic-ish
-                // order after the sort below.
-                while let Some((v, rem, partial)) = stack.pop() {
-                    if v == n {
-                        terms.push(Term::new(partial));
-                        continue;
-                    }
-                    for deg in (0..=rem).rev() {
-                        let mut p = partial.clone();
-                        if deg > 0 {
-                            p.push((v, deg));
-                        }
-                        stack.push((v + 1, rem - deg, p));
-                    }
-                    assert!(
-                        terms.len() <= 10_000_000,
-                        "total-degree dictionary too large; use Linear/Quadratic"
-                    );
-                }
-                terms.sort_by_key(|t| {
-                    (
-                        t.total_degree(),
-                        t.factors().iter().map(|&(v, _)| v).collect::<Vec<_>>(),
-                    )
-                });
-                terms
-            }
-            _ => Vec::new(),
-        };
-        Dictionary { n, kind, terms }
+        Dictionary { n, kind }
     }
 
     /// Number of variables `N`.
@@ -147,7 +110,6 @@ impl Dictionary {
         match self.kind {
             DictionaryKind::Linear => 1 + self.n,
             DictionaryKind::Quadratic => 1 + 2 * self.n + self.n * (self.n - 1) / 2,
-            DictionaryKind::TotalDegree(_) => self.terms.len(),
         }
     }
 
@@ -155,21 +117,6 @@ impl Dictionary {
     /// provided for API completeness.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The `m`-th basis function as a [`Term`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= len()`.
-    pub fn term(&self, m: usize) -> Term {
-        match self.atom(m) {
-            Atom::Constant => Term::constant(),
-            Atom::Linear(v) => Term::linear(v),
-            Atom::PureQuadratic(v) => Term::pure_quadratic(v),
-            Atom::Cross(i, j) => Term::cross(i, j),
-            Atom::Listed(m) => self.terms[m].clone(),
-        }
     }
 
     /// The `m`-th basis function, decoded for [`Self::eval_atom`].
@@ -182,9 +129,8 @@ impl Dictionary {
         let n = self.n;
         // A linear dictionary ends at `m = n`, so only a quadratic one
         // reaches the last two arms.
-        match self.kind {
-            DictionaryKind::TotalDegree(_) => Atom::Listed(m),
-            _ if m == 0 => Atom::Constant,
+        match m {
+            0 => Atom::Constant,
             _ if m <= n => Atom::Linear(m - 1),
             _ if m <= 2 * n => Atom::PureQuadratic(m - n - 1),
             _ => {
@@ -201,9 +147,7 @@ impl Dictionary {
     ///
     /// # Panics
     ///
-    /// Panics if the atom names a variable beyond `dy`, or is
-    /// [`Atom::Listed`] past this dictionary's term list (atoms come
-    /// from [`Self::atom`] of the same dictionary).
+    /// Panics if the atom names a variable beyond `dy`.
     #[inline]
     pub fn eval_atom(&self, atom: Atom, dy: &[f64]) -> f64 {
         match atom {
@@ -214,7 +158,6 @@ impl Dictionary {
                 (y * y - 1.0) * FRAC_1_SQRT_2
             }
             Atom::Cross(i, j) => dy[i] * dy[j],
-            Atom::Listed(m) => self.terms[m].eval(dy),
         }
     }
 
@@ -239,39 +182,18 @@ impl Dictionary {
     pub fn eval_point_into(&self, dy: &[f64], out: &mut [f64]) {
         assert_eq!(dy.len(), self.n, "eval_point_into: wrong input dimension");
         assert_eq!(out.len(), self.len(), "eval_point_into: wrong output size");
-        match self.kind {
-            DictionaryKind::Linear => {
-                out[0] = 1.0;
-                out[1..].copy_from_slice(dy);
+        let n = self.n;
+        out[0] = 1.0;
+        out[1..=n].copy_from_slice(dy);
+        if self.kind == DictionaryKind::Quadratic {
+            for (v, &y) in dy.iter().enumerate() {
+                out[n + 1 + v] = (y * y - 1.0) * FRAC_1_SQRT_2;
             }
-            DictionaryKind::Quadratic => {
-                let n = self.n;
-                out[0] = 1.0;
-                out[1..=n].copy_from_slice(dy);
-                for (v, &y) in dy.iter().enumerate() {
-                    out[n + 1 + v] = (y * y - 1.0) * FRAC_1_SQRT_2;
-                }
-                let mut p = 2 * n + 1;
-                for (i, &yi) in dy.iter().enumerate() {
-                    for &yj in &dy[i + 1..] {
-                        out[p] = yi * yj;
-                        p += 1;
-                    }
-                }
-            }
-            DictionaryKind::TotalDegree(d) => {
-                // Shared ψ table: psis[v][k] = ψ_k(dy[v]).
-                let dmax = d as usize;
-                let mut psis = vec![0.0; self.n * (dmax + 1)];
-                for (chunk, &yv) in psis.chunks_exact_mut(dmax + 1).zip(dy) {
-                    hermite::psi_all(yv, chunk);
-                }
-                for (m, t) in self.terms.iter().enumerate() {
-                    let mut prod = 1.0;
-                    for &(v, deg) in t.factors() {
-                        prod *= psis[v * (dmax + 1) + deg as usize];
-                    }
-                    out[m] = prod;
+            let mut p = 2 * n + 1;
+            for (i, &yi) in dy.iter().enumerate() {
+                for &yj in &dy[i + 1..] {
+                    out[p] = yi * yj;
+                    p += 1;
                 }
             }
         }
@@ -363,25 +285,6 @@ impl Dictionary {
         term: impl Fn(f64, f64) -> f64 + Copy,
     ) {
         let live = live_rows(rows, weights);
-        // A total-degree dictionary evaluates its materialized terms
-        // through the shared ψ table of `eval_point_into`, row by row.
-        if let DictionaryKind::TotalDegree(d) = self.kind {
-            let stride = d as usize + 1;
-            let mut psis = vec![0.0; self.n * stride];
-            for (k, wk) in live {
-                for (chunk, &yv) in psis.chunks_exact_mut(stride).zip(samples.row(k)) {
-                    hermite::psi_all(yv, chunk);
-                }
-                for (o, t) in out.iter_mut().zip(&self.terms[atoms.clone()]) {
-                    let mut prod = 1.0;
-                    for &(v, deg) in t.factors() {
-                        prod *= psis[v * stride + deg as usize];
-                    }
-                    *o += term(wk, prod);
-                }
-            }
-            return;
-        }
         let layout = Layout::new(self.n, atoms);
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
@@ -627,8 +530,10 @@ mod tests {
     fn linear_size_and_terms() {
         let d = Dictionary::new(5, DictionaryKind::Linear);
         assert_eq!(d.len(), 6);
-        assert!(d.term(0).is_constant());
-        assert_eq!(d.term(3), Term::linear(2));
+        assert_eq!(d.atom(0), Atom::Constant);
+        assert_eq!(d.atom(3), Atom::Linear(2));
+        assert_eq!(d.atom(0).to_string(), "1");
+        assert_eq!(d.atom(3).to_string(), "y2");
     }
 
     #[test]
@@ -646,16 +551,18 @@ mod tests {
         let n = 4;
         let d = Dictionary::new(n, DictionaryKind::Quadratic);
         assert_eq!(d.len(), 1 + 8 + 6);
-        assert!(d.term(0).is_constant());
-        assert_eq!(d.term(1), Term::linear(0));
-        assert_eq!(d.term(n), Term::linear(n - 1));
-        assert_eq!(d.term(n + 1), Term::pure_quadratic(0));
-        assert_eq!(d.term(2 * n), Term::pure_quadratic(n - 1));
-        assert_eq!(d.term(2 * n + 1), Term::cross(0, 1));
-        assert_eq!(d.term(2 * n + 2), Term::cross(0, 2));
-        assert_eq!(d.term(2 * n + 3), Term::cross(0, 3));
-        assert_eq!(d.term(2 * n + 4), Term::cross(1, 2));
-        assert_eq!(d.term(d.len() - 1), Term::cross(2, 3));
+        assert_eq!(d.atom(0), Atom::Constant);
+        assert_eq!(d.atom(1), Atom::Linear(0));
+        assert_eq!(d.atom(n), Atom::Linear(n - 1));
+        assert_eq!(d.atom(n + 1), Atom::PureQuadratic(0));
+        assert_eq!(d.atom(2 * n), Atom::PureQuadratic(n - 1));
+        assert_eq!(d.atom(2 * n + 1), Atom::Cross(0, 1));
+        assert_eq!(d.atom(2 * n + 2), Atom::Cross(0, 2));
+        assert_eq!(d.atom(2 * n + 3), Atom::Cross(0, 3));
+        assert_eq!(d.atom(2 * n + 4), Atom::Cross(1, 2));
+        assert_eq!(d.atom(d.len() - 1), Atom::Cross(2, 3));
+        assert_eq!(d.atom(2 * n).to_string(), "ψ2(y3)");
+        assert_eq!(d.atom(d.len() - 1).to_string(), "y2·y3");
     }
 
     #[test]
@@ -671,25 +578,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn eval_term_matches_term_eval() {
-        let d = Dictionary::new(6, DictionaryKind::Quadratic);
-        let dy = [0.3, -1.1, 0.8, 2.0, -0.4, 0.05];
-        for m in 0..d.len() {
-            let direct = d.eval_term(m, &dy);
-            let via_term = d.term(m).eval(&dy);
-            assert!((direct - via_term).abs() < 1e-13, "m={m}");
-        }
-    }
-
-    /// The dictionaries the atom pins run over: every kind, with the
+    /// The dictionaries the atom pins run over: both kinds, with the
     /// quadratic one large enough that `cross_pair`'s square root has
     /// many ranks to resolve.
-    fn pinned_dictionaries() -> [Dictionary; 3] {
+    fn pinned_dictionaries() -> [Dictionary; 2] {
         [
             Dictionary::new(7, DictionaryKind::Linear),
             Dictionary::new(70, DictionaryKind::Quadratic),
-            Dictionary::new(6, DictionaryKind::TotalDegree(3)),
         ]
     }
 
@@ -723,16 +618,6 @@ mod tests {
     /// per-kind expressions written out once more, with the cross pairs
     /// enumerated by nested loops rather than decoded by rank.
     fn written_out(d: &Dictionary, dy: &[f64]) -> Vec<f64> {
-        if let DictionaryKind::TotalDegree(_) = d.kind() {
-            return (0..d.len())
-                .map(|m| {
-                    d.term(m)
-                        .factors()
-                        .iter()
-                        .fold(1.0, |p, &(v, deg)| p * hermite::psi(deg as usize, dy[v]))
-                })
-                .collect();
-        }
         let mut row = vec![1.0];
         row.extend_from_slice(dy);
         if d.kind() == DictionaryKind::Quadratic {
@@ -768,12 +653,8 @@ mod tests {
     }
 
     #[test]
-    fn atoms_name_the_factors_of_their_terms() {
+    fn atoms_follow_the_nested_loop_layout() {
         for d in pinned_dictionaries() {
-            if let DictionaryKind::TotalDegree(_) = d.kind() {
-                assert!((0..d.len()).all(|m| d.atom(m) == Atom::Listed(m)));
-                continue;
-            }
             let n = d.num_vars();
             // The structured layout, enumerated without `cross_pair`.
             let mut layout = vec![Atom::Constant];
@@ -786,16 +667,7 @@ mod tests {
             }
             assert_eq!(layout.len(), d.len());
             for (m, &want) in layout.iter().enumerate() {
-                let atom = d.atom(m);
-                let factors = match atom {
-                    Atom::Constant => vec![],
-                    Atom::Linear(v) => vec![(v, 1)],
-                    Atom::PureQuadratic(v) => vec![(v, 2)],
-                    Atom::Cross(i, j) => vec![(i, 1), (j, 1)],
-                    Atom::Listed(_) => unreachable!("a structured dictionary lists no terms"),
-                };
-                assert_eq!(atom, want, "{:?} m={m}", d.kind());
-                assert_eq!(d.term(m).factors(), factors, "{:?} m={m}", d.kind());
+                assert_eq!(d.atom(m), want, "{:?} m={m}", d.kind());
             }
         }
     }
@@ -871,11 +743,7 @@ mod tests {
         // linear, pure and cross blocks and split every cross-term row.
         let (samples, weights, rows) = blocked_rows();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for kind in [
-            DictionaryKind::Linear,
-            DictionaryKind::Quadratic,
-            DictionaryKind::TotalDegree(3),
-        ] {
+        for kind in [DictionaryKind::Linear, DictionaryKind::Quadratic] {
             let d = Dictionary::new(5, kind);
             for lo in 0..=d.len() {
                 for hi in lo..=d.len() {
@@ -937,75 +805,42 @@ mod tests {
     }
 
     #[test]
-    fn total_degree_dictionary_counts() {
-        // N=2, d=2 → 1 + 2 + 3 = 6 terms (Eq. (4) of the paper).
-        let d = Dictionary::new(2, DictionaryKind::TotalDegree(2));
-        assert_eq!(d.len(), 6);
-        // First term constant, next two linear (paper's g1..g5 ordering
-        // up to within-degree permutation).
-        assert!(d.term(0).is_constant());
-        assert_eq!(d.term(1).total_degree(), 1);
-        assert_eq!(d.term(2).total_degree(), 1);
-        for m in 3..6 {
-            assert_eq!(d.term(m).total_degree(), 2);
-        }
-    }
-
-    #[test]
-    fn total_degree_matches_binomial() {
-        // #terms of total degree ≤ d in n vars = C(n + d, d).
-        let d = Dictionary::new(3, DictionaryKind::TotalDegree(3));
-        assert_eq!(d.len(), 20); // C(6,3)
-        let d2 = Dictionary::new(4, DictionaryKind::TotalDegree(2));
-        assert_eq!(d2.len(), 15); // C(6,2)
-    }
-
-    #[test]
-    fn total_degree_eval_consistency() {
-        let d = Dictionary::new(3, DictionaryKind::TotalDegree(3));
-        let dy = [0.4, -1.2, 0.9];
-        let mut out = vec![0.0; d.len()];
-        d.eval_point_into(&dy, &mut out);
-        for (m, v) in out.iter().enumerate() {
-            assert!((v - d.term(m).eval(&dy)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn term_index_out_of_range_panics() {
         let d = Dictionary::new(3, DictionaryKind::Linear);
-        let _ = d.term(4);
+        let _ = d.atom(4);
     }
 
     #[test]
-    fn quadratic_orthonormality_monte_carlo() {
-        // E[g_i g_j] = δ_ij for the quadratic family under N(0, I).
-        use rsm_stats::NormalSampler;
-        let n = 3;
-        let d = Dictionary::new(n, DictionaryKind::Quadratic);
-        let mut s = NormalSampler::seed_from_u64(99);
-        let k = 200_000;
+    fn quadratic_family_is_orthonormal_under_the_three_point_rule() {
+        // The 3-point Gauss–Hermite rule for N(0, 1) (nodes 0 and ±√3,
+        // weights 2/3 and 1/6) is exact up to degree 5 in each
+        // variable, and every product g_i·g_j of the quadratic family
+        // has degree ≤ 4 in each, so the 27-point tensor rule over 3
+        // variables gives E[g_i·g_j] = δ_ij exactly but for rounding.
+        let r3 = 3f64.sqrt();
+        let rule = [(0.0, 2.0 / 3.0), (r3, 1.0 / 6.0), (-r3, 1.0 / 6.0)];
+        let d = Dictionary::new(3, DictionaryKind::Quadratic);
         let m = d.len();
-        let mut acc = vec![0.0; m * m];
+        let mut gram = vec![0.0; m * m];
         let mut row = vec![0.0; m];
-        for _ in 0..k {
-            let dy = s.sample_vec(n);
-            d.eval_point_into(&dy, &mut row);
-            for i in 0..m {
-                for j in i..m {
-                    acc[i * m + j] += row[i] * row[j];
+        for &(y0, w0) in &rule {
+            for &(y1, w1) in &rule {
+                for &(y2, w2) in &rule {
+                    d.eval_point_into(&[y0, y1, y2], &mut row);
+                    for (i, &gi) in row.iter().enumerate() {
+                        for (j, &gj) in row.iter().enumerate() {
+                            gram[i * m + j] += w0 * w1 * w2 * gi * gj;
+                        }
+                    }
                 }
             }
         }
         for i in 0..m {
-            for j in i..m {
-                let v = acc[i * m + j] / k as f64;
+            for j in 0..m {
+                let v = gram[i * m + j];
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (v - expect).abs() < 0.05,
-                    "E[g{i}·g{j}] = {v}, expected {expect}"
-                );
+                assert!((v - expect).abs() < 1e-14, "E[g{i}·g{j}] = {v}");
             }
         }
     }

@@ -1,19 +1,15 @@
 //! Orthonormal polynomial basis dictionaries for response surface
 //! modeling (Section II of the paper).
 //!
-//! After PCA the variation variables `ΔY` are independent standard
-//! normals, so the natural orthonormal basis under the Gaussian measure
-//! is the (normalized, probabilists') Hermite family. This crate
-//! provides:
-//!
-//! - [`hermite`] — 1-D normalized Hermite polynomials `ψ_n` with
-//!   `E[ψ_i(z)·ψ_j(z)] = δ_ij` for `z ~ N(0,1)`;
-//! - [`term`] — sparse multi-dimensional product terms
-//!   `g(ΔY) = Π_v ψ_{d_v}(Δy_v)`;
-//! - [`dictionary`] — indexable dictionaries (linear, full quadratic,
-//!   total-degree) that enumerate the `M` basis functions *without*
-//!   storing them, plus design-matrix construction in both materialized
-//!   and streaming (column-block) forms.
+//! The variation variables `ΔY` are independent standard normals, so
+//! the natural orthonormal basis under the Gaussian measure is the
+//! normalized probabilists' Hermite family of Eq. (2)–(4):
+//! `ψ₀ = 1`, `ψ₁(y) = y` and `ψ₂(y) = (y² − 1)/√2`, with
+//! `E[ψ_i(z)·ψ_j(z)] = δ_ij` for `z ~ N(0,1)`. This crate provides
+//! [`dictionary`]: the paper's linear and full quadratic families as
+//! indexable dictionaries that enumerate their `M` basis functions
+//! ([`Atom`]s) *without* storing them, plus design-matrix construction
+//! in both materialized and streaming (column-block) forms.
 
 // Library code reports failures as structured errors, compares floats
 // exactly only through `rsm_linalg::tol`, and never drops a `Result`
@@ -31,8 +27,5 @@
 #![warn(missing_docs)]
 
 pub mod dictionary;
-pub mod hermite;
-pub mod term;
 
 pub use dictionary::{sweep_kernel, Accumulation, Atom, Dictionary, DictionaryKind};
-pub use term::Term;

@@ -66,7 +66,7 @@ fn main() {
         } else {
             0
         };
-        let term = dict.term(idx);
+        let term = dict.atom(idx);
         println!(
             "{:<8}{:>10}{:>14.3e}   {} {}",
             rank + 1,

@@ -500,6 +500,49 @@ mod tests {
     }
 
     #[test]
+    fn omp_fit_does_not_depend_on_the_inputs_units() {
+        // The same samples with the inputs in base units and ×1e-15
+        // (farads, say): OMP's stop test must scale with the columns,
+        // so both reach the same λ and the same fit.
+        let dir = std::env::temp_dir().join(format!("rsm_cli_units_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut rng = NormalSampler::seed_from_u64(21);
+        let rows: Vec<(Vec<f64>, f64)> = (0..80)
+            .map(|_| {
+                let c = rng.sample_vec(3);
+                let y = 3.0 + 2.0 * c[0] - c[1] + 0.5 * c[2] + 0.01 * rng.sample();
+                (c, y)
+            })
+            .collect();
+        let mut summaries = Vec::new();
+        for (tag, unit) in [("base", 1.0), ("femto", 1e-15)] {
+            let mut text = String::from("c1,c2,c3,y\n");
+            for (c, y) in &rows {
+                let (a, b, d) = (c[0] * unit, c[1] * unit, c[2] * unit);
+                text.push_str(&format!("{a},{b},{d},{y}\n"));
+            }
+            let path = dir.join(format!("{tag}.csv"));
+            std::fs::write(&path, text).unwrap();
+            let out = run(&s(&[
+                "fit",
+                "--input",
+                path.to_str().unwrap(),
+                "--response",
+                "y",
+                "--method",
+                "omp",
+                "--lambda",
+                "4",
+            ]))
+            .unwrap();
+            summaries.push(out.lines().next().unwrap().to_string());
+        }
+        assert!(summaries[0].contains("λ = 4,"), "{}", summaries[0]);
+        assert_eq!(summaries[1], summaries[0]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn threads_flag_is_accepted_and_does_not_change_the_model() {
         let (dir, csv_path) = sample_csv(100, 6);
         let m1 = dir.join("m1.json").to_string_lossy().into_owned();

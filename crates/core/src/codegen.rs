@@ -6,41 +6,30 @@
 //! These emitters produce dependency-free source with one term per
 //! line, so the generated artifact is reviewable and diffable.
 //!
-//! Supported term degrees: constant, linear, pure quadratic
-//! (`ψ₂(y) = (y² − 1)/√2`) and pairwise cross terms — the paper's
-//! linear and quadratic model families. Higher-degree terms (from
-//! [`rsm_basis::DictionaryKind::TotalDegree`]) are rejected with an
-//! error rather than silently mis-emitted.
+//! Every [`Atom`] of the paper's linear and quadratic families has an
+//! expression: the constant, `y`, the pure quadratic
+//! `ψ₂(y) = (y² − 1)/√2` and the pairwise cross term.
 
 use crate::model::SparseModel;
 use crate::{CoreError, Result};
-use rsm_basis::Dictionary;
+use rsm_basis::{Atom, Dictionary};
 use std::fmt::Write as _;
 
 /// 1/√2, spelled out in the generated code.
 const FRAC_1_SQRT_2: &str = "0.7071067811865476";
 
-/// Renders one basis term as a C/Verilog-A expression over `var(i)`
+/// Renders one basis function as a C/Verilog-A expression over `var(i)`
 /// access strings produced by `var`.
-fn term_expr(dict: &Dictionary, m: usize, var: &dyn Fn(usize) -> String) -> Result<String> {
-    let term = dict.term(m);
-    if term.is_constant() {
-        return Ok("1.0".to_string());
-    }
-    let mut parts = Vec::new();
-    for &(v, d) in term.factors() {
-        let x = var(v);
-        match d {
-            1 => parts.push(x),
-            2 => parts.push(format!("({FRAC_1_SQRT_2} * ({x} * {x} - 1.0))")),
-            _ => {
-                return Err(CoreError::BadConfig(format!(
-                    "codegen supports degree <= 2 terms; term {m} has degree {d}"
-                )))
-            }
+fn term_expr(atom: Atom, var: &dyn Fn(usize) -> String) -> String {
+    match atom {
+        Atom::Constant => "1.0".to_string(),
+        Atom::Linear(v) => var(v),
+        Atom::PureQuadratic(v) => {
+            let x = var(v);
+            format!("({FRAC_1_SQRT_2} * ({x} * {x} - 1.0))")
         }
+        Atom::Cross(i, j) => format!("{} * {}", var(i), var(j)),
     }
-    Ok(parts.join(" * "))
 }
 
 /// Emits a C99 function `double <name>(const double *dy)` evaluating
@@ -50,8 +39,7 @@ fn term_expr(dict: &Dictionary, m: usize, var: &dyn Fn(usize) -> String) -> Resu
 ///
 /// - [`CoreError::ShapeMismatch`] if the model and dictionary sizes
 ///   disagree;
-/// - [`CoreError::BadConfig`] for terms of degree > 2 or an invalid
-///   identifier.
+/// - [`CoreError::BadConfig`] for an invalid identifier.
 #[expect(
     clippy::let_underscore_must_use,
     reason = "fmt::Write into a String cannot fail"
@@ -74,7 +62,7 @@ pub fn to_c(model: &SparseModel, dict: &Dictionary, name: &str) -> Result<String
     let _ = writeln!(out, "    double acc = 0.0;");
     let var = |i: usize| format!("dy[{i}]");
     for &(m, c) in model.coefficients() {
-        let expr = term_expr(dict, m, &var)?;
+        let expr = term_expr(dict.atom(m), &var);
         let _ = writeln!(out, "    acc += {c:.17e} * {expr};");
     }
     let _ = writeln!(out, "    return acc;");
@@ -110,7 +98,7 @@ pub fn to_veriloga(model: &SparseModel, dict: &Dictionary, name: &str) -> Result
     let _ = writeln!(out, "        acc = 0.0;");
     let var = |i: usize| format!("dy[{i}]");
     for &(m, c) in model.coefficients() {
-        let expr = term_expr(dict, m, &var)?;
+        let expr = term_expr(dict.atom(m), &var);
         let _ = writeln!(out, "        acc = acc + {c:.17e} * {expr};");
     }
     let _ = writeln!(out, "        {name} = acc;");
@@ -213,7 +201,7 @@ mod tests {
         let dict = Dictionary::new(4, DictionaryKind::Quadratic);
         // constant + y1 + ψ2(y0) + y2·y3
         let cross23 = (0..dict.len())
-            .find(|&i| dict.term(i) == rsm_basis::Term::cross(2, 3))
+            .find(|&i| dict.atom(i) == Atom::Cross(2, 3))
             .unwrap();
         let model = SparseModel::new(
             dict.len(),
@@ -277,20 +265,6 @@ mod tests {
         assert!(matches!(
             to_c(&wrong, &dict, "f"),
             Err(CoreError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn high_degree_terms_rejected() {
-        let dict = Dictionary::new(2, DictionaryKind::TotalDegree(3));
-        // Find a degree-3 term.
-        let cubic = (0..dict.len())
-            .find(|&i| dict.term(i).total_degree() == 3)
-            .unwrap();
-        let model = SparseModel::new(dict.len(), vec![(cubic, 1.0)]);
-        assert!(matches!(
-            to_c(&model, &dict, "f"),
-            Err(CoreError::BadConfig(_))
         ));
     }
 

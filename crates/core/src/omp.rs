@@ -124,11 +124,15 @@ impl OmpConfig {
                 let Some((s, score)) = select_max_abs(&xi, &skip)? else {
                     break 'path;
                 };
-                if score <= f_norm * tol::STEP_REL_TOL {
+                g.column_into(s, &mut col);
+                // The plain score |x_sᵀr| carries the column's units, so
+                // the threshold does too; the normalized score is
+                // already |x_sᵀr|/‖x_s‖.
+                let unit = if norms.is_some() { 1.0 } else { norm2(&col) };
+                if score <= f_norm * unit * tol::STEP_REL_TOL {
                     // Residual orthogonal to every remaining atom.
                     break 'path;
                 }
-                g.column_into(s, &mut col);
                 skip[s] = true;
                 if qr.push_column(&col).is_ok() {
                     selected.push(s);

@@ -13,18 +13,15 @@
 //!   rotations on a lasso drop ([`cholesky::GrowingCholesky`]),
 //! - LU with partial pivoting ([`lu::LuDecomposition`]) and a complex
 //!   variant ([`complex::ComplexLu`]) used by the AC small-signal
-//!   analysis of the circuit simulator,
-//! - a cyclic Jacobi symmetric eigensolver ([`eig::SymmetricEigen`])
-//!   behind the Gauss–Hermite quadrature rule that checks the Hermite
-//!   basis's orthonormality.
+//!   analysis of the circuit simulator.
 //!
 //! # Conventions
 //!
 //! All matrices are row-major `Vec<f64>` with explicit `(rows, cols)`
 //! shape. Dimension mismatches in checked entry points return
 //! [`LinalgError`]; the low-level `*_unchecked` helpers assert in debug
-//! builds only. Numerical failures (singular pivot, non-PD matrix,
-//! no convergence) are reported as errors, never panics.
+//! builds only. Numerical failures (singular pivot, non-PD matrix) are
+//! reported as errors, never panics.
 //!
 //! # Example
 //!
@@ -60,7 +57,6 @@
 
 pub mod cholesky;
 pub mod complex;
-pub mod eig;
 pub mod lu;
 pub mod matrix;
 pub mod qr;
@@ -94,11 +90,6 @@ pub enum LinalgError {
         /// Pivot index at which the failure was detected.
         index: usize,
     },
-    /// An iterative method failed to converge within its iteration cap.
-    NoConvergence {
-        /// Number of iterations performed before giving up.
-        iterations: usize,
-    },
     /// An argument was outside its documented domain (e.g. empty matrix).
     InvalidArgument(String),
 }
@@ -114,9 +105,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { index } => {
                 write!(f, "matrix is not positive definite (pivot {index})")
-            }
-            LinalgError::NoConvergence { iterations } => {
-                write!(f, "iteration did not converge after {iterations} sweeps")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }

@@ -327,11 +327,6 @@ impl Matrix {
         g
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        vec_ops::norm2(&self.data)
-    }
-
     /// Extracts the sub-matrix formed by the given column indices, in order.
     pub fn select_cols(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(self.rows, indices.len());

@@ -69,30 +69,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Element-wise difference `x - y` into a fresh vector.
-#[inline]
-pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(x.len(), y.len(), "sub: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
-/// Element-wise sum `x + y` into a fresh vector.
-#[inline]
-pub fn add(x: &[f64], y: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(x.len(), y.len(), "add: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a + b).collect()
-}
-
-/// Arithmetic mean; `0.0` for an empty slice.
-#[inline]
-pub fn mean(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f64>() / x.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,22 +112,5 @@ mod tests {
         let mut y = [10.0, 10.0, 10.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let x = [1.0, -4.0, 2.5];
-        let y = [0.5, 2.0, -1.0];
-        let s = add(&x, &y);
-        let back = sub(&s, &y);
-        for (a, b) in back.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn mean_handles_empty() {
-        assert_eq!(mean(&[]), 0.0);
-        assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-15);
     }
 }

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rsm_linalg::cholesky::GrowingCholesky;
-use rsm_linalg::eig::SymmetricEigen;
 use rsm_linalg::lu::LuDecomposition;
 use rsm_linalg::qr::{IncrementalQr, QrDecomposition};
 use rsm_linalg::vec_ops;
@@ -65,25 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn eigen_reconstructs_and_sorts(a0 in matrix(6, 6)) {
-        // Symmetrize.
-        let mut a = a0.clone();
-        for i in 0..6 {
-            for j in 0..6 {
-                a[(i, j)] = 0.5 * (a0[(i, j)] + a0[(j, i)]);
-            }
-        }
-        let e = SymmetricEigen::new(&a).unwrap();
-        for w in e.eigenvalues().windows(2) {
-            prop_assert!(w[0] >= w[1]);
-        }
-        let v = e.eigenvectors();
-        let lam = Matrix::from_diag(e.eigenvalues());
-        let rec = v.matmul(&lam).unwrap().matmul(&v.transpose()).unwrap();
-        prop_assert!(rec.max_abs_diff(&a).unwrap() < 1e-9);
-    }
-
-    #[test]
     fn incremental_qr_least_squares_optimal(
         a in matrix(12, 4),
         b in proptest::collection::vec(-1.0f64..1.0, 12),
@@ -125,7 +105,7 @@ proptest! {
         x in proptest::collection::vec(-10.0f64..10.0, 16),
         y in proptest::collection::vec(-10.0f64..10.0, 16),
     ) {
-        let s = vec_ops::add(&x, &y);
+        let s: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
         prop_assert!(vec_ops::norm2(&s) <= vec_ops::norm2(&x) + vec_ops::norm2(&y) + 1e-12);
     }
 

@@ -92,7 +92,9 @@ pub enum SpiceError {
         /// Description of where the failure occurred.
         context: String,
     },
-    /// The netlist is malformed (bad node, non-positive R, etc.).
+    /// The netlist is malformed (bad node, non-positive R, etc.), or an
+    /// analysis argument is out of its domain (a transient's time step
+    /// or stop time).
     BadNetlist(String),
     /// A measurement could not be extracted from the waveform/sweep.
     MeasureFailed(String),

@@ -95,14 +95,36 @@ struct IndInst {
 ///
 /// # Errors
 ///
-/// Propagates DC errors for the initial point;
-/// [`SpiceError::NoConvergence`] if a time step fails to converge.
+/// [`SpiceError::BadNetlist`], before any work, unless `dt` is finite
+/// and positive, `t_stop` finite and non-negative, and the step count
+/// `⌈t_stop/dt⌉` fits in a `u32`; propagates DC errors for the initial
+/// point; [`SpiceError::NoConvergence`] if a time step fails to
+/// converge.
 pub fn run(
     ckt: &Circuit,
     dt: f64,
     t_stop: f64,
     stimuli: &[(VsourceId, Step)],
 ) -> Result<TranResult> {
+    if !(dt.is_finite() && dt > 0.0) {
+        return Err(SpiceError::BadNetlist(format!(
+            "transient step dt = {dt} s must be finite and positive"
+        )));
+    }
+    if !(t_stop.is_finite() && t_stop >= 0.0) {
+        return Err(SpiceError::BadNetlist(format!(
+            "transient stop time t_stop = {t_stop} s must be finite and non-negative"
+        )));
+    }
+    let steps = (t_stop / dt).ceil();
+    if steps > f64::from(u32::MAX) {
+        return Err(SpiceError::BadNetlist(format!(
+            "transient of t_stop = {t_stop} s in steps of dt = {dt} s takes {steps:e} steps, \
+             more than {}",
+            u32::MAX
+        )));
+    }
+    let steps = steps as usize;
     let mut work = ckt.clone();
     // Initial condition: sources at their t = 0 values.
     for (id, s) in stimuli {
@@ -142,7 +164,6 @@ pub fn run(
         })
         .collect();
 
-    let steps = (t_stop / dt).ceil() as usize;
     let mut times = Vec::with_capacity(steps + 1);
     let mut volts = Vec::with_capacity(steps + 1);
     let push_state = |times: &mut Vec<f64>, volts: &mut Vec<Vec<f64>>, t: f64, x: &[f64]| {
@@ -278,6 +299,31 @@ mod tests {
         assert_eq!(s.value(0.0), 0.0);
         assert!((s.value(1.5e-9) - 0.5).abs() < 1e-12);
         assert_eq!(s.value(5e-9), 1.0);
+    }
+
+    #[test]
+    fn a_bad_time_grid_is_rejected_naming_the_argument() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.vsource(vin, Circuit::GROUND, 1.0);
+        ckt.resistor(vin, out, 1_000.0);
+        ckt.capacitor(out, Circuit::GROUND, 1e-9);
+        let mut cases = vec![];
+        for dt in [0.0, -1e-12, f64::NAN, f64::INFINITY] {
+            cases.push((dt, 1e-9, "step dt ="));
+        }
+        for t_stop in [f64::NAN, -1e-9, f64::INFINITY] {
+            cases.push((1e-12, t_stop, "stop time t_stop ="));
+        }
+        // 1e300 steps: the loop would never end.
+        cases.push((1e-300, 1.0, "steps, more than"));
+        for (dt, t_stop, needle) in cases {
+            match run(&ckt, dt, t_stop, &[]) {
+                Err(SpiceError::BadNetlist(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("dt = {dt}, t_stop = {t_stop}: {:?}", other.map(|r| r.times)),
+            }
+        }
     }
 
     #[test]

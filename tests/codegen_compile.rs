@@ -2,7 +2,7 @@
 //! with the system compiler and produce values identical to the Rust
 //! model. Skipped (with a note) when no C compiler is installed.
 
-use sparse_rsm::basis::{Dictionary, DictionaryKind};
+use sparse_rsm::basis::{Atom, Dictionary, DictionaryKind};
 use sparse_rsm::core::{codegen, SparseModel};
 use sparse_rsm::stats::NormalSampler;
 use std::process::Command;
@@ -25,7 +25,7 @@ fn emitted_c_compiles_and_matches_rust_predictions() {
     let mut rng = NormalSampler::seed_from_u64(9);
     // A model touching every term kind.
     let cross = (0..dict.len())
-        .find(|&i| dict.term(i) == sparse_rsm::basis::Term::cross(1, 4))
+        .find(|&i| dict.atom(i) == Atom::Cross(1, 4))
         .unwrap();
     let model = SparseModel::new(
         dict.len(),

@@ -470,7 +470,6 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
         Dictionary::new(2, DictionaryKind::Quadratic),
         Dictionary::new(30, DictionaryKind::Quadratic),
         Dictionary::new(200, DictionaryKind::Quadratic),
-        Dictionary::new(12, DictionaryKind::TotalDegree(3)),
     ];
     let specials: [&[f64]; 4] = [
         &[0.0, -0.0],
