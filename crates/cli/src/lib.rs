@@ -311,8 +311,7 @@ fn cmd_predict(opts: &Options) -> Result<String, String> {
         table.data.clone()
     };
     // The one scoring code path: the same batch evaluator the serving
-    // stack uses (support-union columns only, fixed-order chunking),
-    // so offline and served predictions are bit-identical.
+    // stack uses, so offline and served predictions are bit-identical.
     let pred = bundle
         .model
         .predict_batch(&dict, &inputs)

@@ -119,11 +119,10 @@ fn fit_and_predict_are_byte_identical_across_runs_and_threads() {
 
 #[test]
 fn rerouted_predict_is_byte_identical_across_threads_on_multi_chunk_batches() {
-    // `rsm predict` now runs through SparseModel::predict_batch, which
-    // fans rows out in fixed 256-row chunks. 700 rows span three
-    // chunks, so this genuinely exercises the parallel path — the CSV
-    // must still be byte-identical at 1 and 4 threads, and identical
-    // to the serial per-point evaluation it replaced.
+    // `rsm predict` runs through SparseModel::predict_batch, which
+    // scores 8 points at a time and the last 700 mod 8 = 4 one at a
+    // time. The CSV must be byte-identical at 1 and 4 threads, and
+    // identical to the per-point evaluation it replaced.
     let dir = temp_dir("predict_batch");
     let samples = dir.join("samples.csv");
     write_samples(&samples);
@@ -186,7 +185,7 @@ fn rerouted_predict_is_byte_identical_across_threads_on_multi_chunk_batches() {
     }
     assert_eq!(
         outputs[0], outputs[1],
-        "thread count leaked into multi-chunk predict output"
+        "thread count leaked into predict output"
     );
 
     // Cross-check against the serial per-point loop the command used

@@ -99,6 +99,14 @@ pub enum CoreError {
     Numerical(String),
     /// Invalid configuration (zero folds, zero λ, …).
     BadConfig(String),
+    /// A point to predict at holds a NaN or an infinity; this names the
+    /// first one in the batch.
+    NonFinite {
+        /// Index of the point in the batch.
+        point: usize,
+        /// Index of the coordinate within the point.
+        coordinate: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -110,6 +118,9 @@ impl fmt::Display for CoreError {
             CoreError::Unsolvable(msg) => write!(f, "unsolvable: {msg}"),
             CoreError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
             CoreError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            CoreError::NonFinite { point, coordinate } => {
+                write!(f, "coordinate {coordinate} of point {point} is not finite")
+            }
         }
     }
 }

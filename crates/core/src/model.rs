@@ -1,13 +1,17 @@
 //! The sparse model produced by every solver.
 
+use crate::CoreError;
 use rsm_basis::{Atom, Dictionary};
 use rsm_linalg::{tol, Matrix};
 use serde::{Deserialize, Serialize};
 
-/// Row-chunk length for [`SparseModel::predict_rows`]. A function of
-/// nothing but this constant and the batch size, so the chunk grid —
-/// and therefore the result bits — never depend on the thread count.
-const BATCH_ROW_CHUNK: usize = 256;
+/// Points [`SparseModel::predict_rows`] scores in lockstep: each term
+/// is added to this many sums at once, so that many chains of adds
+/// overlap where one point's chain would wait on each add. Scoring
+/// 4 099 points (N = 64 quadratic, 32 terms; best call of each of 5
+/// runs on a 2-vCPU Xeon) took 154–165 µs at 4 points, 140–147 µs at 8
+/// and 138–145 µs at 16.
+const LOCKSTEP: usize = 8;
 
 /// A sparse coefficient vector `α`: the solution of `G·α ≈ F` with only
 /// a few non-zeros (Step 9 of Algorithm 1 sets every unselected
@@ -121,7 +125,8 @@ impl SparseModel {
     /// prediction cost is `O(‖α‖₀)` instead of `O(M)`.
     pub fn predict_point(&self, dict: &Dictionary, dy: &[f64]) -> f64 {
         let terms = self.coeffs.iter().map(|&(m, c)| (dict.atom(m), c));
-        score(terms, dict, dy)
+        let [y] = score(terms, dict, [dy]);
+        y
     }
 
     /// Batched sparse prediction: scores every row of `points` (raw
@@ -132,12 +137,14 @@ impl SparseModel {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ShapeMismatch`](crate::CoreError) when the
-    /// point dimension disagrees with the dictionary, or when the
-    /// dictionary size disagrees with the model's basis count.
+    /// Returns [`CoreError::ShapeMismatch`] when the point dimension
+    /// disagrees with the dictionary, or when the dictionary size
+    /// disagrees with the model's basis count, and
+    /// [`CoreError::NonFinite`] naming the first NaN or infinite
+    /// coordinate.
     pub fn predict_batch(&self, dict: &Dictionary, points: &Matrix) -> crate::Result<Vec<f64>> {
         if points.cols() != dict.num_vars() {
-            return Err(crate::CoreError::ShapeMismatch {
+            return Err(CoreError::ShapeMismatch {
                 expected: format!("points with {} columns", dict.num_vars()),
                 found: format!("{} columns", points.cols()),
             });
@@ -152,28 +159,32 @@ impl SparseModel {
     /// `rsm predict` CSV path (through [`Self::predict_batch`]) and the
     /// `rsm serve` wire path both call it. The support is decoded into
     /// [`Atom`]s once per call, and only those terms are evaluated per
-    /// row, so a batch costs `O(K·‖α‖₀)` term evaluations instead of
-    /// `O(K·M)`. Rows fan out over `rsm_runtime`'s fixed-order chunk
-    /// grid ([`rsm_runtime::par_chunks_reduce`]), and each row sums
-    /// `c·g` in support order exactly as [`Self::predict_point`] does,
-    /// so the output is **bit-identical** to a serial per-point loop at
-    /// every thread count.
+    /// point, so a batch costs `O(K·‖α‖₀)` term evaluations instead of
+    /// `O(K·M)`. The batch is scored in one serial pass on the calling
+    /// thread, in blocks of 8 points: a block's coordinates are checked
+    /// for finiteness, then each term is added to the block's 8 sums in
+    /// support order. The last points of a batch that fill no block are
+    /// scored one at a time. Every point sums `c·g` exactly as
+    /// [`Self::predict_point`] does, so the output is **bit-identical**
+    /// to a per-point loop.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ShapeMismatch`](crate::CoreError) when the
-    /// coordinate count is not a multiple of the point dimension, or
-    /// when the dictionary size disagrees with the model's basis count.
+    /// Returns [`CoreError::ShapeMismatch`] when the coordinate count is
+    /// not a multiple of the point dimension, or when the dictionary
+    /// size disagrees with the model's basis count, and
+    /// [`CoreError::NonFinite`] naming the first NaN or infinite
+    /// coordinate.
     pub fn predict_rows(&self, dict: &Dictionary, points: &[f64]) -> crate::Result<Vec<f64>> {
         let n = dict.num_vars();
         if !points.len().is_multiple_of(n) {
-            return Err(crate::CoreError::ShapeMismatch {
+            return Err(CoreError::ShapeMismatch {
                 expected: format!("points with {n} columns"),
                 found: format!("{} coordinates", points.len()),
             });
         }
         if dict.len() != self.num_bases {
-            return Err(crate::CoreError::ShapeMismatch {
+            return Err(CoreError::ShapeMismatch {
                 expected: format!("dictionary of {} bases", self.num_bases),
                 found: format!("{} bases", dict.len()),
             });
@@ -183,19 +194,19 @@ impl SparseModel {
             .iter()
             .map(|&(m, c)| (dict.atom(m), c))
             .collect();
-        let k = points.len() / n;
-        let mut out: Vec<f64> = Vec::with_capacity(k);
-        rsm_runtime::par_chunks_reduce(
-            k,
-            BATCH_ROW_CHUNK,
-            |rows| {
-                points[rows.start * n..rows.end * n]
-                    .chunks_exact(n)
-                    .map(|dy| score(terms.iter().copied(), dict, dy))
-                    .collect::<Vec<f64>>()
-            },
-            |chunk| out.extend_from_slice(&chunk),
-        );
+        let mut out: Vec<f64> = Vec::with_capacity(points.len() / n);
+        let mut blocks = points.chunks_exact(LOCKSTEP * n);
+        for block in blocks.by_ref() {
+            check_finite(block, n, out.len())?;
+            let dys = std::array::from_fn(|p| &block[p * n..(p + 1) * n]);
+            out.extend(score::<LOCKSTEP>(terms.iter().copied(), dict, dys));
+        }
+        let tail = blocks.remainder();
+        check_finite(tail, n, out.len())?;
+        for dy in tail.chunks_exact(n) {
+            let [y] = score(terms.iter().copied(), dict, [dy]);
+            out.push(y);
+        }
         Ok(out)
     }
 
@@ -248,14 +259,44 @@ impl SparseModel {
     }
 }
 
-/// `Σ c·g(dy)` over decoded `(atom, c)` terms, in the order given: the
-/// one expression behind [`SparseModel::predict_point`] and
-/// [`SparseModel::predict_rows`], so both produce the same bits.
-// Without the hint the row loop calls it out of line: 86 against 60 ns
-// per point (N = 64 quadratic, 32 terms, one thread of a 2-vCPU Xeon).
-#[inline]
-fn score(terms: impl Iterator<Item = (Atom, f64)>, dict: &Dictionary, dy: &[f64]) -> f64 {
-    terms.map(|(a, c)| c * dict.eval_atom(a, dy)).sum()
+/// `Σ c·g(dy)` at `P` points in lockstep, over decoded `(atom, c)`
+/// terms in the order given: the one sum behind
+/// [`SparseModel::predict_point`] and [`SparseModel::predict_rows`].
+/// Each point's sum starts from −0.0, as `Iterator::sum` does, and adds
+/// its terms one at a time in order, so its bits depend neither on `P`
+/// nor on the other points.
+fn score<const P: usize>(
+    terms: impl Iterator<Item = (Atom, f64)>,
+    dict: &Dictionary,
+    dys: [&[f64]; P],
+) -> [f64; P] {
+    let mut sums = [-0.0; P];
+    for (a, c) in terms {
+        for (s, dy) in sums.iter_mut().zip(dys) {
+            *s += c * dict.eval_atom(a, dy);
+        }
+    }
+    sums
+}
+
+/// Checks that every coordinate of `coords`, whole points of `n`
+/// coordinates starting at point `first` of the batch, is finite.
+///
+/// The test folds with a non-short-circuit `&`, so it runs without a
+/// branch per coordinate; only a block that fails is scanned again for
+/// the first offender.
+fn check_finite(coords: &[f64], n: usize, first: usize) -> crate::Result<()> {
+    if coords.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Ok(());
+    }
+    let pos = coords
+        .iter()
+        .position(|v| !v.is_finite())
+        .unwrap_or_default();
+    Err(CoreError::NonFinite {
+        point: first + pos / n,
+        coordinate: pos % n,
+    })
 }
 
 #[cfg(test)]
@@ -333,26 +374,69 @@ mod tests {
             let support = [0, 1, (3 * n / 2).min(m - 1), m / 2, m - 1];
             let coeffs = support.into_iter().zip([0.5, 0.3, -1.7, 0.25, 1.125]);
             let model = SparseModel::new(m, coeffs.collect());
-            // One row, and more rows than one chunk so the chunk grid
-            // is exercised.
-            for k in [1, 700] {
+            // No point, a tail alone, one block, a block and a tail, and
+            // many blocks with a tail.
+            for k in [0, 1, 7, 8, 9, 4_099] {
                 let pts = Matrix::from_fn(k, n, |r, c| ((r * 7 + c) as f64 * 0.13).sin() * 1.7);
-                for threads in [1usize, 4] {
-                    rsm_runtime::set_threads(threads);
-                    let batch = model.predict_batch(&dict, &pts).unwrap();
-                    let rows = model.predict_rows(&dict, pts.as_slice()).unwrap();
-                    assert_eq!(batch.len(), k);
-                    assert_eq!(rows.len(), k);
-                    for (r, (&b, &w)) in batch.iter().zip(&rows).enumerate() {
-                        let p = model.predict_point(&dict, pts.row(r));
-                        let at = format!("{kind:?} row {r} of {k} @ {threads} threads");
-                        assert_eq!(p.to_bits(), b.to_bits(), "{at}");
-                        assert_eq!(p.to_bits(), w.to_bits(), "{at}");
-                    }
+                let batch = model.predict_batch(&dict, &pts).unwrap();
+                let rows = model.predict_rows(&dict, pts.as_slice()).unwrap();
+                assert_eq!(batch.len(), k);
+                assert_eq!(rows.len(), k);
+                for (r, (&b, &w)) in batch.iter().zip(&rows).enumerate() {
+                    let p = model.predict_point(&dict, pts.row(r));
+                    let at = format!("{kind:?} row {r} of {k}");
+                    assert_eq!(p.to_bits(), b.to_bits(), "{at}");
+                    assert_eq!(p.to_bits(), w.to_bits(), "{at}");
                 }
             }
         }
-        rsm_runtime::set_threads(0);
+    }
+
+    #[test]
+    fn empty_sums_and_negative_zero_terms_predict_negative_zero() {
+        let dict = Dictionary::new(2, DictionaryKind::Linear);
+        // `y0 = −0.0` makes the term `1·y0` exactly −0.0; a sum started
+        // from +0.0 would turn either model's answer into +0.0.
+        for model in [
+            SparseModel::zero(dict.len()),
+            SparseModel::new(dict.len(), vec![(1, 1.0)]),
+        ] {
+            let pts = Matrix::from_fn(9, 2, |_, c| if c == 0 { -0.0 } else { 1.0 });
+            assert_eq!(
+                model.predict_point(&dict, pts.row(0)).to_bits(),
+                (-0.0f64).to_bits()
+            );
+            for y in model.predict_rows(&dict, pts.as_slice()).unwrap() {
+                assert_eq!(y.to_bits(), (-0.0f64).to_bits(), "{model:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_non_finite_coordinate_is_named() {
+        let n = 3;
+        let dict = Dictionary::new(n, DictionaryKind::Quadratic);
+        let model = SparseModel::new(dict.len(), vec![(0, 0.5), (4, -1.0), (9, 2.0)]);
+        let k = 4_099;
+        // The first coordinate, the last of a block, the first of the
+        // next block, the first tail point, and the last coordinate of
+        // the batch, past point 4 096.
+        for (point, coordinate) in [(0, 0), (7, n - 1), (8, 0), (4_096, 1), (k - 1, n - 1)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut pts = vec![0.25; k * n];
+                pts[point * n + coordinate] = bad;
+                // A later offender does not hide the first.
+                pts[k * n - 1] = f64::NAN;
+                assert_eq!(
+                    model.predict_rows(&dict, &pts),
+                    Err(CoreError::NonFinite { point, coordinate }),
+                    "{bad} at point {point}, coordinate {coordinate}"
+                );
+            }
+        }
+        let one = Matrix::from_vec(1, n, vec![0.0, f64::NAN, 0.0]).unwrap();
+        let err = model.predict_batch(&dict, &one).unwrap_err();
+        assert_eq!(err.to_string(), "coordinate 1 of point 0 is not finite");
     }
 
     #[test]

@@ -84,9 +84,8 @@ static AVAILABLE: OnceLock<usize> = OnceLock::new();
 /// in `RSM_THREADS`, then [`std::thread::available_parallelism`]
 /// (falling back to 1 if that is unavailable). The override and the
 /// variable are read on every call; the CPU count is read once per
-/// process, because the query costs microseconds and a one-point
-/// prediction makes a parallel call. So a CPU quota or affinity mask
-/// changed while the process runs is not seen.
+/// process, because the query costs microseconds. So a CPU quota or
+/// affinity mask changed while the process runs is not seen.
 #[expect(
     clippy::disallowed_methods,
     reason = "the sanctioned RSM_THREADS knob: thread count only affects speed, never results (tests/parallel_equivalence.rs)"

@@ -37,6 +37,7 @@ fn parallel_chunk_sum(xs: &[f64], chunk_len: usize) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn parallel_reduce_equals_serial_fold(
         xs in proptest::collection::vec(-1e3f64..1e3, 0..400),
         chunk_len in 1usize..64,
@@ -49,6 +50,7 @@ proptest! {
         prop_assert_eq!(reference.to_bits(), parallel.to_bits());
     }
 
+    #[test]
     fn reduce_invariant_across_thread_counts(
         xs in proptest::collection::vec(-1.0f64..1.0, 1..600),
         chunk_len in 1usize..40,
@@ -64,6 +66,7 @@ proptest! {
         set_threads(0);
     }
 
+    #[test]
     fn reduce_visits_each_chunk_once_in_order(
         len in 0usize..500,
         chunk_len in 1usize..50,
@@ -83,6 +86,7 @@ proptest! {
         prop_assert_eq!(cursor, len);
     }
 
+    #[test]
     fn map_indexed_matches_serial_map(
         n in 0usize..300,
         scale in -2.0f64..2.0,
@@ -98,6 +102,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn single_element_and_single_chunk_degenerate_cases(
         x in -1e6f64..1e6,
         threads in 1usize..9,

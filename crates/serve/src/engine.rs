@@ -63,26 +63,31 @@ impl PredictEngine {
                 ),
             };
         }
-        if let Some(pos) = points.iter().position(|v| !v.is_finite()) {
-            return Frame::Error {
-                code: ErrorCode::NonFinite,
-                message: format!(
-                    "coordinate {} of point {} is not finite",
-                    pos % num_vars,
-                    pos / num_vars
-                ),
-            };
-        }
-        // The decoder guarantees divisibility; re-derive defensively so
-        // this stays panic-free for direct callers too.
-        if num_vars == 0 || !points.len().is_multiple_of(num_vars) {
-            return Frame::Error {
-                code: ErrorCode::Malformed,
-                message: "points length is not a multiple of num_vars".to_string(),
-            };
-        }
-        match self.bundle.model.predict_rows(&self.dict, points) {
+        let scored = if points.len().is_multiple_of(num_vars) {
+            self.bundle.model.predict_rows(&self.dict, points)
+        } else {
+            // The decoder never yields a ragged batch, so only a direct
+            // caller reaches this scan; a non-finite coordinate still
+            // wins over the shape.
+            match points.iter().position(|v| !v.is_finite()) {
+                Some(pos) => Err(CoreError::NonFinite {
+                    point: pos / num_vars,
+                    coordinate: pos % num_vars,
+                }),
+                None => {
+                    return Frame::Error {
+                        code: ErrorCode::Malformed,
+                        message: "points length is not a multiple of num_vars".to_string(),
+                    }
+                }
+            }
+        };
+        match scored {
             Ok(values) => Frame::Predictions { values },
+            Err(e @ CoreError::NonFinite { .. }) => Frame::Error {
+                code: ErrorCode::NonFinite,
+                message: e.to_string(),
+            },
             Err(e) => Frame::Error {
                 code: ErrorCode::Internal,
                 message: format!("evaluator failure: {e}"),
@@ -129,19 +134,24 @@ mod tests {
     #[test]
     fn predictions_match_predict_point_bitwise() {
         let e = engine();
-        let pts = vec![0.5, -1.0, 2.0, 0.0, 0.25, -0.75];
-        match e.predict(3, &pts) {
-            Frame::Predictions { values } => {
-                assert_eq!(values.len(), 2);
-                for (i, v) in values.iter().enumerate() {
-                    let expect = e
-                        .bundle()
-                        .model
-                        .predict_point(&e.bundle().dictionary().unwrap(), &pts[i * 3..(i + 1) * 3]);
-                    assert_eq!(v.to_bits(), expect.to_bits(), "point {i}");
+        let dict = e.bundle().dictionary().unwrap();
+        // A tail alone, one block, a block and a tail, and many blocks
+        // with a tail.
+        for k in [1, 2, 8, 9, 4_099] {
+            let pts: Vec<f64> = (0..k * 3).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
+            match e.predict(3, &pts) {
+                Frame::Predictions { values } => {
+                    assert_eq!(values.len(), k);
+                    for (i, v) in values.iter().enumerate() {
+                        let expect = e
+                            .bundle()
+                            .model
+                            .predict_point(&dict, &pts[i * 3..(i + 1) * 3]);
+                        assert_eq!(v.to_bits(), expect.to_bits(), "point {i} of {k}");
+                    }
                 }
+                other => panic!("expected predictions, got {other:?}"),
             }
-            other => panic!("expected predictions, got {other:?}"),
         }
     }
 
@@ -160,15 +170,40 @@ mod tests {
     #[test]
     fn non_finite_coordinates_are_rejected_with_position() {
         let e = engine();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            match e.predict(3, &[0.0, 1.0, 2.0, 0.5, bad, 1.5]) {
-                Frame::Error { code, message } => {
-                    assert_eq!(code, ErrorCode::NonFinite);
-                    assert!(message.contains("point 1"), "{message}");
-                    assert!(message.contains("coordinate 1"), "{message}");
+        let k = 4_099;
+        // The first coordinate, the last of an 8-point block, the first
+        // of the next block, the tail, and past point 4 096.
+        for (point, coordinate) in [(0, 0), (7, 2), (8, 0), (4_097, 1), (4_098, 2)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut pts = vec![0.5; k * 3];
+                pts[point * 3 + coordinate] = bad;
+                match e.predict(3, &pts) {
+                    Frame::Error { code, message } => {
+                        assert_eq!(code, ErrorCode::NonFinite);
+                        assert_eq!(
+                            message,
+                            format!("coordinate {coordinate} of point {point} is not finite")
+                        );
+                    }
+                    other => panic!("expected error, got {other:?}"),
                 }
-                other => panic!("expected error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_ragged_direct_call_answers_non_finite_before_malformed() {
+        let e = engine();
+        match e.predict(3, &[0.0, 1.0, 2.0, f64::NAN]) {
+            Frame::Error { code, message } => {
+                assert_eq!(code, ErrorCode::NonFinite);
+                assert_eq!(message, "coordinate 0 of point 1 is not finite");
+            }
+            other => panic!("expected error, got {other:?}"),
+        }
+        match e.predict(3, &[0.0, 1.0, 2.0, 3.0]) {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected error, got {other:?}"),
         }
     }
 

@@ -16,9 +16,9 @@
 //!   over [`SparseModel::predict_rows`](rsm_core::SparseModel::predict_rows),
 //!   the same evaluator the offline `rsm predict` command uses.
 //!
-//! Because the evaluator is shared and `rsm-runtime`'s chunking is
-//! fixed-order, a served prediction is bit-identical to an offline one
-//! — at any `RSM_THREADS` setting. `tests/serve_equivalence.rs` at the
+//! Because the evaluator is shared and scores a batch on the calling
+//! thread, a served prediction is bit-identical to an offline one — at
+//! any `RSM_THREADS` setting. `tests/serve_equivalence.rs` at the
 //! workspace root holds that contract; `crates/serve/tests/protocol.rs`
 //! holds the robustness one.
 //!

@@ -136,9 +136,8 @@ impl Transport for UnixListener {
 }
 
 /// Accepts connections sequentially and serves each to completion.
-/// Throughput comes from batching and `rsm-runtime`'s fixed-order
-/// chunking inside a batch, not from concurrent connections — one
-/// connection at a time is what keeps output ordering trivially
+/// Throughput comes from batching, not from concurrent connections —
+/// one connection at a time is what keeps output ordering trivially
 /// deterministic.
 ///
 /// `max_conns` bounds how many connections are accepted (`None` =

@@ -362,6 +362,7 @@ fn denormal_and_huge_magnitude_reduction_is_thread_count_invariant() {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
+    #[test]
     fn sanctioned_reduction_matches_serial_fold_on_adversarial_spreads(
         raw in proptest::collection::vec(0u64..u64::MAX, 0..300),
         chunk_len in 1usize..48,

@@ -127,6 +127,7 @@ proptest::proptest! {
     /// Random bundles and batches through the in-memory frame loop:
     /// whatever comes back as a predictions frame must match the
     /// serial in-process evaluation bit for bit.
+    #[test]
     fn random_bundles_roundtrip_bit_exact(
         n in 1usize..6,
         basis_pick in 0usize..2,
