@@ -29,14 +29,13 @@
 //! historical shape in `results/million.json`.
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{peak_rss_mb, save_json, timed, RunOptions};
+use rsm_bench::{peak_rss_mb, save_json, test_error, timed, RunOptions};
 use rsm_core::lar::LarConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::select::{cross_validate, CvConfig};
 use rsm_core::source::{AtomSource, DictionarySource};
 use rsm_core::{ls, solver, Method, SparseModel};
 use rsm_linalg::Matrix;
-use rsm_stats::metrics::relative_error;
 use rsm_stats::NormalSampler;
 use serde::Serialize;
 
@@ -115,16 +114,10 @@ impl Problem {
     }
 
     fn score(&self, model: &SparseModel) -> (f64, f64, bool) {
-        let pred_train: Vec<f64> = (0..self.samples.rows())
-            .map(|r| model.predict_point(&self.dict, self.samples.row(r)))
-            .collect();
-        let pred_test: Vec<f64> = (0..self.test_samples.rows())
-            .map(|r| model.predict_point(&self.dict, self.test_samples.row(r)))
-            .collect();
-        let train_error = relative_error(&pred_train, &self.f);
-        let test_error = relative_error(&pred_test, &self.f_test);
+        let train_error = test_error(model, &self.dict, &self.samples, &self.f);
+        let held_out_error = test_error(model, &self.dict, &self.test_samples, &self.f_test);
         let exact = model.support() == self.expected_support();
-        (train_error, test_error, exact)
+        (train_error, held_out_error, exact)
     }
 }
 

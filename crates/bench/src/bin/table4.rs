@@ -13,7 +13,10 @@
 //! Run: `cargo run --release -p rsm-bench --bin table4 [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_cost_table, save_json, timed, CostRow, RunOptions, SPECTRE_SECONDS_SRAM};
+use rsm_bench::{
+    ls_cost_scale, print_cost_table, save_json, test_error, timed, CostRow, RunOptions,
+    SPECTRE_SECONDS_SRAM,
+};
 use rsm_circuits::{sampling, PerformanceCircuit, SramReadPath};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -63,15 +66,13 @@ fn main() {
         let model = model.expect("reduced LS fit");
         let g_t = sdict.design_matrix(&ls_test.inputs);
         let err = relative_error(&model.predict_matrix(&g_t), &ls_test.metric(0));
-        let scale =
-            (k_paper_ls as f64 / k_small as f64) * (m_paper as f64 / m_small as f64).powi(2);
         rows.push(CostRow {
             method: "LS".into(),
             error: Some(err),
             samples: k_paper_ls,
             sim_cost_paper_s: k_paper_ls as f64 * SPECTRE_SECONDS_SRAM,
             sim_cost_measured_s: k_paper_ls as f64 * per_sample,
-            fit_cost_s: secs * scale,
+            fit_cost_s: secs * ls_cost_scale(k_small, m_small, k_paper_ls, m_paper),
             extrapolated: true,
         });
     }
@@ -80,11 +81,8 @@ fn main() {
         let order = ModelOrder::CrossValidated(CvConfig::new(lambda_max));
         let (rep, secs) = timed(|| solver::fit(&g_train, &f_train, method, &order));
         let rep = rep.expect("sparse fit");
-        // Sparse out-of-sample prediction (no 3000×21311 test matrix).
-        let pred: Vec<f64> = (0..test.inputs.rows())
-            .map(|r| rep.model.predict_point(&dict, test.inputs.row(r)))
-            .collect();
-        let err = relative_error(&pred, &f_test);
+        // Scored point by point: no 3000×21311 test matrix.
+        let err = test_error(&rep.model, &dict, &test.inputs, &f_test);
         eprintln!(
             "{}: err {:.2}%, λ = {}, fit {:.1}s",
             method.name(),

@@ -13,13 +13,12 @@
 //!    `M = 1891`, `K = 2400`) and its paper-scale fitting cost is
 //!    extrapolated with the QR cost law `K·M²` (marked in the output).
 
-use crate::{timed, CostRow, RunOptions, SPECTRE_SECONDS_OPAMP};
+use crate::{ls_cost_scale, test_error, timed, CostRow, RunOptions, SPECTRE_SECONDS_OPAMP};
 use rsm_basis::{Dictionary, DictionaryKind};
 use rsm_circuits::{sampling, OpAmp, PerformanceCircuit};
 use rsm_core::select::CvConfig;
-use rsm_core::{solver, Method, ModelOrder, SparseModel};
+use rsm_core::{solver, Method, ModelOrder};
 use rsm_linalg::Matrix;
-use rsm_stats::metrics::relative_error;
 use serde::Serialize;
 
 /// Per-metric, per-method error entry (Table II).
@@ -72,20 +71,6 @@ pub fn rank_variables(g_linear: &Matrix, f: &[f64], num_vars: usize, top: usize)
     order
 }
 
-/// Sparse out-of-sample prediction without materializing a test design
-/// matrix (5000 × 20 301 would be ~0.8 GB).
-fn test_error_sparse(
-    model: &SparseModel,
-    dict: &Dictionary,
-    test_inputs: &Matrix,
-    f_test: &[f64],
-) -> f64 {
-    let pred: Vec<f64> = (0..test_inputs.rows())
-        .map(|r| model.predict_point(dict, test_inputs.row(r)))
-        .collect();
-    relative_error(&pred, f_test)
-}
-
 /// Runs the full quadratic experiment.
 pub fn run(opts: &RunOptions) -> QuadraticOutcome {
     let amp = OpAmp::new();
@@ -107,8 +92,6 @@ pub fn run(opts: &RunOptions) -> QuadraticOutcome {
 
     let mut errors = Vec::new();
     let mut fit_secs_sparse = [0.0f64; 3];
-    let mut lambda_sum = [0usize; 3];
-    let mut ls_fit_secs_measured = 0.0;
     let mut ls_fit_secs_extrapolated = 0.0;
     let mut dict_size = 0;
 
@@ -134,9 +117,8 @@ pub fn run(opts: &RunOptions) -> QuadraticOutcome {
             let order = ModelOrder::CrossValidated(CvConfig::new(lambda_max));
             let (rep, secs) = timed(|| solver::fit(&g_quad, &f_pool, method, &order));
             let rep = rep.expect("sparse quadratic fit");
-            let err = test_error_sparse(&rep.model, &quad_dict, &reduced_test, &f_test);
+            let err = test_error(&rep.model, &quad_dict, &reduced_test, &f_test);
             fit_secs_sparse[si] += secs;
-            lambda_sum[si] += rep.lambda;
             errors.push(ErrorRow {
                 metric: metric.to_string(),
                 method: method.name().to_string(),
@@ -157,10 +139,8 @@ pub fn run(opts: &RunOptions) -> QuadraticOutcome {
         let (ls_model, secs) = timed(|| rsm_core::ls::fit(&g_ls, &f_ls));
         let ls_model = ls_model.expect("reduced LS fit");
         let ls_test_inputs = test.inputs.select_cols(&ls_vars);
-        let err = test_error_sparse(&ls_model, &ls_dict, &ls_test_inputs, &f_test);
-        ls_fit_secs_measured += secs;
-        ls_fit_secs_extrapolated +=
-            secs * (k_paper_ls as f64 / k_for_ls as f64) * (m_paper as f64 / m_ls as f64).powi(2);
+        let err = test_error(&ls_model, &ls_dict, &ls_test_inputs, &f_test);
+        ls_fit_secs_extrapolated += secs * ls_cost_scale(k_for_ls, m_ls, k_paper_ls, m_paper);
         errors.push(ErrorRow {
             metric: metric.to_string(),
             method: "LS".to_string(),
@@ -208,7 +188,6 @@ pub fn run(opts: &RunOptions) -> QuadraticOutcome {
             extrapolated: false,
         },
     ];
-    let _ = ls_fit_secs_measured;
     QuadraticOutcome {
         errors,
         costs,

@@ -255,12 +255,6 @@ impl IncrementalQr {
         self.q_cols.len()
     }
 
-    /// Column length (number of rows).
-    #[inline]
-    pub fn nrows(&self) -> usize {
-        self.m
-    }
-
     /// Appends a column, orthogonalizing it against the current basis.
     ///
     /// # Errors

@@ -12,14 +12,14 @@
 //!   touched, a Householder `tau` stored as `0.0` meaning "skip") and
 //!   guards against dividing by a literal zero. These preserve the
 //!   exact semantics of `==` and therefore keep results bit-identical.
-//! - [`near_zero`] / [`approx_eq`] — tolerance-based comparison, for
-//!   genuinely approximate questions ("has the residual vanished?").
+//! - [`approx_eq`] — tolerance-based comparison, for genuinely
+//!   approximate questions ("do these two results agree?").
 //!
 //! The two exact helpers are the *only* sanctioned homes of the raw
 //! operator. Neither needs an exemption: `float_cmp` skips comparisons
 //! against a zero constant and functions named `*_eq`.
 
-/// Default absolute tolerance for [`near_zero`] when a caller has no
+/// Default absolute tolerance for [`approx_eq`] when a caller has no
 /// better problem-scale estimate: `f64` epsilon squared-ish, far below
 /// any physically meaningful circuit quantity.
 pub const DEFAULT_ABS_TOL: f64 = 1e-12;
@@ -62,13 +62,6 @@ pub fn exactly_eq(a: f64, b: f64) -> bool {
     a == b
 }
 
-/// True when `|x| <= abs_tol`. NaN is never near zero.
-#[inline]
-#[must_use]
-pub fn near_zero(x: f64, abs_tol: f64) -> bool {
-    x.abs() <= abs_tol
-}
-
 /// Mixed relative/absolute closeness:
 /// `|a - b| <= max(abs_tol, rel_tol * max(|a|, |b|))`.
 ///
@@ -105,14 +98,6 @@ mod tests {
         assert!(exactly_eq(0.0, -0.0));
         assert!(!exactly_eq(f64::NAN, f64::NAN));
         assert!(!exactly_eq(1.0, 1.0 + f64::EPSILON));
-    }
-
-    #[test]
-    fn near_zero_uses_absolute_tolerance() {
-        assert!(near_zero(1e-13, DEFAULT_ABS_TOL));
-        assert!(near_zero(-1e-13, DEFAULT_ABS_TOL));
-        assert!(!near_zero(1e-11, DEFAULT_ABS_TOL));
-        assert!(!near_zero(f64::NAN, DEFAULT_ABS_TOL));
     }
 
     #[test]
