@@ -227,7 +227,10 @@ impl Dictionary {
     /// [`Accumulation`]).
     ///
     /// This is the streaming kernel behind the dictionary source's
-    /// correlation and norm sweeps. No `M`-wide row is materialized:
+    /// full-data correlation and norm sweeps;
+    /// [`Self::accumulate_squares_of_rows`] is its form for a row list,
+    /// behind the norms of a cross-validation fold. No `M`-wide row is
+    /// materialized:
     /// the linear and quadratic families take the live rows (weight not
     /// exactly zero) in blocks of 8 and walk the requested atoms once per
     /// block, the cross terms as contiguous `y_i·y[j..]` segments,
@@ -302,6 +305,62 @@ impl Dictionary {
         }
         sweep_blocks(&layout, samples, live, out, term);
     }
+
+    /// Adds `g_j(x_k)²` for every listed sample row `k` into the atom
+    /// range `atoms`: the [`Accumulation::Squares`] sweep of
+    /// [`Self::accumulate`] over a row list instead of a row range.
+    ///
+    /// The rows run through the same blocked kernel, in list order and
+    /// in blocks of 8, and every entry gets the `g` value
+    /// [`Self::eval_point_into`] computes and the update `out += g·g`,
+    /// one listed row at a time. So the result is bit-identical to
+    /// evaluating each listed row whole and adding its squares in, in
+    /// list order. A row that is not listed is never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples.cols() != N`, `atoms` is not a range within
+    /// `0..M`, `out.len() != atoms.len()`, or a listed row is out of
+    /// range of `samples`.
+    pub fn accumulate_squares_of_rows(
+        &self,
+        samples: &Matrix,
+        rows: &[usize],
+        atoms: Range<usize>,
+        out: &mut [f64],
+    ) {
+        assert_eq!(
+            samples.cols(),
+            self.n,
+            "accumulate_squares_of_rows: sample dimension mismatch"
+        );
+        assert!(
+            atoms.start <= atoms.end && atoms.end <= self.len(),
+            "accumulate_squares_of_rows: atom range out of bounds"
+        );
+        assert_eq!(
+            out.len(),
+            atoms.len(),
+            "accumulate_squares_of_rows: wrong output size"
+        );
+        let listed = rows.iter().map(|&k| (k, 1.0));
+        let layout = Layout::new(self.n, atoms);
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            #[expect(
+                unsafe_code,
+                reason = "calls the AVX2 build of the sweep, which needs a CPU check the compiler cannot see"
+            )]
+            // SAFETY: as in `accumulate_with`: `sweep_avx2` is safe code
+            // compiled with AVX2 enabled, and `has_avx2` just detected a
+            // CPU that executes AVX2 instructions.
+            unsafe {
+                sweep_avx2(&layout, samples, listed, out, |_, g| g * g);
+            }
+            return;
+        }
+        sweep_blocks(&layout, samples, listed, out, |_, g| g * g);
+    }
 }
 
 /// The rows of `rows` paired with their weights, skipping exactly-zero
@@ -365,12 +424,13 @@ fn sweep_avx2(
 
 /// The structured sweep: adds the live rows `(k, w_k)` into `out` in
 /// blocks of [`ROW_BLOCK`], then the remainder in blocks of 4, 2 and 1,
-/// so every entry still takes the rows one at a time in ascending order.
+/// so every entry still takes the rows one at a time in the order
+/// `live` yields them.
 ///
 /// Always inlined, so every caller compiles it for its own target
-/// features: `accumulate` for the target's baseline (the plain kernel,
-/// the only one off x86_64 and on CPUs without AVX2), [`sweep_avx2`]
-/// for AVX2.
+/// features: `accumulate` and `accumulate_squares_of_rows` for the
+/// target's baseline (the plain kernel, the only one off x86_64 and on
+/// CPUs without AVX2), [`sweep_avx2`] for AVX2.
 #[inline(always)]
 fn sweep_blocks(
     layout: &Layout,
@@ -693,12 +753,14 @@ mod tests {
         assert_eq!(g.row(1), &[1.0, -1.0, 0.0, 0.5]);
     }
 
-    /// Row-at-a-time reference for `accumulate`: whole rows from
-    /// `eval_point_into`, added in with `out += w·g` (or `g·g`).
+    /// Row-at-a-time reference for `accumulate` and
+    /// `accumulate_squares_of_rows`: whole rows from `eval_point_into`,
+    /// taken in the order `rows` yields them and added in with
+    /// `out += w·g` (or `g·g`).
     fn accumulate_by_rows(
         d: &Dictionary,
         samples: &Matrix,
-        rows: Range<usize>,
+        rows: impl IntoIterator<Item = usize>,
         weights: Option<&[f64]>,
         atoms: Range<usize>,
     ) -> Vec<f64> {
@@ -735,6 +797,44 @@ mod tests {
             })
             .collect();
         (samples, weights, 1..k)
+    }
+
+    /// A sample matrix over 5 variables with `8·ROW_BLOCK` rows, and a
+    /// strictly increasing list of `4·ROW_BLOCK − 1` of them, the odd
+    /// rows and every eighth row from 4, so one-row gaps split runs of
+    /// one to three listed rows: full blocks, then a remainder that runs
+    /// through the blocks of 4, 2 and 1. Every unlisted row holds NaN,
+    /// ±inf and 1e300, so a sweep that read one would show it.
+    fn listed_rows() -> (Matrix, Vec<usize>) {
+        let k = 8 * ROW_BLOCK;
+        let rows: Vec<usize> = (0..k)
+            .filter(|r| r % 2 == 1 || r % 8 == 4)
+            .take(4 * ROW_BLOCK - 1)
+            .collect();
+        assert_eq!(rows.len(), 4 * ROW_BLOCK - 1);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        let samples = Matrix::from_fn(k, 5, |r, c| match rows.binary_search(&r) {
+            Ok(_) => ((r * 5 + c) as f64 * 0.73).sin() * 1.9,
+            Err(_) => specials[(r + c) % specials.len()],
+        });
+        (samples, rows)
+    }
+
+    #[test]
+    fn accumulate_squares_of_rows_matches_row_evaluation_on_every_atom_range() {
+        let (samples, rows) = listed_rows();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [DictionaryKind::Linear, DictionaryKind::Quadratic] {
+            let d = Dictionary::new(5, kind);
+            for lo in 0..=d.len() {
+                for hi in lo..=d.len() {
+                    let want = accumulate_by_rows(&d, &samples, rows.iter().copied(), None, lo..hi);
+                    let mut got = vec![0.0; hi - lo];
+                    d.accumulate_squares_of_rows(&samples, &rows, lo..hi, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{kind:?} atoms {lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -799,6 +899,29 @@ mod tests {
                         }
                         assert_eq!(bits(&plain), bits(&dispatched), "{kind:?} atoms {lo}..{hi}");
                     }
+                }
+            }
+        }
+        // The listed entry, with the same specials in some listed rows.
+        let (mut listed_samples, rows) = listed_rows();
+        for (i, &r) in rows.iter().enumerate().filter(|(i, _)| i % 4 == 3) {
+            listed_samples[(r, i % 5)] = specials[(i / 4) % specials.len()];
+        }
+        for kind in [DictionaryKind::Linear, DictionaryKind::Quadratic] {
+            let d = Dictionary::new(5, kind);
+            for lo in 0..=d.len() {
+                for hi in lo..=d.len() {
+                    let mut dispatched = vec![0.0; hi - lo];
+                    d.accumulate_squares_of_rows(&listed_samples, &rows, lo..hi, &mut dispatched);
+                    let mut plain = vec![0.0; hi - lo];
+                    let layout = Layout::new(d.num_vars(), lo..hi);
+                    let listed = rows.iter().map(|&k| (k, 1.0));
+                    sweep_blocks(&layout, &listed_samples, listed, &mut plain, |_, g| g * g);
+                    assert_eq!(
+                        bits(&plain),
+                        bits(&dispatched),
+                        "listed, {kind:?} atoms {lo}..{hi}"
+                    );
                 }
             }
         }

@@ -20,8 +20,9 @@
 //! - `--quick`: `M ≈ 10⁵`, `K = 500`, same methods, smaller CV grid;
 //! - `--smoke`: `M ≈ 10⁵`, `K = 500`, same methods, and the process
 //!   exits nonzero unless OMP and LAR recover the planted support
-//!   exactly and the CV(LAR) model's support contains every planted
-//!   atom — the CI gate for the streaming path.
+//!   exactly, the CV(LAR) model's support contains every planted atom,
+//!   and the digest of the run's outputs equals `SMOKE_DIGEST` — the
+//!   CI gate for the streaming path.
 //!
 //! Per-method records (method, M, K, threads, nproc, sweep kernel, fit
 //! seconds, per-step seconds, peak-RSS estimate, errors) are written to
@@ -53,6 +54,42 @@ fn debias<S: AtomSource + ?Sized>(g: &S, f: &[f64], support: &[usize]) -> Sparse
         .map(|&(i, c)| (support[i], c))
         .collect();
     SparseModel::new(g.num_atoms(), coeffs)
+}
+
+/// The `--smoke` run's [`OutputDigest`]. No thread count or sweep
+/// kernel moves a bit of these outputs, so one value holds on every
+/// host; a change that moves one updates this value and says why.
+const SMOKE_DIGEST: u64 = 0xc3c8_8146_3e86_a66c;
+
+/// FNV-1a-64, byte by byte over little-endian words, of what a run
+/// reports: each method's λ, support, and train and held-out error
+/// bits, plus CV's λ* and the bits of its whole error curve.
+struct OutputDigest(u64);
+
+impl OutputDigest {
+    fn new() -> Self {
+        OutputDigest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds in one method's reported model: its order, support and
+    /// train and held-out errors.
+    fn eat_fit(&mut self, lambda: usize, model: &SparseModel, train: f64, test: f64) {
+        self.eat(lambda as u64);
+        let support = model.support();
+        self.eat(support.len() as u64);
+        for j in support {
+            self.eat(j as u64);
+        }
+        self.eat(train.to_bits());
+        self.eat(test.to_bits());
+    }
 }
 
 #[derive(Serialize)]
@@ -197,6 +234,7 @@ fn main() {
     let sweep_kernel = rsm_basis::sweep_kernel();
     let mut records: Vec<SourceBenchRecord> = Vec::new();
     let mut all_recovered = true;
+    let mut digest = OutputDigest::new();
 
     // --- OMP -------------------------------------------------------
     println!("\nrunning OMP to λ = {lambda} …");
@@ -211,6 +249,7 @@ fn main() {
         omp_test * 100.0
     );
     all_recovered &= omp_exact;
+    digest.eat_fit(prob.truth.len(), &omp_model, omp_train, omp_test);
     records.push(SourceBenchRecord {
         method: "OMP".into(),
         m,
@@ -264,6 +303,7 @@ fn main() {
         lar_test * 100.0
     );
     all_recovered &= lar_exact;
+    digest.eat_fit(prob.truth.len(), &lar_model, lar_train, lar_test);
     records.push(SourceBenchRecord {
         method: "LAR".into(),
         m,
@@ -314,6 +354,10 @@ fn main() {
         cv_test * 100.0
     );
     all_recovered &= cv_contains_truth;
+    digest.eat_fit(cv.best_lambda, &cv_model, cv_train, cv_test);
+    for e in &cv.errors {
+        digest.eat(e.to_bits());
+    }
     records.push(SourceBenchRecord {
         method: "LAR+CV".into(),
         m,
@@ -349,8 +393,16 @@ fn main() {
         Err(e) => eprintln!("warning: could not persist results: {e}"),
     }
 
+    println!("outputs digest: {:#018x}", digest.0);
     if smoke && !all_recovered {
         eprintln!("SMOKE FAILURE: a solver lost the planted support");
+        std::process::exit(1);
+    }
+    if smoke && digest.0 != SMOKE_DIGEST {
+        eprintln!(
+            "SMOKE FAILURE: outputs digest {:#018x}, expected {SMOKE_DIGEST:#018x}",
+            digest.0
+        );
         std::process::exit(1);
     }
 }

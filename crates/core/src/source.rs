@@ -17,16 +17,19 @@
 //!   selection step of every greedy/path method);
 //! - [`AtomSource::column_into`] — materialize one selected column;
 //! - [`AtomSource::columns_into`] — batched gather of an active set;
-//! - [`AtomSource::row_into`] — one design-matrix row (a
-//!   [`RowSubsetSource`] sums its column norms row by row);
+//! - [`AtomSource::row_into`] — one design-matrix row;
 //! - [`AtomSource::column_sq_norms`] — per-atom squared norms (the
 //!   normalization of LAR and of normalized OMP);
+//! - [`AtomSource::column_sq_norms_of_rows`] — the same norms over a
+//!   row list (the norms of a [`RowSubsetSource`], such as a
+//!   cross-validation fold);
 //! - [`AtomSource::gram_active`] — the active-set Gram matrix
 //!   `G_Aᵀ·G_A`.
 //!
 //! The batched gathers (`columns_into`, `column_block_into`,
 //! `gram_active`) have default implementations in terms of
-//! `column_into`; the rest, with `num_rows` and `num_atoms`, are
+//! `column_into`, and `column_sq_norms_of_rows` in terms of
+//! `row_into`; the rest, with `num_rows` and `num_atoms`, are
 //! required.
 //!
 //! The adapter [`RowSubsetSource`] presents a row slice of another
@@ -61,7 +64,8 @@ const ATOM_TILE: usize = 16 * 1024;
 ///
 /// [`Self::columns_into`], [`Self::column_block_into`] and
 /// [`Self::gram_active`] default to one [`Self::column_into`] per
-/// column; every other method is required.
+/// column, and [`Self::column_sq_norms_of_rows`] to one
+/// [`Self::row_into`] per listed row; every other method is required.
 pub trait AtomSource {
     /// Number of rows `K` (samples).
     fn num_rows(&self) -> usize;
@@ -118,6 +122,31 @@ pub trait AtomSource {
     /// Squared L2 norm of every column — the normalization pass of LAR
     /// and of normalized OMP.
     fn column_sq_norms(&self) -> Vec<f64>;
+
+    /// Squared L2 norm of every column over the listed rows only: entry
+    /// `j` is `Σ g_j(x_k)²` over `k ∈ rows`, one sum from `+0.0` in list
+    /// order, with no row chunks. A [`RowSubsetSource`] reports these
+    /// as its [`Self::column_sq_norms`].
+    ///
+    /// The default builds each listed row with [`Self::row_into`] and
+    /// adds its squares in. [`DictionarySource`] sweeps its dictionary
+    /// tile by tile instead, with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed row is `>= num_rows()`.
+    fn column_sq_norms_of_rows(&self, rows: &[usize]) -> Vec<f64> {
+        let m = self.num_atoms();
+        let mut sq = vec![0.0; m];
+        let mut row = vec![0.0; m];
+        for &r in rows {
+            self.row_into(r, &mut row);
+            for (s, &g) in sq.iter_mut().zip(&row) {
+                *s += g * g;
+            }
+        }
+        sq
+    }
 
     /// Materializes the contiguous column block
     /// `[col_start, col_start + out.cols())` into `out`
@@ -191,6 +220,9 @@ impl<S: AtomSource + ?Sized> AtomSource for &S {
     fn column_sq_norms(&self) -> Vec<f64> {
         (**self).column_sq_norms()
     }
+    fn column_sq_norms_of_rows(&self, rows: &[usize]) -> Vec<f64> {
+        (**self).column_sq_norms_of_rows(rows)
+    }
     fn column_block_into(&self, col_start: usize, out: &mut Matrix) {
         (**self).column_block_into(col_start, out);
     }
@@ -246,8 +278,9 @@ impl AtomSource for Matrix {
 ///
 /// `correlate` and `column_sq_norms` sweep the samples tile by tile
 /// over the atoms, accumulating `res[k]·g(ΔY^(k))` (or `g²`) through
-/// [`Dictionary::accumulate`] — never holding a row of `G`, only
-/// cache-sized tiles of the output.
+/// [`Dictionary::accumulate`], and `column_sq_norms_of_rows` through
+/// [`Dictionary::accumulate_squares_of_rows`] — never holding a row of
+/// `G`, only cache-sized tiles of the output.
 ///
 /// # Example
 ///
@@ -369,6 +402,24 @@ impl AtomSource for DictionarySource<'_> {
     fn column_sq_norms(&self) -> Vec<f64> {
         self.sweep(Accumulation::Squares)
     }
+
+    fn column_sq_norms_of_rows(&self, rows: &[usize]) -> Vec<f64> {
+        // Each `ATOM_TILE` of the output takes one sweep of the listed
+        // rows, in list order. There are no row chunks, so the tiles
+        // split the work only, and every entry is the one sum the
+        // default computes.
+        let mut out = vec![0.0; self.dict.len()];
+        rsm_runtime::par_chunks_mut_reduce(
+            &mut out[..],
+            ATOM_TILE,
+            |atoms, tile| {
+                self.dict
+                    .accumulate_squares_of_rows(self.samples, rows, atoms, tile);
+            },
+            |()| {},
+        );
+        out
+    }
 }
 
 /// A row-subset view of another source: the design matrix restricted
@@ -382,14 +433,24 @@ pub struct RowSubsetSource<'a, S: ?Sized> {
 }
 
 impl<'a, S: AtomSource + ?Sized> RowSubsetSource<'a, S> {
-    /// Wraps `inner`, exposing only `rows` (in the given order).
+    /// Wraps `inner`, exposing only `rows`, which must be strictly
+    /// increasing: a repeated row would count twice in the norms and
+    /// columns but once in `correlate`.
     ///
     /// # Panics
     ///
-    /// Panics if any index is `>= inner.num_rows()`.
+    /// Panics if `rows` is not strictly increasing or any index is
+    /// `>= inner.num_rows()`.
     pub fn new(inner: &'a S, rows: &'a [usize]) -> Self {
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "row subset must be strictly increasing"
+        );
         let k = inner.num_rows();
-        assert!(rows.iter().all(|&r| r < k), "row subset index out of range");
+        assert!(
+            rows.last().is_none_or(|&r| r < k),
+            "row subset index out of range"
+        );
         RowSubsetSource { inner, rows }
     }
 
@@ -437,19 +498,9 @@ impl<S: AtomSource + ?Sized> AtomSource for RowSubsetSource<'_, S> {
     }
 
     fn column_sq_norms(&self) -> Vec<f64> {
-        // Row sweep over the subset (same accumulation order as the
-        // dense row sweep on a materialized sub-matrix).
-        let m = self.inner.num_atoms();
-        let mut sq = vec![0.0; m];
-        let mut row = vec![0.0; m];
-        for &r in self.rows {
-            self.inner.row_into(r, &mut row);
-            debug_assert_eq!(row.len(), sq.len());
-            for (s, &g) in sq.iter_mut().zip(&row) {
-                *s += g * g;
-            }
-        }
-        sq
+        // One sum over the subset's rows in ascending order: the dense
+        // row sweep's order on a materialized sub-matrix.
+        self.inner.column_sq_norms_of_rows(self.rows)
     }
 }
 
@@ -589,6 +640,22 @@ mod tests {
                 assert!((gram[(a, b)] - gram[(b, a)]).abs() < 1e-15);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn row_subset_source_rejects_a_repeated_row() {
+        // A view of rows [1, 1] would count row 1 twice in its norms
+        // and columns, but its scattered `correlate` only once.
+        let g = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
+        let _ = RowSubsetSource::new(&g, &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn row_subset_source_rejects_a_row_past_the_end() {
+        let g = Matrix::zeros(3, 2);
+        let _ = RowSubsetSource::new(&g, &[0, 3]);
     }
 
     #[test]

@@ -457,6 +457,19 @@ fn sweep_bits(v: &[f64]) -> Vec<u64> {
         .collect()
 }
 
+/// The dictionaries the sweep references run over: both kinds, from one
+/// variable up to quadratic N = 200, whose 20 301 atoms span two atom
+/// tiles.
+fn sweep_dictionaries() -> [Dictionary; 5] {
+    [
+        Dictionary::new(500, DictionaryKind::Linear),
+        Dictionary::new(1, DictionaryKind::Quadratic),
+        Dictionary::new(2, DictionaryKind::Quadratic),
+        Dictionary::new(30, DictionaryKind::Quadratic),
+        Dictionary::new(200, DictionaryKind::Quadratic),
+    ]
+}
+
 #[test]
 fn dictionary_sweeps_match_the_row_at_a_time_reference() {
     // Quadratic N = 200 has 20 301 atoms, so its cross block spans two
@@ -465,13 +478,7 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
     // K = 304 gives each of the 16 row chunks 19 rows: two full 8-row
     // blocks of `Dictionary::accumulate` and a remainder.
     let _guard = THREADS_LOCK.lock().unwrap();
-    let dicts = [
-        Dictionary::new(500, DictionaryKind::Linear),
-        Dictionary::new(1, DictionaryKind::Quadratic),
-        Dictionary::new(2, DictionaryKind::Quadratic),
-        Dictionary::new(30, DictionaryKind::Quadratic),
-        Dictionary::new(200, DictionaryKind::Quadratic),
-    ];
+    let dicts = sweep_dictionaries();
     let specials: [&[f64]; 4] = [
         &[0.0, -0.0],
         &[1e300, -1e-300, 0.0],
@@ -523,6 +530,71 @@ fn dictionary_sweeps_match_the_row_at_a_time_reference() {
                         sweep_bits(want),
                         "correlate, residual {i}, {what}"
                     );
+                }
+            }
+        }
+    }
+    runtime::set_threads(0);
+}
+
+/// The listed-row reference for a fold view's column norms: each listed
+/// row evaluated whole by `eval_point_into`, and its squares added in,
+/// in list order, into one sum per atom from `+0.0`.
+fn reference_listed_sq_norms(dict: &Dictionary, samples: &Matrix, rows: &[usize]) -> Vec<f64> {
+    let mut out = vec![0.0; dict.len()];
+    let mut row = vec![0.0; dict.len()];
+    for &k in rows {
+        dict.eval_point_into(samples.row(k), &mut row);
+        for (o, &g) in out.iter_mut().zip(&row) {
+            *o += g * g;
+        }
+    }
+    out
+}
+
+#[test]
+fn fold_view_norms_match_the_listed_row_reference() {
+    // A fold view's norms run `DictionarySource`'s tile-parallel sweep
+    // of the listed rows. They must be the one list-order sum of the
+    // reference at every thread count, directly and through `&S`, on
+    // the cross-validation training lists, a single row and no rows.
+    // Every unlisted row holds NaN, ±inf or 1e300, which must not
+    // reach the result.
+    use sparse_rsm::core::select::FOLDS;
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let dicts = sweep_dictionaries();
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+    let mut s = NormalSampler::seed_from_u64(17);
+    for dict in &dicts {
+        for k in [17usize, 80] {
+            let clean = Matrix::from_fn(k, dict.num_vars(), |_, _| s.sample());
+            let mut lists: Vec<Vec<usize>> = (0..FOLDS)
+                .map(|fold| (0..k).filter(|r| r % FOLDS != fold).collect())
+                .collect();
+            lists.push(vec![k / 2]);
+            lists.push(Vec::new());
+            for rows in &lists {
+                let want = reference_listed_sq_norms(dict, &clean, rows);
+                let mut samples = clean.clone();
+                for r in (0..k).filter(|r| rows.binary_search(r).is_err()) {
+                    for (c, v) in samples.row_mut(r).iter_mut().enumerate() {
+                        *v = specials[(r + c) % specials.len()];
+                    }
+                }
+                let src = DictionarySource::new(dict, &samples);
+                let by_ref = &src;
+                for t in [1usize, 2, 4] {
+                    runtime::set_threads(t);
+                    let what = format!(
+                        "{:?} N={} K={k}, {} listed rows @ {t} threads",
+                        dict.kind(),
+                        dict.num_vars(),
+                        rows.len()
+                    );
+                    let direct = RowSubsetSource::new(&src, rows).column_sq_norms();
+                    assert_eq!(sweep_bits(&direct), sweep_bits(&want), "{what}");
+                    let forwarded = RowSubsetSource::new(&by_ref, rows).column_sq_norms();
+                    assert_eq!(sweep_bits(&forwarded), sweep_bits(&want), "&S, {what}");
                 }
             }
         }
