@@ -15,7 +15,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin ablation [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_series_table, save_json, RunOptions};
+use rsm_bench::{print_series_table, report, RunOptions};
 use rsm_circuits::{sampling, OpAmp, PerformanceCircuit};
 use rsm_core::omp::OmpConfig;
 use rsm_core::{solver, Method};
@@ -132,8 +132,5 @@ fn main() {
         series: owned_c,
     });
 
-    match save_json("ablation", &records) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("ablation", &records);
 }

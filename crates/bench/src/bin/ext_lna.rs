@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin ext_lna [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_series_table, save_json, RunOptions};
+use rsm_bench::{print_series_table, report, RunOptions};
 use rsm_circuits::{sampling, Lna, PerformanceCircuit};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -70,8 +70,5 @@ fn main() {
             &series,
         );
     }
-    match save_json("ext_lna", &records) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("ext_lna", &records);
 }

@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin ext_ring [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_series_table, save_json, timed, RunOptions};
+use rsm_bench::{print_series_table, report, timed, RunOptions};
 use rsm_circuits::{sampling, PerformanceCircuit, RingOscillator};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -111,8 +111,5 @@ fn main() {
          sparsity of the true coefficients is the necessary condition.",
         dict.len()
     );
-    match save_json("ext_ring", &records) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("ext_ring", &records);
 }

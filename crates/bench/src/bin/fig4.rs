@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin fig4 [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_series_table, save_json, RunOptions};
+use rsm_bench::{print_series_table, report, RunOptions};
 use rsm_circuits::{sampling, OpAmp, PerformanceCircuit};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -109,8 +109,5 @@ fn main() {
             }
         }
     }
-    match save_json("fig4", &records) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("fig4", &records);
 }

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin fig6 [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{save_json, RunOptions};
+use rsm_bench::{report, RunOptions};
 use rsm_circuits::{sampling, PerformanceCircuit, SramReadPath};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -89,8 +89,5 @@ fn main() {
         lambda: rep.lambda,
         coefficients: coeffs,
     };
-    match save_json("fig6", &record) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("fig6", &record);
 }

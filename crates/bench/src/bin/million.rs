@@ -18,6 +18,8 @@
 //! Modes:
 //! - (default) full size: `M ≈ 10⁶`, `K = 1000`, OMP + LAR + CV(LAR);
 //! - `--quick`: `M ≈ 10⁵`, `K = 500`, same methods, smaller CV grid;
+//!   the process exits nonzero unless the digest of the run's outputs
+//!   equals `QUICK_DIGEST`;
 //! - `--smoke`: `M ≈ 10⁵`, `K = 500`, same methods, and the process
 //!   exits nonzero unless OMP and LAR recover the planted support
 //!   exactly, the CV(LAR) model's support contains every planted atom,
@@ -30,7 +32,7 @@
 //! historical shape in `results/million.json`.
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{peak_rss_mb, save_json, test_error, timed, RunOptions};
+use rsm_bench::{peak_rss_mb, save_json, test_error, timed, OutputDigest, RunOptions};
 use rsm_core::lar::LarConfig;
 use rsm_core::omp::OmpConfig;
 use rsm_core::select::{cross_validate, CvConfig};
@@ -61,36 +63,9 @@ fn debias<S: AtomSource + ?Sized>(g: &S, f: &[f64], support: &[usize]) -> Sparse
 /// host; a change that moves one updates this value and says why.
 const SMOKE_DIGEST: u64 = 0xc3c8_8146_3e86_a66c;
 
-/// FNV-1a-64, byte by byte over little-endian words, of what a run
-/// reports: each method's λ, support, and train and held-out error
-/// bits, plus CV's λ* and the bits of its whole error curve.
-struct OutputDigest(u64);
-
-impl OutputDigest {
-    fn new() -> Self {
-        OutputDigest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds in one method's reported model: its order, support and
-    /// train and held-out errors.
-    fn eat_fit(&mut self, lambda: usize, model: &SparseModel, train: f64, test: f64) {
-        self.eat(lambda as u64);
-        let support = model.support();
-        self.eat(support.len() as u64);
-        for j in support {
-            self.eat(j as u64);
-        }
-        self.eat(train.to_bits());
-        self.eat(test.to_bits());
-    }
-}
+/// The `--quick` run's [`OutputDigest`], as [`SMOKE_DIGEST`]; it is
+/// also `million`'s line in `crates/bench/quick-digests.txt`.
+const QUICK_DIGEST: u64 = 0xd512_7eef_45ea_4b17;
 
 #[derive(Serialize)]
 struct MillionRecord {
@@ -234,7 +209,7 @@ fn main() {
     let sweep_kernel = rsm_basis::sweep_kernel();
     let mut records: Vec<SourceBenchRecord> = Vec::new();
     let mut all_recovered = true;
-    let mut digest = OutputDigest::new();
+    let mut digest = OutputDigest::default();
 
     // --- OMP -------------------------------------------------------
     println!("\nrunning OMP to λ = {lambda} …");
@@ -393,15 +368,20 @@ fn main() {
         Err(e) => eprintln!("warning: could not persist results: {e}"),
     }
 
-    println!("outputs digest: {:#018x}", digest.0);
+    println!("outputs digest: {:#018x}", digest.value());
     if smoke && !all_recovered {
         eprintln!("SMOKE FAILURE: a solver lost the planted support");
         std::process::exit(1);
     }
-    if smoke && digest.0 != SMOKE_DIGEST {
+    let pinned = if smoke {
+        Some(SMOKE_DIGEST)
+    } else {
+        opts.quick.then_some(QUICK_DIGEST)
+    };
+    if let Some(want) = pinned.filter(|&want| want != digest.value()) {
         eprintln!(
-            "SMOKE FAILURE: outputs digest {:#018x}, expected {SMOKE_DIGEST:#018x}",
-            digest.0
+            "FAILURE: outputs digest {:#018x}, expected {want:#018x}",
+            digest.value()
         );
         std::process::exit(1);
     }

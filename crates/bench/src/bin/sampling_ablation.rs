@@ -13,7 +13,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin sampling_ablation [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{save_json, RunOptions};
+use rsm_bench::{report, RunOptions};
 use rsm_circuits::{sampling, OpAmp, PerformanceCircuit};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -114,8 +114,5 @@ fn main() {
          stratification cannot touch. This directly supports the paper's\n\
          choice of plain Monte-Carlo sampling over design-of-experiments."
     );
-    match save_json("sampling_ablation", &records) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("sampling_ablation", &records);
 }

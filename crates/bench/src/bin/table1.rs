@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin table1 [-- --quick]`
 
 use rsm_basis::{Dictionary, DictionaryKind};
-use rsm_bench::{print_cost_table, save_json, timed, CostRow, RunOptions, SPECTRE_SECONDS_OPAMP};
+use rsm_bench::{print_cost_table, report, timed, CostRow, RunOptions, SPECTRE_SECONDS_OPAMP};
 use rsm_circuits::{sampling, OpAmp, PerformanceCircuit};
 use rsm_core::select::CvConfig;
 use rsm_core::{solver, Method, ModelOrder};
@@ -63,8 +63,5 @@ fn main() {
         "Table I — linear performance modeling cost (OpAmp; error = worst of 4 metrics)",
         &rows,
     );
-    match save_json("table1", &rows) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("table1", &rows);
 }

@@ -9,14 +9,11 @@
 //! Run: `cargo run --release -p rsm-bench --bin table2 [-- --quick]`
 
 use rsm_bench::quadratic;
-use rsm_bench::{save_json, RunOptions};
+use rsm_bench::{report, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_args();
     let out = quadratic::run(&opts);
     quadratic::print_error_table(&out);
-    match save_json("table2", &out) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("table2", &out);
 }

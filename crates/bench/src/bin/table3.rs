@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p rsm-bench --bin table3 [-- --quick]`
 
 use rsm_bench::quadratic;
-use rsm_bench::{print_cost_table, save_json, RunOptions};
+use rsm_bench::{print_cost_table, report, RunOptions};
 
 fn main() {
     let opts = RunOptions::from_args();
@@ -19,8 +19,5 @@ fn main() {
         "Table III — quadratic performance modeling cost (OpAmp, all 4 metrics)",
         &out.costs,
     );
-    match save_json("table3", &out.costs) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("table3", &out.costs);
 }

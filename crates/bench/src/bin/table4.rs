@@ -14,7 +14,7 @@
 
 use rsm_basis::{Dictionary, DictionaryKind};
 use rsm_bench::{
-    ls_cost_scale, print_cost_table, save_json, test_error, timed, CostRow, RunOptions,
+    ls_cost_scale, print_cost_table, report, test_error, timed, CostRow, RunOptions,
     SPECTRE_SECONDS_SRAM,
 };
 use rsm_circuits::{sampling, PerformanceCircuit, SramReadPath};
@@ -110,8 +110,5 @@ fn main() {
          sparse methods run at the full N = {} scale)",
         sram.num_vars()
     );
-    match save_json("table4", &rows) {
-        Ok(p) => eprintln!("\nresults written to {}", p.display()),
-        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
-    }
+    report("table4", &rows);
 }

@@ -145,6 +145,99 @@ pub fn test_error(model: &SparseModel, dict: &Dictionary, points: &Matrix, f: &[
     relative_error(&pred, f)
 }
 
+/// FNV-1a-64, byte by byte over little-endian words, of the numbers an
+/// experiment reports. No thread count or sweep kernel moves a bit of
+/// those numbers, so a run's digest is the same on every host; CI
+/// compares each binary's `--quick` digest with
+/// `crates/bench/quick-digests.txt`.
+#[derive(Debug, Clone, Copy)]
+pub struct OutputDigest(u64);
+
+impl Default for OutputDigest {
+    /// The digest of nothing: the FNV-1a offset basis.
+    fn default() -> Self {
+        OutputDigest(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+/// [`CostRow`] fields that hold wall-clock measurements, which
+/// [`OutputDigest::eat_value`] leaves out.
+const TIMING_FIELDS: [&str; 2] = ["sim_cost_measured_s", "fit_cost_s"];
+
+impl OutputDigest {
+    /// The digest so far.
+    pub fn value(self) -> u64 {
+        self.0
+    }
+
+    fn eat_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds in one 64-bit word.
+    pub fn eat(&mut self, word: u64) {
+        self.eat_bytes(&word.to_le_bytes());
+    }
+
+    /// Folds in one reported model: its order, support and train and
+    /// held-out errors.
+    pub fn eat_fit(&mut self, lambda: usize, model: &SparseModel, train: f64, test: f64) {
+        self.eat(lambda as u64);
+        let support = model.support();
+        self.eat(support.len() as u64);
+        for j in support {
+            self.eat(j as u64);
+        }
+        self.eat(train.to_bits());
+        self.eat(test.to_bits());
+    }
+
+    /// Folds in a serialized record: every number's bits, every string
+    /// and field name, and every length, in order, except the fields
+    /// that hold timings.
+    pub fn eat_value(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.eat(0),
+            Value::Bool(b) => self.eat(1 + u64::from(*b)),
+            Value::Num(x) => self.eat(x.to_bits()),
+            Value::Str(s) => {
+                self.eat(s.len() as u64);
+                self.eat_bytes(s.as_bytes());
+            }
+            Value::Arr(items) => {
+                self.eat(items.len() as u64);
+                items.iter().for_each(|v| self.eat_value(v));
+            }
+            Value::Obj(fields) => {
+                for (name, v) in fields
+                    .iter()
+                    .filter(|(n, _)| !TIMING_FIELDS.contains(&n.as_str()))
+                {
+                    self.eat_bytes(name.as_bytes());
+                    self.eat_value(v);
+                }
+            }
+        }
+    }
+}
+
+/// Ends an experiment: writes `results/{name}.json` with [`save_json`]
+/// (a failure is reported on stderr, not fatal) and prints
+/// `outputs digest: 0x…`, the [`OutputDigest`] of `record` without its
+/// timings.
+pub fn report<T: Serialize>(name: &str, record: &T) {
+    match save_json(name, record) {
+        Ok(p) => eprintln!("\nresults written to {}", p.display()),
+        Err(e) => eprintln!("\nwarning: could not persist results: {e}"),
+    }
+    let mut digest = OutputDigest::default();
+    digest.eat_value(&record.to_value());
+    println!("outputs digest: {:#018x}", digest.value());
+}
+
 /// One row of a cost table (Tables I, III, IV of the paper).
 #[derive(Debug, Clone, Serialize)]
 pub struct CostRow {
@@ -311,6 +404,29 @@ mod tests {
             extrapolated: false,
         };
         assert!((r.total_paper_s() - 29_300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn output_digest_leaves_out_timings_only() {
+        let row = |error: f64, fit_cost_s: f64| CostRow {
+            method: "OMP".into(),
+            error: Some(error),
+            samples: 1000,
+            sim_cost_paper_s: 13_450.0,
+            sim_cost_measured_s: fit_cost_s / 2.0,
+            fit_cost_s,
+            extrapolated: false,
+        };
+        let digest = |rows: &[CostRow]| {
+            let mut d = OutputDigest::default();
+            d.eat_value(&rows.to_value());
+            d.value()
+        };
+        let base = digest(&[row(0.04, 1.0)]);
+        assert_eq!(base, digest(&[row(0.04, 7.5)]));
+        assert_ne!(base, digest(&[row(0.04 + f64::EPSILON, 1.0)]));
+        assert_ne!(base, digest(&[row(0.04, 1.0), row(0.04, 1.0)]));
+        assert_ne!(OutputDigest::default().value(), base);
     }
 
     #[test]

@@ -130,7 +130,8 @@ pub trait AtomSource {
     ///
     /// The default builds each listed row with [`Self::row_into`] and
     /// adds its squares in. [`DictionarySource`] sweeps its dictionary
-    /// tile by tile instead, with the same bits.
+    /// tile by tile instead, and [`Matrix`] adds its listed rows in
+    /// place ([`Matrix::column_sq_sums`]), both with the same bits.
     ///
     /// # Panics
     ///
@@ -260,16 +261,11 @@ impl AtomSource for Matrix {
     }
 
     fn column_sq_norms(&self) -> Vec<f64> {
-        // Row sweep: cache-friendly for the row-major layout.
-        let mut out = vec![0.0; self.cols()];
-        for r in 0..self.rows() {
-            let row = self.row(r);
-            debug_assert_eq!(row.len(), out.len());
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v * v;
-            }
-        }
-        out
+        self.column_sq_sums(0..self.rows())
+    }
+
+    fn column_sq_norms_of_rows(&self, rows: &[usize]) -> Vec<f64> {
+        self.column_sq_sums(rows.iter().copied())
     }
 }
 
@@ -336,24 +332,22 @@ impl<'a> DictionarySource<'a> {
     /// `((0 + p₀) + p₁) + …`, each partial `p_c` summing its chunk's
     /// rows in ascending order from `+0.0` — or, below the parallel
     /// gate, one sum over all rows. Workers split the atoms into fixed
-    /// tiles that the fold appends in order; no entry's arithmetic
-    /// depends on the tiling, so the result is bit-identical at every
-    /// thread count.
+    /// tiles, each written in place; no entry's arithmetic depends on
+    /// the tiling, so the result is bit-identical at every thread count.
     fn sweep(&self, acc: Accumulation<'_>) -> Vec<f64> {
         let k_rows = self.samples.rows();
         let m = self.dict.len();
         let parallel = self.parallel_rows();
         let chunk = k_rows.div_ceil(PAR_ROW_CHUNKS).max(1);
-        let mut out = Vec::with_capacity(m);
-        rsm_runtime::par_chunks_reduce(
-            m,
+        let mut out = vec![0.0; m];
+        rsm_runtime::par_chunks_mut_reduce(
+            &mut out[..],
             if parallel { ATOM_TILE } else { m },
-            |atoms| {
-                let mut tile = vec![0.0; atoms.len()];
+            |atoms, tile| {
                 if !parallel {
                     self.dict
-                        .accumulate(self.samples, 0..k_rows, acc, atoms, &mut tile);
-                    return tile;
+                        .accumulate(self.samples, 0..k_rows, acc, atoms, tile);
+                    return;
                 }
                 let mut part = vec![0.0; atoms.len()];
                 for lo in (0..k_rows).step_by(chunk) {
@@ -365,9 +359,8 @@ impl<'a> DictionarySource<'a> {
                         *t += p;
                     }
                 }
-                tile
             },
-            |tile: Vec<f64>| out.extend_from_slice(&tile),
+            |()| {},
         );
         out
     }
@@ -639,6 +632,66 @@ mod tests {
                 assert!((gram[(a, b)] - want).abs() < 1e-10);
                 assert!((gram[(a, b)] - gram[(b, a)]).abs() < 1e-15);
             }
+        }
+    }
+
+    /// A `Matrix` seen only through the required methods, so it takes
+    /// every provided default.
+    struct Defaults<'a>(&'a Matrix);
+
+    impl AtomSource for Defaults<'_> {
+        fn num_rows(&self) -> usize {
+            self.0.rows()
+        }
+        fn num_atoms(&self) -> usize {
+            self.0.cols()
+        }
+        fn correlate(&self, res: &[f64]) -> Vec<f64> {
+            self.0.correlate(res)
+        }
+        fn column_into(&self, j: usize, out: &mut [f64]) {
+            self.0.column_into(j, out);
+        }
+        fn row_into(&self, k: usize, out: &mut [f64]) {
+            AtomSource::row_into(self.0, k, out);
+        }
+        fn column_sq_norms(&self) -> Vec<f64> {
+            unreachable!("the fold views below ask for listed rows only")
+        }
+    }
+
+    #[test]
+    fn matrix_norms_match_the_row_at_a_time_loops() {
+        let (dict, samples) = setup();
+        let mut g = dict.design_matrix(&samples);
+        // All rows: the row-at-a-time loop the kernel replaced.
+        let mut want = vec![0.0; g.cols()];
+        for r in 0..g.rows() {
+            for (w, &v) in want.iter_mut().zip(g.row(r)) {
+                *w += v * v;
+            }
+        }
+        let got = AtomSource::column_sq_norms(&g);
+        assert!(got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Fold views: the trait default, with NaN and ±inf in every row
+        // the view leaves out.
+        let rows = [0usize, 2, 3, 5, 8, 9, 10, 11, 12, 14];
+        for r in (0..g.rows()).filter(|r| !rows.contains(r)) {
+            g.row_mut(r)
+                .fill([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][r % 3]);
+        }
+        for n in 0..=rows.len() {
+            let want = RowSubsetSource::new(&Defaults(&g), &rows[..n]).column_sq_norms();
+            let got = RowSubsetSource::new(&g, &rows[..n]).column_sq_norms();
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{n} rows"
+            );
         }
     }
 

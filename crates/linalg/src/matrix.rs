@@ -4,7 +4,7 @@ use crate::tol;
 use crate::vec_ops;
 use crate::{LinalgError, Result};
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 /// Minimum number of matrix elements before `matvec_t` uses the
 /// parallel runtime; smaller operands stay on the plain loop.
@@ -17,6 +17,11 @@ const PAR_MIN_ELEMS: usize = 32_768;
 /// nothing: chunk boundaries derive from the row count alone, keeping
 /// chunked accumulation order identical for every thread count.
 const PAR_ROW_CHUNKS: usize = 16;
+
+/// Rows per block of the row kernel ([`add_rows`]): each output entry
+/// stays in a register while this many rows are added to it, as in the
+/// dictionary sweep. The result does not depend on it.
+const ROW_BLOCK: usize = 8;
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -230,6 +235,13 @@ impl Matrix {
     /// under round-to-nearest, never becomes `−0.0`, so adding the `±0`
     /// product of such a row would leave it unchanged.
     ///
+    /// Each entry is `((0 + p₀) + p₁) + …` over 16 fixed row chunks
+    /// when the matrix holds at least 32 768 entries, and one sum
+    /// otherwise; a partial `p_c` adds `x_r·a_rj` for its live rows one
+    /// at a time in ascending order, from `+0.0`. The live rows are
+    /// taken in blocks (see [`Matrix::column_sq_sums`]), which changes
+    /// no bit of that order.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows`.
@@ -240,24 +252,26 @@ impl Matrix {
                 found: format!("length {}", x.len()),
             });
         }
+        let live_rows = |rows: Range<usize>, out: &mut [f64]| {
+            let live = rows
+                .filter(|&r| !tol::exactly_zero(x[r]))
+                .map(|r| (self.row(r), x[r]));
+            add_rows(live, out, |w, a| w * a);
+        };
         let mut y = vec![0.0; self.cols];
         if self.rows * self.cols >= PAR_MIN_ELEMS && self.rows > 1 {
             // Row-block partial accumulators, merged in chunk order.
-            // The summation order differs from the plain loop below,
-            // but the size gate means a given shape always takes the
-            // same path, and the chunk grid plus ordered merge make
-            // the result independent of the thread count.
+            // The summation order differs from the one sum below, but
+            // the size gate means a given shape always takes the same
+            // path, and the chunk grid plus ordered merge make the
+            // result independent of the thread count.
             let chunk = self.rows.div_ceil(PAR_ROW_CHUNKS).max(1);
             rsm_runtime::par_chunks_reduce(
                 self.rows,
                 chunk,
                 |rr| {
                     let mut part = vec![0.0; self.cols];
-                    for r in rr {
-                        if !tol::exactly_zero(x[r]) {
-                            vec_ops::axpy(x[r], self.row(r), &mut part);
-                        }
-                    }
+                    live_rows(rr, &mut part);
                     part
                 },
                 |part: Vec<f64>| {
@@ -266,14 +280,33 @@ impl Matrix {
                     }
                 },
             );
-            return Ok(y);
-        }
-        for (r, &xr) in x.iter().enumerate() {
-            if !tol::exactly_zero(xr) {
-                vec_ops::axpy(xr, self.row(r), &mut y);
-            }
+        } else {
+            live_rows(0..self.rows, &mut y);
         }
         Ok(y)
+    }
+
+    /// Squared L2 norm of every column over the listed rows: entry `j`
+    /// is `Σ a_rj²` over `r ∈ rows`, one sum from `+0.0` in list order.
+    /// A row that is not listed is never read.
+    ///
+    /// The rows are added in blocks of 8, then the remainder in blocks
+    /// of 4, 2 and 1, each entry held in a register while a block's
+    /// rows are added to it one at a time — the scheme of the
+    /// dictionary sweep. So the result is bit-identical to adding the
+    /// listed rows' squares in one row at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed row is `>= rows()`.
+    pub fn column_sq_sums(&self, rows: impl IntoIterator<Item = usize>) -> Vec<f64> {
+        let mut out = vec![0.0; self.cols];
+        let listed = rows.into_iter().map(|r| {
+            assert!(r < self.rows, "column_sq_sums: row {r} out of range");
+            (self.row(r), 1.0)
+        });
+        add_rows(listed, &mut out, |_, a| a * a);
+        out
     }
 
     /// Matrix product `A·B`.
@@ -371,6 +404,59 @@ impl Matrix {
             });
         }
         Ok(())
+    }
+}
+
+/// Adds the rows `(a_r, w_r)` that `rows` yields into `out`: entry `j`
+/// gets `term(w_r, a_rj)` added for each row in turn. The rows go in
+/// blocks of [`ROW_BLOCK`], then the remainder in blocks of 4, 2 and 1,
+/// so every entry still takes them one at a time in the order `rows`
+/// yields them.
+fn add_rows<'a>(
+    rows: impl Iterator<Item = (&'a [f64], f64)>,
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64 + Copy,
+) {
+    let mut block: [(&[f64], f64); ROW_BLOCK] = [(&[], 0.0); ROW_BLOCK];
+    let mut len = 0;
+    for row in rows {
+        block[len] = row;
+        len += 1;
+        if len == ROW_BLOCK {
+            add_block(&block, out, term);
+            len = 0;
+        }
+    }
+    let mut rest = &block[..len];
+    if let Some((four, tail)) = rest.split_first_chunk::<4>() {
+        add_block(four, out, term);
+        rest = tail;
+    }
+    if let Some((two, tail)) = rest.split_first_chunk::<2>() {
+        add_block(two, out, term);
+        rest = tail;
+    }
+    if let Some((one, _)) = rest.split_first_chunk::<1>() {
+        add_block(one, out, term);
+    }
+}
+
+/// Adds a block of rows into `out`: each entry is loaded once, gets
+/// `term(w_b, a_b[e])` added for `b = 0, 1, …` in turn, and is stored
+/// once.
+#[inline(always)]
+fn add_block<const B: usize>(
+    block: &[(&[f64], f64); B],
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64,
+) {
+    let rows: [&[f64]; B] = std::array::from_fn(|b| &block[b].0[..out.len()]);
+    for (e, o) in out.iter_mut().enumerate() {
+        let mut acc = *o;
+        for (row, &(_, w)) in rows.iter().zip(block) {
+            acc += term(w, row[e]);
+        }
+        *o = acc;
     }
 }
 
@@ -495,23 +581,45 @@ mod tests {
         }
     }
 
+    /// `x` for a `rows`-row matrix cut in chunks of `chunk` rows, where
+    /// chunk `c` holds `live(c)` rows of non-zero weight, spread over
+    /// the chunk, and ±0 on the rest.
+    fn chunk_weights(rows: usize, chunk: usize, live: impl Fn(usize) -> usize) -> Vec<f64> {
+        (0..rows)
+            .map(|r| {
+                let (c, i) = (r / chunk, r % chunk);
+                // 7 is prime to every chunk length used, so the live
+                // rows are a spread-out subset of the chunk.
+                if (i * 7) % chunk < live(c) {
+                    (r % 5) as f64 - 2.3 + (r as f64 / 17.0).sin()
+                } else if r % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn matvec_t_skips_zero_weight_rows_bit_for_bit() {
-        // One shape below the parallel gate (plain loop), one above it
-        // (16 row chunks). The reference sweeps every row in the
-        // kernel's order, ±0-weighted ones included; poisoning those
-        // rows must not move a bit.
-        for (rows, cols) in [(40, 30), (300, 120)] {
+        // A shape below the parallel gate (one sum) and one above it
+        // (16 row chunks of 18 rows). Between them the chunks hold every
+        // live-row count from 0 to 17, so every block size of the row
+        // kernel runs, remainders included. The reference adds every
+        // row with `axpy` in the documented order, ±0-weighted ones
+        // included; poisoning those rows must not move a bit.
+        let mut cases: Vec<(usize, usize, Vec<f64>)> = (0..=17)
+            .map(|live| (40, 30, chunk_weights(40, 40, |_| live)))
+            .collect();
+        for shift in [0, 16] {
+            cases.push((288, 120, chunk_weights(288, 18, |c| (c + shift) % 18)));
+        }
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        for (rows, cols, x) in cases {
             let mut a = Matrix::from_fn(rows, cols, |r, c| {
-                ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5 + 1e-3 * (r as f64)
+                ((r * 31 + c * 17) % 23) as f64 / 7.0 - 1.5 + 1e-3 * (r as f64) * (c as f64).sqrt()
             });
-            let x: Vec<f64> = (0..rows)
-                .map(|r| match r % 5 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    k => (k as f64 - 3.3) * (1.0 + r as f64 / 9.0),
-                })
-                .collect();
             let chunk = if rows * cols >= PAR_MIN_ELEMS {
                 rows.div_ceil(PAR_ROW_CHUNKS)
             } else {
@@ -527,15 +635,51 @@ mod tests {
                     *w += p;
                 }
             }
-            let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
             for r in (0..rows).filter(|&r| tol::exactly_zero(x[r])) {
                 for (c, v) in a.row_mut(r).iter_mut().enumerate() {
                     *v = poison[(r + c) % poison.len()];
                 }
             }
-            let got = a.matvec_t(&x).unwrap();
+            for threads in [1, 2, 4] {
+                rsm_runtime::set_threads(threads);
+                let got = a.matvec_t(&x).unwrap();
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{rows}x{cols}, {threads} threads, column {c}"
+                    );
+                }
+            }
+            rsm_runtime::set_threads(0);
+        }
+    }
+
+    #[test]
+    fn column_sq_sums_add_the_listed_rows_bit_for_bit() {
+        // Every listed-row count from 0 to 19, in list order (not
+        // sorted); the rows left out hold NaN, ±inf and 1e300, which
+        // must never be read.
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        for n in 0..20 {
+            let listed: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % 23).collect();
+            let mut a = Matrix::from_fn(23, 13, |r, c| {
+                (r as f64 * 0.37 + c as f64).sin() * (1.0 + r as f64 * c as f64)
+            });
+            let mut want = vec![0.0; 13];
+            for &r in &listed {
+                for (w, &v) in want.iter_mut().zip(a.row(r)) {
+                    *w += v * v;
+                }
+            }
+            for r in (0..23).filter(|r| !listed.contains(r)) {
+                for (c, v) in a.row_mut(r).iter_mut().enumerate() {
+                    *v = poison[(r + c) % poison.len()];
+                }
+            }
+            let got = a.column_sq_sums(listed.iter().copied());
             for (c, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols}, column {c}");
+                assert_eq!(g.to_bits(), w.to_bits(), "{n} rows, column {c}");
             }
         }
     }

@@ -31,10 +31,19 @@
 //! variable, else [`std::thread::available_parallelism`] as read on the
 //! first call.
 //!
+//! A parallel call with `w` workers spawns `w − 1` scoped threads; the
+//! calling thread is the last worker, claiming chunks beside them and
+//! folding the partials that are ready between its own chunks. So a
+//! fork/join costs one thread spawn at 2 workers, and nothing waits on
+//! a channel. Each partial waits in its chunk's slot until it is
+//! folded, so results that are large are written in place
+//! ([`par_chunks_mut_reduce`]) rather than returned.
+//!
 //! Nested calls (e.g. a parallel cross-validation fold whose solver
 //! calls a parallel correlation) do not oversubscribe: a primitive
-//! invoked from inside a worker runs its chunk grid inline, which by
-//! the invariant above produces the same bits.
+//! invoked from inside a worker — the calling thread included, while it
+//! maps one of its chunks — runs its chunk grid inline, which by the
+//! invariant above produces the same bits.
 
 // Library code reports failures as structured errors, compares floats
 // exactly only through `rsm_linalg::tol`, and never drops a `Result`
@@ -53,14 +62,15 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Process-wide worker-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// True inside a worker spawned by this crate — used to run nested
+    /// True inside a worker spawned by this crate, and on the calling
+    /// thread while it maps one of its own chunks — used to run nested
     /// parallel calls inline instead of spawning a second pool.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
@@ -129,10 +139,13 @@ fn num_chunks(len: usize, chunk_len: usize) -> usize {
 /// every thread count. With one worker the chunks are mapped and
 /// folded inline in the same order — the identical op sequence.
 ///
-/// Out-of-order partials are buffered, but workers claim chunks in
-/// ascending order and the channel holds at most one partial per
-/// worker, so at most `2 × threads` partials are alive at once, which
-/// bounds the memory of a reduction with large partials.
+/// With `w` workers the call spawns `w − 1` scoped threads, and the
+/// calling thread is the `w`-th: it claims chunks beside them, and
+/// between its own chunks it folds the partials that are ready in
+/// chunk order; the rest are folded after the join. Each partial waits
+/// in its chunk's slot until it is folded, so a reduction whose
+/// partials are large should write its result in place through
+/// [`par_chunks_mut_reduce`] and fold only small values.
 ///
 /// # Examples
 ///
@@ -183,42 +196,75 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    // Rendezvous capacity of one slot per worker bounds how far the
-    // mappers can run ahead of the in-order fold.
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers);
+    let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    // Maps the next unclaimed chunk into its slot; false once every
+    // chunk is claimed. Chunks are claimed in ascending order. The
+    // counter only hands out indices (`Relaxed`); each partial is
+    // published to the folding thread through its slot's mutex.
+    let map_next = || {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= chunks {
+            return false;
+        }
+        let partial = map(chunk_range(len, chunk_len, idx));
+        *lock(&slots[idx]) = Some(partial);
+        true
+    };
+    let mut folded = 0;
     thread::scope(|scope| {
-        let next = &next;
-        let map = &map;
-        for _ in 0..workers {
-            let tx = tx.clone();
+        let map_next = &map_next;
+        for _ in 1..workers {
             scope.spawn(move || {
                 IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= chunks {
-                        break;
-                    }
-                    let partial = map(chunk_range(len, chunk_len, idx));
-                    // The receiver only disconnects on fold panic;
-                    // stop quietly and let the panic propagate there.
-                    if tx.send((idx, partial)).is_err() {
-                        break;
-                    }
-                }
+                while map_next() {}
             });
         }
-        drop(tx);
-        let mut expected = 0usize;
-        let mut pending: std::collections::BTreeMap<usize, T> = std::collections::BTreeMap::new();
-        for (idx, partial) in rx {
-            pending.insert(idx, partial);
-            while let Some(p) = pending.remove(&expected) {
-                fold(p);
-                expected += 1;
+        while as_worker(map_next) {
+            while let Some(partial) = slots.get(folded).and_then(|slot| lock(slot).take()) {
+                fold(partial);
+                folded += 1;
             }
         }
-        assert_eq!(expected, chunks, "worker panicked before finishing");
     });
+    // The join has made every partial ready; a worker's panic has
+    // already propagated out of the scope.
+    for slot in &slots[folded..] {
+        let Some(partial) = lock(slot).take() else {
+            unreachable!("every chunk is mapped before the join");
+        };
+        fold(partial);
+    }
+}
+
+/// Locks a slot. Nothing panics while a slot is locked, but a poisoned
+/// one would still hold a valid `Option`.
+fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` with the calling thread marked as a worker, as the calling
+/// thread of a parallel call maps each of its chunks: calls nested in
+/// its `map` then run inline, as they do on the spawned workers.
+fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    let _mark = WorkerMark::enter();
+    f()
+}
+
+/// The worker mark of [`as_worker`]. It is cleared on drop, also when
+/// `f` panics, so the thread's later calls fan out again.
+struct WorkerMark;
+
+impl WorkerMark {
+    fn enter() -> Self {
+        IN_WORKER.with(|w| w.set(true));
+        WorkerMark
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(false));
+    }
 }
 
 /// Mutable data that [`par_chunks_mut_reduce`] cuts into chunks: a
@@ -329,10 +375,7 @@ where
         |range| {
             // `map` runs after the lock is released, so a panic in it
             // cannot poison a slot.
-            let piece = slots[range.start / chunk_len]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
+            let piece = lock(&slots[range.start / chunk_len]).take();
             let Some(piece) = piece else {
                 unreachable!("every chunk is mapped once");
             };
@@ -348,7 +391,8 @@ where
 /// This is [`par_chunks_reduce`] over chunks of one element, folded
 /// into a vector in chunk order, so the output is identical for every
 /// thread count. Intended for coarse tasks (cross-validation folds,
-/// row blocks); each element costs one channel message.
+/// row blocks); each element waits in a slot of its own until it is
+/// pushed.
 ///
 /// # Panics
 ///
@@ -436,11 +480,58 @@ mod tests {
         assert!(par_map_indexed(0, |i| i).is_empty());
     }
 
+    thread_local! {
+        /// Set on a test's own thread, the calling thread of the
+        /// parallel calls under test (`thread::current` is disallowed).
+        static ON_CALLER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// How long a rendezvous waits before a test gives up on it: far
+    /// beyond any scheduling delay, so a timeout means the chunks did
+    /// not run at once.
+    const RENDEZVOUS: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// A condition shared by the chunks of one call.
+    #[derive(Default)]
+    struct Rendezvous<S> {
+        state: Mutex<S>,
+        changed: std::sync::Condvar,
+    }
+
+    impl<S> Rendezvous<S> {
+        /// Applies `update` to the state and wakes every waiter.
+        fn update(&self, update: impl FnOnce(&mut S)) {
+            update(&mut self.state.lock().unwrap());
+            self.changed.notify_all();
+        }
+
+        /// Waits until `done` holds, for at most [`RENDEZVOUS`]; false
+        /// on timeout.
+        fn wait(&self, mut done: impl FnMut(&S) -> bool) -> bool {
+            let state = self.state.lock().unwrap();
+            let waited = self
+                .changed
+                .wait_timeout_while(state, RENDEZVOUS, |s| !done(s));
+            !waited.unwrap().1.timed_out()
+        }
+    }
+
     #[test]
     fn nested_calls_run_inline_and_match() {
         let _guard = lock_threads();
+        ON_CALLER.with(|c| c.set(true));
+        // Each outer chunk reports its sum, whether the calling thread
+        // mapped it, and whether a call nested in it would run inline.
         let compute = || {
+            let caller_mapped = Rendezvous::<bool>::default();
             par_map_indexed(6, |i| {
+                if ON_CALLER.with(Cell::get) {
+                    caller_mapped.update(|m| *m = true);
+                } else {
+                    // Spawned workers wait until the calling thread has
+                    // mapped an outer chunk, so one nests in it.
+                    assert!(caller_mapped.wait(|&m| m), "the caller mapped no chunk");
+                }
                 let mut s = 0.0;
                 par_chunks_reduce(
                     50,
@@ -448,7 +539,7 @@ mod tests {
                     |r| r.map(|k| ((i * 50 + k) as f64).sqrt()).sum::<f64>(),
                     |p: f64| s += p,
                 );
-                s
+                (s, ON_CALLER.with(Cell::get), effective_workers(8) == 1)
             })
         };
         set_threads(1);
@@ -456,11 +547,108 @@ mod tests {
         set_threads(4);
         let nested = compute();
         set_threads(0);
+        ON_CALLER.with(|c| c.set(false));
         let same = serial
             .iter()
             .zip(&nested)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+            .all(|(a, b)| a.0.to_bits() == b.0.to_bits());
         assert!(same, "{serial:?} vs {nested:?}");
+        assert!(nested.iter().any(|&(_, on_caller, _)| on_caller));
+        assert!(
+            nested.iter().all(|&(_, _, inline)| inline),
+            "a nested call would fan out: {nested:?}"
+        );
+        // Outside a call the calling thread fans out again.
+        set_threads(4);
+        assert_eq!(effective_workers(8), 4);
+        set_threads(0);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_own_chunk_leaves_it_fanning_out() {
+        let _guard = lock_threads();
+        set_threads(2);
+        ON_CALLER.with(|c| c.set(true));
+        // The worker's chunk waits until the calling thread has taken
+        // the other one, whose `map` then panics.
+        let started = Rendezvous::<bool>::default();
+        let outcome = std::panic::catch_unwind(|| {
+            par_chunks_reduce(
+                2,
+                1,
+                |_| {
+                    if ON_CALLER.with(Cell::get) {
+                        started.update(|s| *s = true);
+                        panic!("the caller's chunk fails");
+                    }
+                    assert!(started.wait(|&s| s), "the caller took no chunk");
+                },
+                |()| {},
+            );
+        });
+        assert!(outcome.is_err());
+        // The next call must still run its two chunks at once: each
+        // waits for the other, which times out if they run in turn on
+        // a thread still marked as a worker.
+        let arrived = Rendezvous::<usize>::default();
+        let mut met = Vec::new();
+        par_chunks_reduce(
+            2,
+            1,
+            |_| {
+                arrived.update(|n| *n += 1);
+                arrived.wait(|&n| n == 2)
+            },
+            |m| met.push(m),
+        );
+        ON_CALLER.with(|c| c.set(false));
+        set_threads(0);
+        assert_eq!(met, [true, true]);
+    }
+
+    #[test]
+    fn partials_fold_in_order_when_the_callers_chunk_is_slowest() {
+        #[derive(Default)]
+        struct Progress {
+            worker_started: bool,
+            caller_second: bool,
+            mapped: usize,
+        }
+        let _guard = lock_threads();
+        ON_CALLER.with(|c| c.set(true));
+        for t in [2, 4] {
+            set_threads(t);
+            let chunks = 3 * t;
+            let progress = Rendezvous::<Progress>::default();
+            let caller_calls = std::sync::atomic::AtomicUsize::new(0);
+            let mut order = Vec::new();
+            // Every worker's first chunk waits until the calling thread
+            // has started its second, and that one waits until every
+            // other chunk is mapped. So it is the slowest, and a chunk
+            // below it is still unfolded when it ends.
+            par_chunks_reduce(
+                chunks,
+                1,
+                |r| {
+                    if !ON_CALLER.with(Cell::get) {
+                        progress.update(|p| p.worker_started = true);
+                        assert!(progress.wait(|p| p.caller_second));
+                    } else if caller_calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                        assert!(progress.wait(|p| p.worker_started));
+                    } else {
+                        progress.update(|p| p.caller_second = true);
+                        assert!(progress.wait(|p| p.mapped == chunks - 1));
+                    }
+                    progress.update(|p| p.mapped += 1);
+                    r.start
+                },
+                |idx| order.push(idx),
+            );
+            assert_eq!(caller_calls.into_inner(), 2, "threads = {t}");
+            assert_eq!(order, (0..chunks).collect::<Vec<_>>(), "threads = {t}");
+        }
+        ON_CALLER.with(|c| c.set(false));
+        set_threads(0);
     }
 
     /// Writes `i · 0.1` into element `i` of a chunked slice and sums
